@@ -1,5 +1,7 @@
-"""Circuit equivalence: exact/phase unitary equality, Choi-matrix channel
-equality, and an independent brute-force oracle over probe inputs."""
+"""Circuit equivalence: exact/phase unitary equality, channel equality by
+the Frobenius distance of Choi matrices (computed from the Kraus
+operators without forming either Choi matrix), and an independent
+brute-force oracle over probe inputs."""
 from __future__ import annotations
 
 import numpy as np
@@ -40,10 +42,21 @@ def unitary_equal(
 
 
 def channel_equal(a: Channel, b: Channel, atol: float = CHANNEL_ATOL) -> bool:
-    """Choi matrices agree entrywise; Kraus decompositions may differ."""
+    """Choi matrices agree to `atol` in Frobenius norm, which implies they
+    agree entrywise; Kraus decompositions may differ.
+
+    With V the vec(K) columns of a channel, Choi = V V^dag. Factoring
+    [V_A V_B] = Q [R_A R_B] with orthonormal Q gives
+    ||Choi_A - Choi_B||_F = ||R_A R_A^dag - R_B R_B^dag||_F, a matrix of
+    side at most r_A + r_B (the Kraus counts) instead of 2^(n_in + n_out).
+    """
     if a.n_in != b.n_in or a.n_out != b.n_out:
         raise EquivalenceError("channel dimension mismatch")
-    return bool(np.max(np.abs(a.choi - b.choi)) <= atol)
+    r_a = len(a.kraus)
+    vecs = np.concatenate([a.kraus.reshape(r_a, -1), b.kraus.reshape(len(b.kraus), -1)])
+    r = np.linalg.qr(vecs.T, mode="r")
+    ra, rb = r[:, :r_a], r[:, r_a:]
+    return bool(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T) <= atol)
 
 
 def _single_wire_probes(n_in: int) -> list[tuple[str, np.ndarray]]:

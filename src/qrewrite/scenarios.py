@@ -125,10 +125,6 @@ def make(name: str) -> Circuit:
     return parse(_SOURCES[name])
 
 
-def scenario_circuits() -> dict[str, Circuit]:
-    return {name: make(name) for name in SCENARIO_NAMES}
-
-
 # ----------------------------------------------------------------------
 # Derivation scripts
 # ----------------------------------------------------------------------
@@ -281,11 +277,6 @@ _SCRIPTS: dict[str, tuple[str, list[Match], str]] = {
 def derivation_start(name: str) -> Circuit:
     src, _, _ = _SCRIPTS[name]
     return parse(src)
-
-
-def derivation_target(name: str) -> Circuit:
-    _, _, target = _SCRIPTS[name]
-    return make(target)
 
 
 def derive(name: str, verify: bool = True) -> DerivationTrace:

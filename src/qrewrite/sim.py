@@ -1,15 +1,24 @@
 """Exact circuit execution: statevector evolution, measurement branching,
-full-unitary construction, and Kraus/Choi channel extraction.
+full-unitary construction, and Kraus channel extraction.
 
-Two independent channel paths are provided: `extract_channel` enumerates
-measurement branches, while `channel_of_deferred` builds a single unitary
-for circuits whose measurements all sit at the end of the body. Cross
-checking the two is part of the verification story.
+Every gate acts along axis 0 of a `(2^n,)` statevector or of a `(2^n, k)`
+batch of statevector columns, so one pass over the circuit evolves a whole
+input isometry. Two independent channel paths are provided:
+`extract_channel` enumerates measurement branches once on the isometry,
+while `channel_of_deferred` evolves the isometry through the gates of a
+circuit whose measurements all sit at the end of the body. Cross checking
+the two is part of the verification story. The Choi matrix is computed
+only on request (`Channel.choi`); channel equality never forms it.
+
+Every dense array the simulator allocates is checked against
+`BYTE_BUDGET` first; a request over it raises `SimulationError` and
+allocates nothing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +35,21 @@ from .circuit import (
 SQRT_HALF = math.sqrt(0.5)
 PRUNE_EPS = 1e-12  # zero-probability branch threshold
 ATOL = 1e-9  # entrywise numerical tolerance
+BYTE_BUDGET = 512 * 2**20  # largest complex array the simulator allocates
 
 
 class SimulationError(ValueError):
     """Circuit cannot be executed as requested."""
+
+
+def _require_budget(entries: int, what: str) -> None:
+    """Refuse, before allocating, an array of `entries` complex128 values
+    (or a set of branch states totalling that many) over `BYTE_BUDGET`."""
+    nbytes = entries * 16
+    if nbytes > BYTE_BUDGET:
+        raise SimulationError(
+            f"{what} needs {nbytes} bytes, over the {BYTE_BUDGET}-byte budget"
+        )
 
 
 @dataclass
@@ -41,18 +61,19 @@ class Branch:
     probability: float
     state: np.ndarray
 
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.outcome.items()))
-
 
 @dataclass
 class Channel:
-    """Kraus operators (each 2^n_out x 2^n_in) and the derived Choi matrix."""
+    """Kraus operators stacked as an (r, 2^n_out, 2^n_in) array; the Choi
+    matrix is derived from them on first access."""
 
-    kraus: list[np.ndarray]
-    choi: np.ndarray
+    kraus: np.ndarray
     n_in: int
     n_out: int
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        return choi_of_kraus(self.kraus)
 
 
 def basis_state(n_wires: int, index: int) -> np.ndarray:
@@ -65,59 +86,98 @@ def _bit(idx: np.ndarray, n: int, wire: int) -> np.ndarray:
     return (idx >> (n - 1 - wire)) & 1
 
 
+def _wire_axes(state: np.ndarray, *wires: int) -> np.ndarray:
+    """View of `state` with one length-2 axis per wire, at axes 1, 3, ... in
+    ascending wire order; the last axis holds lower wires and batch columns."""
+    shape: list[int] = []
+    prev = -1
+    for w in sorted(wires):
+        shape += [1 << (w - prev - 1), 2]
+        prev = w
+    return state.reshape(shape + [-1])
+
+
 def apply_gate(state: np.ndarray, instr: Instruction) -> np.ndarray:
-    """Apply a pure gate (H/X/Z/CNOT/CZ) to a full statevector."""
+    """Apply a pure gate (H/X/Z/CNOT/CZ) along axis 0 of a statevector or of
+    a (2^n, k) batch of statevector columns."""
+    if state.ndim not in (1, 2):
+        raise SimulationError("state must be a vector or a (2^n, k) array of columns")
     n = state.shape[0].bit_length() - 1
     if 1 << n != state.shape[0]:
         raise SimulationError("state dimension is not a power of two")
-    idx = np.arange(state.shape[0])
     if isinstance(instr, Gate1):
-        mask = 1 << (n - 1 - instr.target)
-        bit = _bit(idx, n, instr.target)
+        v = _wire_axes(state, instr.target)
         if instr.kind == "X":
-            return state[idx ^ mask]
-        if instr.kind == "Z":
-            return state * (1 - 2 * bit)
-        # H: new[i] = (state[i with w=0] + (-1)^bit * state[i with w=1]) / sqrt(2)
-        return (state[idx & ~mask] + (1 - 2 * bit) * state[idx | mask]) * SQRT_HALF
+            out = v[:, ::-1]
+        elif instr.kind == "Z":
+            out = v.copy()
+            out[:, 1] *= -1
+        else:  # H: new[w=0] = (s0 + s1) / sqrt(2), new[w=1] = (s0 - s1) / sqrt(2)
+            out = np.empty_like(v)
+            np.add(v[:, 0], v[:, 1], out=out[:, 0])
+            np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
+            out *= SQRT_HALF
+        return out.reshape(state.shape)
     if isinstance(instr, Gate2):
-        cbit = _bit(idx, n, instr.control)
-        if instr.kind == "CNOT":
-            return state[idx ^ (cbit << (n - 1 - instr.target))]
-        tbit = _bit(idx, n, instr.target)
-        return state * (1 - 2 * (cbit & tbit))
+        v = _wire_axes(state, instr.control, instr.target)
+        out = v.copy()
+        if instr.kind == "CZ":
+            out[:, 1, :, 1] *= -1
+        elif instr.control < instr.target:
+            out[:, 1] = v[:, 1, :, ::-1]
+        else:
+            out[:, :, :, 1] = v[:, ::-1, :, 1]
+        return out.reshape(state.shape)
     raise SimulationError(f"not a pure gate instruction: {instr!r}")
 
 
-def initial_state(c: Circuit, input_state: np.ndarray | None) -> np.ndarray:
-    """Joint state over all wires: input register tensored with preparations."""
-    inputs = c.effective_inputs
-    dim_in = 1 << len(inputs)
-    if input_state is None:
-        if inputs:
-            raise SimulationError("circuit has input wires but no input was given")
-        input_state = np.ones(1, dtype=complex)
-    vec = np.asarray(input_state, dtype=complex).reshape(-1)
-    if vec.shape[0] != dim_in:
-        raise SimulationError(
-            f"input has dimension {vec.shape[0]}, expected {dim_in}"
-        )
-    if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-        raise SimulationError("input state is not normalized")
+def _apply_gates(state: np.ndarray, gates) -> np.ndarray:
+    for instr in gates:
+        if not isinstance(instr, (Gate1, Gate2)):
+            raise SimulationError(f"non-unitary instruction {instr!r}")
+        state = apply_gate(state, instr)
+    return state
 
+
+def _mask(n: int, wires) -> int:
+    return sum(1 << (n - 1 - w) for w in wires)
+
+
+def _scatter_index(n: int, wires) -> np.ndarray:
+    """Full n-wire basis index of each assignment to `wires` (first wire most
+    significant), with every other wire 0."""
+    k = len(wires)
+    sub = np.arange(1 << k)
+    full = np.zeros(1 << k, dtype=np.int64)
+    for pos, w in enumerate(wires):
+        full |= ((sub >> (k - 1 - pos)) & 1) << (n - 1 - w)
+    return full
+
+
+def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
+    """Joint state over all wires, input register tensored with the
+    preparations, for each column of `columns` (shape (2^n_in, k)).
+
+    With `columns` None the input register runs over its basis, which gives
+    the circuit's (2^n, 2^n_in) input isometry.
+    """
+    inputs = c.effective_inputs
+    n = c.num_qubits
+    dim_in = 1 << len(inputs)
+    k = dim_in if columns is None else columns.shape[1]
+    _require_budget((1 << n) * k, "prepared state")
     prepped = {w for p in c.preps for w in p.wires}
-    for w in range(c.num_qubits):
+    for w in range(n):
         if w not in prepped and w not in inputs:
             raise SimulationError(f"wire q{w} has no prep and is not an input")
+    if columns is None:
+        columns = np.eye(dim_in, dtype=complex)
 
-    n = c.num_qubits
     idx = np.arange(1 << n)
-    amp = np.ones(1 << n, dtype=complex)
-    if inputs:
-        in_index = np.zeros(1 << n, dtype=int)
-        for pos, w in enumerate(inputs):
-            in_index |= _bit(idx, n, w) << (len(inputs) - 1 - pos)
-        amp = vec[in_index]
+    in_index = np.zeros(1 << n, dtype=np.int64)
+    for pos, w in enumerate(inputs):
+        in_index |= _bit(idx, n, w) << (len(inputs) - 1 - pos)
+    amp = np.ones(1 << n)
     for p in c.preps:
         if p.kind == "zero":
             amp = amp * (_bit(idx, n, p.wires[0]) == 0)
@@ -126,7 +186,48 @@ def initial_state(c: Circuit, input_state: np.ndarray | None) -> np.ndarray:
         else:  # bell pair: (|00> + |11>)/sqrt(2) on the two wires
             a, b = p.wires
             amp = amp * (_bit(idx, n, a) == _bit(idx, n, b)) * SQRT_HALF
-    return amp
+    return amp[:, None] * columns[in_index]
+
+
+def _branches(c: Circuit, state: np.ndarray) -> list[tuple[dict[int, int], np.ndarray]]:
+    """The branch-enumeration loop: run the body on a prepared (2^n, k)
+    state, splitting at every measurement.
+
+    Branches stay unnormalized, so a branch's squared norm is its total
+    probability over the k columns; branches under PRUNE_EPS are dropped.
+    Classical outcomes are shared by all columns of a branch.
+    """
+    branches = [({}, state)]
+    for instr in c.body:
+        if isinstance(instr, (Gate1, Gate2)):
+            branches = [(o, apply_gate(s, instr)) for o, s in branches]
+        elif isinstance(instr, Measure):
+            _require_budget(2 * len(branches) * state.size, "measurement branches")
+            new_branches = []
+            for outcome, s in branches:
+                zero = _wire_axes(s, instr.target)  # the loop owns s: project in place
+                one = zero.copy()
+                one[:, 0] = 0
+                zero[:, 1] = 0
+                for value, proj in ((0, zero.reshape(s.shape)), (1, one.reshape(s.shape))):
+                    if float(np.vdot(proj, proj).real) >= PRUNE_EPS:
+                        new_branches.append(({**outcome, instr.result: value}, proj))
+            branches = new_branches
+        elif isinstance(instr, ClassicalCtrl):
+            gate = Gate1("X" if instr.kind == "CX" else "Z", instr.target)
+            for i, (outcome, s) in enumerate(branches):
+                if instr.control not in outcome:
+                    raise SimulationError(
+                        f"use of unassigned classical wire c{instr.control}"
+                    )
+                if outcome[instr.control]:
+                    branches[i] = (outcome, apply_gate(s, gate))
+        else:  # ClassicalXor
+            for outcome, _ in branches:
+                if instr.a not in outcome or instr.b not in outcome:
+                    raise SimulationError("use of unassigned classical wire in XOR")
+                outcome[instr.out] = outcome[instr.a] ^ outcome[instr.b]
+    return branches
 
 
 def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
@@ -135,65 +236,30 @@ def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
     Returns all surviving branches (probability >= 1e-12); their
     probabilities sum to 1 and each state is renormalized.
     """
-    n = c.num_qubits
-    branches = [Branch({}, 1.0, initial_state(c, input_state))]
-    idx = np.arange(1 << n)
-    for instr in c.body:
-        if isinstance(instr, (Gate1, Gate2)):
-            for br in branches:
-                br.state = apply_gate(br.state, instr)
-        elif isinstance(instr, Measure):
-            bit = _bit(idx, n, instr.target)
-            new_branches: list[Branch] = []
-            for br in branches:
-                for value in (0, 1):
-                    proj = np.where(bit == value, br.state, 0.0)
-                    p_local = float(np.vdot(proj, proj).real)
-                    p_total = br.probability * p_local
-                    if p_total < PRUNE_EPS:
-                        continue
-                    outcome = dict(br.outcome)
-                    outcome[instr.result] = value
-                    new_branches.append(
-                        Branch(outcome, p_total, proj / math.sqrt(p_local))
-                    )
-            branches = new_branches
-        elif isinstance(instr, ClassicalCtrl):
-            gate_kind = "X" if instr.kind == "CX" else "Z"
-            for br in branches:
-                if instr.control not in br.outcome:
-                    raise SimulationError(
-                        f"use of unassigned classical wire c{instr.control}"
-                    )
-                if br.outcome[instr.control]:
-                    br.state = apply_gate(br.state, Gate1(gate_kind, instr.target))
-        else:  # ClassicalXor
-            for br in branches:
-                if instr.a not in br.outcome or instr.b not in br.outcome:
-                    raise SimulationError("use of unassigned classical wire in XOR")
-                br.outcome[instr.out] = br.outcome[instr.a] ^ br.outcome[instr.b]
-    return branches
+    dim_in = 1 << len(c.effective_inputs)
+    if input_state is None:
+        if c.effective_inputs:
+            raise SimulationError("circuit has input wires but no input was given")
+        input_state = np.ones(1, dtype=complex)
+    vec = np.asarray(input_state, dtype=complex).reshape(-1)
+    if vec.shape[0] != dim_in:
+        raise SimulationError(f"input has dimension {vec.shape[0]}, expected {dim_in}")
+    if abs(np.linalg.norm(vec) - 1.0) > ATOL:
+        raise SimulationError("input state is not normalized")
+    out = []
+    for outcome, s in _branches(c, _prepare(c, vec[:, None])):
+        s = s[:, 0]
+        p = float(np.vdot(s, s).real)
+        out.append(Branch(outcome, p, s / math.sqrt(p)))
+    return out
 
 
 def build_unitary(c: Circuit) -> np.ndarray:
-    """Unitary of a pure-gate circuit, built by applying gates to basis columns."""
+    """Unitary of a pure-gate circuit: its gates applied to the identity."""
     if c.preps:
         raise SimulationError("circuit with preps is not a pure gate circuit")
-    return _unitary_of(c.body, c.num_qubits)
-
-
-def _unitary_of(body: tuple[Instruction, ...], n: int) -> np.ndarray:
-    for instr in body:
-        if not isinstance(instr, (Gate1, Gate2)):
-            raise SimulationError(f"non-unitary instruction {instr!r}")
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        col = basis_state(n, j)
-        for instr in body:
-            col = apply_gate(col, instr)
-        mat[:, j] = col
-    return mat
+    _require_budget(1 << (2 * c.num_qubits), "unitary")
+    return _apply_gates(np.eye(1 << c.num_qubits, dtype=complex), c.body)
 
 
 def is_unitary(mat: np.ndarray, tol: float = ATOL) -> bool:
@@ -208,29 +274,27 @@ def is_unitary(mat: np.ndarray, tol: float = ATOL) -> bool:
 # ----------------------------------------------------------------------
 
 
-def choi_of_kraus(kraus: list[np.ndarray]) -> np.ndarray:
+def choi_of_kraus(kraus: np.ndarray) -> np.ndarray:
+    """Sum over Kraus operators of vec(K) vec(K)^dag, vec taken row-major."""
+    kraus = np.asarray(kraus)
     d = kraus[0].size
-    choi = np.zeros((d, d), dtype=complex)
-    for k in kraus:
-        v = k.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return choi
+    _require_budget(d * d, "Choi matrix")
+    vecs = kraus.reshape(len(kraus), d)
+    return vecs.T @ vecs.conj()
 
 
-def make_channel(kraus: list[np.ndarray], n_in: int, n_out: int) -> Channel:
+def make_channel(kraus: np.ndarray | list[np.ndarray], n_in: int, n_out: int) -> Channel:
     """Assemble a channel, pruning negligible Kraus terms and checking
-    completeness (sum K^dag K = I) and Choi Hermiticity."""
-    kraus = [k for k in kraus if np.linalg.norm(k) > PRUNE_EPS]
-    if not kraus:
-        raise SimulationError("channel has no Kraus operators")
+    completeness (sum K^dag K = I)."""
     dim_in = 1 << n_in
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(total - np.eye(dim_in))) > ATOL:
+    kraus = np.asarray(kraus, dtype=complex).reshape(-1, 1 << n_out, dim_in)
+    kraus = kraus[np.linalg.norm(kraus.reshape(len(kraus), -1), axis=1) > PRUNE_EPS]
+    if not len(kraus):
+        raise SimulationError("channel has no Kraus operators")
+    stacked = kraus.reshape(-1, dim_in)  # rows of every K: sum K^dag K = S^dag S
+    if np.max(np.abs(stacked.conj().T @ stacked - np.eye(dim_in))) > ATOL:
         raise SimulationError("Kraus completeness violated")
-    choi = choi_of_kraus(kraus)
-    if np.max(np.abs(choi - choi.conj().T)) > ATOL:
-        raise SimulationError("Choi matrix is not Hermitian")
-    return Channel(kraus, choi, n_in, n_out)
+    return Channel(kraus, n_in, n_out)
 
 
 def unitary_channel(mat: np.ndarray) -> Channel:
@@ -240,52 +304,36 @@ def unitary_channel(mat: np.ndarray) -> Channel:
 
 def _restriction_indices(n: int, outs: tuple[int, ...], rest: tuple[int, ...]) -> np.ndarray:
     """index_map[o, d] = full basis index with O-bits o and rest-bits d."""
-    fi = np.zeros((1 << len(outs), 1 << len(rest)), dtype=int)
-    for o in range(1 << len(outs)):
-        base = 0
-        for pos, w in enumerate(outs):
-            base |= ((o >> (len(outs) - 1 - pos)) & 1) << (n - 1 - w)
-        for d in range(1 << len(rest)):
-            full = base
-            for pos, w in enumerate(rest):
-                full |= ((d >> (len(rest) - 1 - pos)) & 1) << (n - 1 - w)
-            fi[o, d] = full
-    return fi
+    return _scatter_index(n, outs)[:, None] | _scatter_index(n, rest)[None, :]
 
 
 def extract_channel(c: Circuit) -> Channel:
     """Channel from input wires to output wires by branch enumeration.
 
-    One Kraus operator per (measurement outcome, discard-wire basis index);
-    the Choi matrix marginalizes outcome labels, so it fingerprints the
-    channel independently of the Kraus decomposition.
+    The circuit runs once on its input isometry. Each surviving branch,
+    restricted to one basis index d of the discarded wires, is one Kraus
+    operator: its rows with discard bits d. Channel equality compares the
+    span these operators generate, so it does not depend on the Kraus
+    decomposition.
     """
-    n = c.num_qubits
-    inputs = c.effective_inputs
     outs = c.output_wires
-    disc = c.discard_wires
-    fi = _restriction_indices(n, outs, disc)
-    dim_in, dim_out, dim_d = 1 << len(inputs), 1 << len(outs), 1 << len(disc)
-
-    kraus_acc: dict[tuple, np.ndarray] = {}
-    for j in range(dim_in):
-        for br in run(c, basis_state(len(inputs), j)):
-            unnorm = math.sqrt(br.probability) * br.state
-            for d in range(dim_d):
-                key = (br.key(), d)
-                mat = kraus_acc.get(key)
-                if mat is None:
-                    mat = kraus_acc[key] = np.zeros((dim_out, dim_in), dtype=complex)
-                mat[:, j] = mat[:, j] + unnorm[fi[:, d]]
-    return make_channel(list(kraus_acc.values()), len(inputs), len(outs))
+    branches = _branches(c, _prepare(c))
+    fi = _restriction_indices(c.num_qubits, outs, c.discard_wires)
+    kraus = []
+    for _, s in branches:
+        # a measured discard wire leaves most d-slices zero: skip them unread
+        weight = (np.linalg.norm(s, axis=1) ** 2)[fi].sum(axis=0)
+        kraus.append(s[fi[:, weight > PRUNE_EPS**2]].transpose(1, 0, 2))
+    return make_channel(np.concatenate(kraus), len(c.effective_inputs), len(outs))
 
 
 def channel_of_deferred(c: Circuit) -> Channel:
     """Channel of a circuit whose body is pure gates followed only by
-    measurements (the Rule III canonical form), via a single unitary.
+    measurements (the Rule III canonical form), via one gate pass over the
+    input isometry.
 
     This is an independent code path from `extract_channel`: no branch
-    enumeration, one matrix build plus index arithmetic.
+    enumeration, one isometry evolution plus index arithmetic.
     """
     n = c.num_qubits
     split = len(c.body)
@@ -302,42 +350,23 @@ def channel_of_deferred(c: Circuit) -> Channel:
             raise SimulationError("wire measured twice in deferred form")
         measured.append(instr.target)
 
-    inputs = c.effective_inputs
     outs, disc = c.output_wires, c.discard_wires
-    dim_in, dim_out = 1 << len(inputs), 1 << len(outs)
-    u = _unitary_of(gates, n)
-    v = np.zeros((1 << n, dim_in), dtype=complex)
-    for j in range(dim_in):
-        v[:, j] = u @ initial_state(c, basis_state(len(inputs), j))
+    v = _apply_gates(_prepare(c), gates)
 
+    # One Kraus operator per assignment to the measured wires and the
+    # unmeasured discards. Its row o reads the isometry at o's output bits
+    # plus the assignment's discard bits, and is zero unless o agrees with
+    # the assignment on measured output wires.
     m_sorted = tuple(sorted(measured))
-    free_d = tuple(w for w in disc if w not in m_sorted)
-    out_pos = {w: k for k, w in enumerate(outs)}
-    kraus: list[np.ndarray] = []
-    for b in range(1 << len(m_sorted)):
-        bits = {
-            w: (b >> (len(m_sorted) - 1 - k)) & 1 for k, w in enumerate(m_sorted)
-        }
-        for d in range(1 << len(free_d)):
-            for pos, w in enumerate(free_d):
-                bits[w] = (d >> (len(free_d) - 1 - pos)) & 1
-            mat = np.zeros((dim_out, dim_in), dtype=complex)
-            for o in range(dim_out):
-                consistent = all(
-                    ((o >> (len(outs) - 1 - out_pos[w])) & 1) == bits[w]
-                    for w in m_sorted
-                    if w in out_pos
-                )
-                if not consistent:
-                    continue
-                full = 0
-                for k, w in enumerate(outs):
-                    full |= ((o >> (len(outs) - 1 - k)) & 1) << (n - 1 - w)
-                for w in disc:
-                    full |= bits[w] << (n - 1 - w)
-                mat[o, :] = v[full, :]
-            kraus.append(mat)
-    return make_channel(kraus, len(inputs), len(outs))
+    labels = m_sorted + tuple(w for w in disc if w not in m_sorted)
+    label_full = _scatter_index(n, labels)[:, None]
+    out_full = _scatter_index(n, outs)[None, :]
+    disc_mask = _mask(n, disc)
+    meas_out_mask = _mask(n, (w for w in m_sorted if w in outs))
+    consistent = (out_full & meas_out_mask) == (label_full & meas_out_mask)
+    rows = v[out_full | (label_full & disc_mask)]
+    kraus = np.where(consistent[:, :, None], rows, 0)
+    return make_channel(kraus, len(c.effective_inputs), len(outs))
 
 
 def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -349,15 +378,6 @@ def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
         t = t.transpose(keep + rest)
     t = t.reshape(1 << len(keep), -1)
     return t @ t.conj().T
-
-
-def output_density(c: Circuit, input_state: np.ndarray | None = None) -> np.ndarray:
-    """Outcome-marginalized density matrix on the output wires."""
-    outs = c.output_wires
-    rho = np.zeros((1 << len(outs), 1 << len(outs)), dtype=complex)
-    for br in run(c, input_state):
-        rho += br.probability * reduced_density(br.state, outs)
-    return rho
 
 
 def fidelity(state: np.ndarray, rho: np.ndarray) -> float:

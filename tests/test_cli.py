@@ -1,9 +1,12 @@
 """CLI: subcommands, exit codes, output formats, determinism."""
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+
+import qrewrite
 
 from qrewrite.cli import EXIT_NOT_EQUIV, EXIT_PARSE, EXIT_USAGE, format_complex, main, parse_ket
 from qrewrite.circuit import serialize
@@ -119,6 +122,14 @@ def test_check_not_equivalent_prints_probe(files, capsys):
     assert "distinguishing probe: basis |0>" in out
 
 
+def test_check_channel_oversized_is_a_usage_error(files, capsys):
+    wide = "qubits 30\ncbits 0\n" + "".join(f"INPUT q{w}\n" for w in range(30))
+    a = files("a.qc", wide + "H q0\n")
+    b = files("b.qc", wide + "X q0\n")
+    assert main(["check", a, b, "--mode", "channel"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_rewrite_list_and_apply(files, capsys):
     path = files("hh.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0\n")
     assert main(["rewrite", path, "--rule", "R1_InverseCancel", "--list"]) == 0
@@ -179,7 +190,11 @@ def test_demos_exit_zero_and_verified(name, capsys):
 
 
 def test_demo_deterministic_across_processes(files):
+    # the children import the same qrewrite as this process
+    src = os.path.dirname(os.path.dirname(qrewrite.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     cmd = [sys.executable, "-m", "qrewrite.cli", "demo", "densecoding"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert a.returncode == 0 and a.stdout == b.stdout

@@ -1,19 +1,24 @@
 """Equivalence deciders: unitary (exact / up to phase), channel, oracle."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qrewrite.circuit import parse
+from qrewrite.circuit import Gate1, Gate2, circuit, parse
+from qrewrite.engine import RewriteError, find_matches, rewrite_at
 from qrewrite.equivalence import (
+    CHANNEL_ATOL,
     EquivalenceError,
     channel_equal,
     distinguishing_probe,
     oracle_equal,
     unitary_equal,
 )
+from qrewrite.rules import RULES
 from qrewrite.scenarios import make
-from qrewrite.sim import build_unitary, extract_channel, unitary_channel
+from qrewrite.sim import build_unitary, channel_of_deferred, extract_channel, unitary_channel
 
-from util import random_bindings, rule_pair
+from util import random_bindings, random_circuit, rule_pair
 
 
 def test_cnot_equals_h_cz_h_exactly():
@@ -137,3 +142,61 @@ def test_channel_and_oracle_agree_on_rule_samples():
             ch = channel_equal(extract_channel(c1), extract_channel(c2))
             assert ch == oracle_equal(c1, c2)
             assert ch, (rule_id, variant, bindings)
+
+
+def _explicit_choi(ch) -> np.ndarray:
+    """Choi matrix as a sum of outer products of row-major vec(K)."""
+    d = ch.kraus[0].size
+    choi = np.zeros((d, d), dtype=complex)
+    for k in ch.kraus:
+        v = k.reshape(-1)
+        choi += np.outer(v, v.conj())
+    return choi
+
+
+def _rule_rewrite(c):
+    for rule_id in RULES:
+        for m in find_matches(c, rule_id):
+            try:
+                return rewrite_at(c, m)
+            except RewriteError:
+                continue
+    return None
+
+
+def test_channel_equal_agrees_with_entrywise_choi_comparison():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(150):
+        c = random_circuit(rng, max_qubits=5, max_instructions=12, p_input=0.4)
+        w = int(rng.integers(c.num_qubits))
+        pauli = Gate1(str(rng.choice(["X", "Z"])), w)
+        partners = [_rule_rewrite(c), dataclasses.replace(c, body=c.body + (pauli,))]
+        a = extract_channel(c)
+        for other in partners:
+            if other is None:
+                continue
+            b = extract_channel(other)
+            entrywise = np.max(np.abs(_explicit_choi(a) - _explicit_choi(b))) <= CHANNEL_ATOL
+            assert channel_equal(a, b) == entrywise, (c, other)
+            verdicts.append(entrywise)
+    assert len(verdicts) >= 200
+    assert sum(verdicts) >= 50 and len(verdicts) - sum(verdicts) >= 50
+
+
+def test_branch_and_deferred_paths_agree_at_eight_qubits():
+    # all eight wires are inputs: the Choi matrix would be 64 GiB
+    rng = np.random.default_rng(8)
+    body = []
+    for _ in range(30):
+        if rng.random() < 0.35:
+            body.append(Gate1("H", int(rng.integers(8))))
+        else:
+            a, b = (int(w) for w in rng.choice(8, size=2, replace=False))
+            body.append(Gate2("CNOT", a, b))
+    c = circuit(8, 0, body, inputs=range(8))
+    branch_path, unitary_path = extract_channel(c), channel_of_deferred(c)
+    assert np.max(np.abs(branch_path.kraus[0] - build_unitary(c))) <= 1e-12
+    assert channel_equal(branch_path, unitary_path)
+    y = circuit(8, 0, body + [Gate1("X", 3), Gate1("Z", 3)], inputs=range(8))
+    assert not channel_equal(branch_path, channel_of_deferred(y))

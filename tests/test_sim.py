@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from qrewrite.circuit import Gate1, Gate2, circuit, parse
+from qrewrite.circuit import Gate1, Gate2, circuit, parse, prep_zero
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import (
     SQRT_HALF,
     SimulationError,
+    _restriction_indices,
     apply_gate,
     basis_state,
     build_unitary,
@@ -138,6 +139,54 @@ def test_norm_preserved_on_random_states():
         state = random_state(rng, 4)
         g = gates[int(rng.integers(len(gates)))]
         assert abs(np.linalg.norm(apply_gate(state, g)) - 1.0) <= 1e-9
+
+
+def test_apply_gate_on_columns_matches_column_by_column():
+    rng = np.random.default_rng(17)
+    batch = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    gates = [Gate1(k, w) for k in ("H", "X", "Z") for w in range(3)] + [
+        Gate2(k, a, b) for k in ("CNOT", "CZ") for a in range(3) for b in range(3) if a != b
+    ]
+    for g in gates:
+        out = apply_gate(batch, g)
+        assert out.shape == batch.shape
+        for j in range(batch.shape[1]):
+            assert np.array_equal(out[:, j], apply_gate(batch[:, j], g)), (g, j)
+
+
+def test_apply_gate_rejects_more_than_two_axes():
+    with pytest.raises(SimulationError):
+        apply_gate(np.zeros((4, 2, 2), dtype=complex), Gate1("H", 0))
+
+
+def test_oversized_requests_are_refused_before_allocation():
+    wide = circuit(30, 0, [Gate1("H", 0)], inputs=range(30))
+    for fn in (extract_channel, channel_of_deferred, build_unitary):
+        with pytest.raises(SimulationError, match="budget"):
+            fn(wide)
+    with pytest.raises(SimulationError, match="budget"):
+        run(circuit(30, 0, [Gate1("H", 0)], preps=[prep_zero(w) for w in range(30)]))
+    # an 8-qubit unitary channel is cheap, but its Choi matrix is 64 GiB
+    ch = extract_channel(circuit(8, 0, [], inputs=range(8)))
+    with pytest.raises(SimulationError, match="budget"):
+        ch.choi
+
+
+def test_restriction_indices_match_bitwise_loop():
+    def reference(n, outs, rest):
+        fi = np.zeros((1 << len(outs), 1 << len(rest)), dtype=int)
+        for o in range(1 << len(outs)):
+            for d in range(1 << len(rest)):
+                full = 0
+                for pos, w in enumerate(outs):
+                    full |= ((o >> (len(outs) - 1 - pos)) & 1) << (n - 1 - w)
+                for pos, w in enumerate(rest):
+                    full |= ((d >> (len(rest) - 1 - pos)) & 1) << (n - 1 - w)
+                fi[o, d] = full
+        return fi
+
+    for n, outs, rest in [(1, (0,), ()), (1, (), (0,)), (3, (2, 0), (1,)), (5, (4, 1), (0, 3, 2))]:
+        assert np.array_equal(_restriction_indices(n, outs, rest), reference(n, outs, rest))
 
 
 def test_gates_are_involutions():
