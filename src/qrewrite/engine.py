@@ -2,6 +2,13 @@
 rewrites with optional channel verification, simplify greedily, and record
 derivation traces.
 
+The engine reads each rule through its compiled forms (`rules.rule_forms`):
+a match names a rule, direction and variant, which select one `RuleForm`,
+and its `src` templates, variables, kinds and aliases drive matching,
+checking and rewriting alike. Hand-built matches pass the same checks as
+found ones (`_check_applicable`), so a malformed or aliased binding is a
+`RewriteError`, never a wrong rewrite.
+
 Matching is subsequence-based: the instructions of a pattern may be
 interleaved with others, provided each interleaved instruction touches
 wires disjoint from every later matched instruction, so the matched
@@ -28,16 +35,7 @@ from .circuit import (
     written_cbit,
 )
 from .equivalence import channel_equal
-from .rules import (
-    RULES,
-    RewriteRule,
-    IDENT,
-    ground,
-    ground_preps,
-    template_side,
-    template_variables,
-    variable_kinds,
-)
+from .rules import RuleForm, ground, ground_preps, rule_forms
 from .sim import extract_channel
 
 
@@ -88,13 +86,13 @@ def match(
     bindings: dict[str, int] | None = None,
     variant: str | None = None,
 ) -> Match:
-    r = RULES[rule]
+    forms = rule_forms(rule, direction)
     return Match(
         rule,
         direction,
         tuple(site),
         tuple(sorted((bindings or {}).items())),
-        variant or r.variants[0],
+        variant or next(iter(forms)),
     )
 
 
@@ -104,11 +102,7 @@ def match(
 
 
 def _unify(
-    tpl: Instruction,
-    instr: Instruction,
-    bindings: dict[str, int],
-    kinds: dict[str, str],
-    rule: RewriteRule,
+    tpl: Instruction, instr: Instruction, bindings: dict[str, int], form: RuleForm
 ) -> dict[str, int] | None:
     if type(tpl) is not type(instr):
         return None
@@ -125,14 +119,8 @@ def _unify(
                 if new[want] != have:
                     return None
                 continue
-            kind = kinds[want]
-            for other, val in new.items():
-                if (
-                    kinds.get(other) == kind
-                    and val == have
-                    and frozenset({other, want}) not in rule.alias_ok
-                ):
-                    return None
+            if form.clash(new, want, have) is not None:
+                return None
             if new is bindings:
                 new = dict(bindings)
             new[want] = have
@@ -142,14 +130,11 @@ def _unify(
 
 
 def _find_sites(
-    c: Circuit,
-    tpl: list[Instruction],
-    kinds: dict[str, str],
-    rule: RewriteRule,
-    seed: dict[str, int],
+    c: Circuit, form: RuleForm
 ) -> list[tuple[tuple[int, ...], dict[str, int]]]:
-    """All gatherable occurrences of the template in body order."""
+    """All gatherable occurrences of the form's `src` side in body order."""
     body = c.body
+    tpl = form.src
     results: list[tuple[tuple[int, ...], dict[str, int]]] = []
 
     def extend(slot: int, pos: int, picked: list[int], skipped, bindings) -> None:
@@ -161,37 +146,27 @@ def _find_sites(
             # instructions before the first matched index are not interleaved;
             # afterwards, a candidate must avoid every skipped instruction
             if slot == 0 or not (wires(body[j]) & sk):
-                b2 = _unify(tpl[slot], body[j], bindings, kinds, rule)
+                b2 = _unify(tpl[slot], body[j], bindings, form)
                 if b2 is not None:
                     extend(slot + 1, j + 1, picked + [j], sk, b2)
             if slot > 0:
                 sk = sk | wires(body[j])
 
-    extend(0, 0, [], frozenset(), dict(seed))
+    extend(0, 0, [], frozenset(), {})
     return results
 
 
-def _insertion_matches(
-    c: Circuit, rule: RewriteRule, direction: str, variant: str
-) -> list[Match]:
-    dst_fn, dst_prep_fn = template_side(rule, direction, "dst")
-    tpl = dst_fn(IDENT, variant)
-    vars_needed = list(template_variables(tpl))
-    if dst_prep_fn is not None:
-        for p in dst_prep_fn(IDENT, variant):
-            for w in p.wires:
-                if isinstance(w, str) and w not in vars_needed:
-                    vars_needed.append(w)
-    kinds = variable_kinds(rule)
-    qvars = [v for v in vars_needed if kinds[v] == "q"]
-    cvars = [v for v in vars_needed if kinds[v] == "c"]
+def _insertion_matches(c: Circuit, form: RuleForm) -> list[Match]:
+    qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
+    cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
     out: list[Match] = []
     for pos in range(len(c.body) + 1):
         for qs in permutations(range(c.num_qubits), len(qvars)):
             for cs in permutations(range(c.num_cbits), len(cvars)):
                 b = dict(zip(qvars, qs)) | dict(zip(cvars, cs))
                 m = Match(
-                    rule.id, direction, (pos,), tuple(sorted(b.items())), variant
+                    form.rule, form.direction, (pos,), tuple(sorted(b.items())),
+                    form.variant,
                 )
                 if _check_applicable(c, m, allow_fresh=False) is None:
                     out.append(m)
@@ -202,31 +177,29 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
     """All rule occurrences, ordered left to right by first matched index.
 
     Conditional rules only report sites whose static condition holds.
+    Unknown rule ids raise KeyError, unknown directions ValueError.
     """
-    if rule_id not in RULES:
-        raise KeyError(f"unknown rule id {rule_id!r}")
-    rule = RULES[rule_id]
+    forms = rule_forms(rule_id, direction)
     if rule_id == "Commute":
         return [
             Match("Commute", "forward", (i,))
             for i in range(len(c.body) - 1)
             if supports_disjoint(c.body[i], c.body[i + 1])
         ]
-    kinds = variable_kinds(rule)
     out: list[Match] = []
-    for vi, variant in enumerate(rule.variants):
-        src_fn, _ = template_side(rule, direction, "src")
-        tpl = src_fn(IDENT, variant)
-        if not tpl:
-            out.extend(_insertion_matches(c, rule, direction, variant))
+    for form in forms.values():
+        if not form.src:
+            out.extend(_insertion_matches(c, form))
             continue
-        for site, bindings in _find_sites(c, tpl, kinds, rule, {}):
+        for site, bindings in _find_sites(c, form):
             m = Match(
-                rule.id, direction, site, tuple(sorted(bindings.items())), variant
+                rule_id, direction, site, tuple(sorted(bindings.items())),
+                form.variant,
             )
             if _check_applicable(c, m, allow_fresh=True) is None:
                 out.append(m)
-    out.sort(key=lambda m: (m.site, rule.variants.index(m.variant), m.bindings))
+    variants = list(forms)
+    out.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
     return out
 
 
@@ -248,13 +221,13 @@ def _gather_ok(c: Circuit, site: tuple[int, ...]) -> bool:
 
 
 def _allocate_fresh(
-    c: Circuit, rule: RewriteRule, kinds: dict[str, str], bindings: dict[str, int],
-    needed: list[str],
+    c: Circuit, form: RuleForm, bindings: dict[str, int]
 ) -> tuple[dict[str, int], int]:
     """Bind replacement-only variables; returns bindings and new cbit count."""
+    kinds = form.kinds
     num_cbits = c.num_cbits
     b = dict(bindings)
-    for var in needed:
+    for var in form.dst_vars:
         if var in b:
             continue
         if kinds[var] == "q":
@@ -281,53 +254,51 @@ def _allocate_fresh(
 
 
 def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
-    """None if the match applies cleanly, else the reason it does not."""
-    rule = RULES[m.rule]
-    if m.variant not in rule.variants:
+    """None if the match applies cleanly, else the reason it does not.
+
+    Unknown rule ids raise KeyError, unknown directions ValueError.
+    """
+    form = rule_forms(m.rule, m.direction).get(m.variant)
+    if form is None:
         return f"unknown variant {m.variant!r}"
     if m.rule == "Commute":
+        if len(m.site) != 1:
+            return "commute site must be a single index"
         i = m.site[0]
         if not (0 <= i < len(c.body) - 1):
             return "commute site out of range"
         if not supports_disjoint(c.body[i], c.body[i + 1]):
             return "adjacent instructions share support"
         return None
-    kinds = variable_kinds(rule)
     bindings = m.binding_map
-    src_fn, src_prep_fn = template_side(rule, m.direction, "src")
-    tpl = src_fn(IDENT, m.variant)
-    if tpl:
-        if len(m.site) != len(tpl):
+    reason = form.binding_error(bindings, complete=not allow_fresh)
+    if reason is not None:
+        return reason
+    if form.src:
+        if len(m.site) != len(form.src):
             return "site length does not match pattern"
         if any(not 0 <= j < len(c.body) for j in m.site) or list(m.site) != sorted(
             set(m.site)
         ):
             return "site indices invalid"
-        grounded = ground(tpl, bindings)
-        for j, want in zip(m.site, grounded):
+        for j, want in zip(m.site, ground(form.src, bindings)):
             if c.body[j] != want:
                 return f"instruction at {j} does not match pattern"
         if not _gather_ok(c, m.site):
             return "interleaved instructions block gathering"
     else:
+        if len(m.site) > 1:
+            return "insertion site must be a single index"
         pos = m.site[0] if m.site else len(c.body)
         if not 0 <= pos <= len(c.body):
             return "insertion position out of range"
-    if src_prep_fn is not None:
-        for p in ground_preps(src_prep_fn(IDENT, m.variant), bindings):
+    if form.src_preps:
+        for p in ground_preps(form.src_preps, bindings):
             if p not in c.preps:
                 return f"required prep {p} not present"
-    if not allow_fresh:
-        dst_fn, dst_prep_fn = template_side(rule, m.direction, "dst")
-        needed = set(template_variables(dst_fn(IDENT, m.variant)))
-        if dst_prep_fn is not None:
-            for p in dst_prep_fn(IDENT, m.variant):
-                needed |= {w for w in p.wires if isinstance(w, str)}
-        if any(v not in bindings for v in needed):
-            return "missing fresh wire binding"
-    if rule.condition is not None:
+    if form.condition is not None:
         pos_site = m.site if m.site else (len(c.body),)
-        return rule.condition(c, pos_site, bindings, m.variant, m.direction)
+        return form.condition(c, pos_site, bindings, m.variant, m.direction)
     return None
 
 
@@ -346,30 +317,19 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         validate(new)
         return _verified(c, new, verify)
 
-    rule = RULES[m.rule]
-    kinds = variable_kinds(rule)
-    src_fn, src_prep_fn = template_side(rule, m.direction, "src")
-    dst_fn, dst_prep_fn = template_side(rule, m.direction, "dst")
-    dst_tpl = dst_fn(IDENT, m.variant)
-    needed = list(template_variables(dst_tpl))
-    if dst_prep_fn is not None:
-        for p in dst_prep_fn(IDENT, m.variant):
-            for w in p.wires:
-                if isinstance(w, str) and w not in needed:
-                    needed.append(w)
-    bindings, num_cbits = _allocate_fresh(c, rule, kinds, m.binding_map, needed)
+    form = rule_forms(m.rule, m.direction)[m.variant]
+    bindings, num_cbits = _allocate_fresh(c, form, m.binding_map)
 
     # re-check the condition with fresh variables bound
-    if rule.condition is not None:
+    if form.condition is not None:
         pos_site = m.site if m.site else (len(c.body),)
-        reason = rule.condition(c, pos_site, bindings, m.variant, m.direction)
+        reason = form.condition(c, pos_site, bindings, m.variant, m.direction)
         if reason is not None:
             raise RewriteError(f"{m.rule}: {reason}")
 
-    replacement = ground(dst_tpl, bindings)
-    src_tpl = src_fn(IDENT, m.variant)
+    replacement = ground(form.dst, bindings)
     body = list(c.body)
-    if src_tpl:
+    if form.src:
         lo, hi = m.site[0], m.site[-1]
         skipped = [body[j] for j in range(lo, hi + 1) if j not in m.site]
         body = body[:lo] + replacement + skipped + body[hi + 1 :]
@@ -378,11 +338,10 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         body = body[:pos] + replacement + body[pos:]
 
     preps = list(c.preps)
-    if src_prep_fn is not None:
-        for p in ground_preps(src_prep_fn(IDENT, m.variant), bindings):
+    if form.src_preps or form.dst_preps:
+        for p in ground_preps(form.src_preps, bindings):
             preps.remove(p)
-    if dst_prep_fn is not None:
-        preps.extend(ground_preps(dst_prep_fn(IDENT, m.variant), bindings))
+        preps.extend(ground_preps(form.dst_preps, bindings))
 
     new = Circuit(
         c.num_qubits,

@@ -8,18 +8,26 @@ parallel-to-lambda) plus structural engine rules (adjacent commutations,
 discarded-wire cleanup, measurement insertion on discarded wires, Bell
 preparation folding) that the derivation scripts rely on.
 
-Patterns and replacements are expressed as instruction templates whose
-wire slots hold variable names; grounding a template with a binding map
-gives concrete instructions. A rule's `condition` is a static, syntactic
-predicate on the circuit at the match site (for example "this wire is
-provably in |+> here").
+Patterns and replacements are declared as template functions of a binding
+map and a variant; a rule's `condition` is a static, syntactic predicate on
+the circuit at the match site (for example "this wire is provably in |+>
+here").
+
+Each rule is compiled once, at import, into one `RuleForm` per direction
+and variant (`FORMS`, looked up through `rule_forms`): the matched ("src")
+and produced ("dst") sides as instruction and prep templates whose wire
+slots hold variable names, the variables each side needs, their wire kinds
+and the rule's allowed aliases. The engine, `instantiate` and the tests
+read these records; grounding a template with a binding map gives concrete
+instructions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from typing import Callable, Mapping
 
 from .circuit import (
+    FIELD_KINDS,
     Circuit,
     ClassicalCtrl,
     ClassicalXor,
@@ -516,8 +524,6 @@ def template_side(
 def template_variables(instrs: list[Instruction]) -> tuple[str, ...]:
     """Variable names (string-valued wire slots) of a template, in order."""
     seen: list[str] = []
-    from .circuit import FIELD_KINDS
-
     for instr in instrs:
         for name, _ in FIELD_KINDS[type(instr)]:
             val = getattr(instr, name)
@@ -528,8 +534,6 @@ def template_variables(instrs: list[Instruction]) -> tuple[str, ...]:
 
 def variable_kinds(rule: RewriteRule) -> dict[str, str]:
     """Map each variable of a rule to its wire kind ("q" or "c")."""
-    from .circuit import FIELD_KINDS
-
     kinds: dict[str, str] = {}
     for variant in rule.variants:
         for fn in (rule.pattern, rule.replacement):
@@ -550,8 +554,6 @@ def variable_kinds(rule: RewriteRule) -> dict[str, str]:
 
 def ground(instrs: list[Instruction], bindings: Bindings) -> list[Instruction]:
     """Substitute variables with bound wires; bindings must be total."""
-    from dataclasses import fields, replace as dc_replace
-
     out = []
     for instr in instrs:
         subs = {}
@@ -575,42 +577,141 @@ def ground_preps(preps: list[PrepDecl], bindings: Bindings) -> list[PrepDecl]:
     return out
 
 
+# ----------------------------------------------------------------------
+# Compiled rule forms
+# ----------------------------------------------------------------------
+
+DIRECTIONS = ("forward", "backward")
+
+
+@dataclass(frozen=True)
+class RuleForm:
+    """One rule in one direction and variant, with its templates grounded
+    to variable names.
+
+    `src` is the side a match finds in the circuit, `dst` the side a rewrite
+    splices in (pattern and replacement forward, swapped backward). A form
+    with an empty `src` is applied by insertion. `src_vars` and `dst_vars`
+    are the variables each side needs, instruction slots first, then prep
+    wires; `dst_vars` missing from `src_vars` are fresh wires a rewrite
+    allocates.
+    """
+
+    rule: str
+    direction: str
+    variant: str
+    src: tuple[Instruction, ...]
+    dst: tuple[Instruction, ...]
+    src_preps: tuple[PrepDecl, ...]
+    dst_preps: tuple[PrepDecl, ...]
+    src_vars: tuple[str, ...]
+    dst_vars: tuple[str, ...]
+    kinds: Mapping[str, str]
+    alias_ok: frozenset[frozenset[str]]
+    condition: ConditionFn | None
+
+    def clash(self, bindings: Bindings, var: str, wire: object) -> str | None:
+        """A variable other than `var` that `bindings` binds to `wire`, of
+        var's kind, and that the rule does not allow to alias it."""
+        kind = self.kinds[var]
+        for other, val in bindings.items():
+            if (
+                val == wire
+                and other != var
+                and self.kinds.get(other) == kind
+                and frozenset((other, var)) not in self.alias_ok
+            ):
+                return other
+        return None
+
+    def binding_error(self, bindings: Bindings, complete: bool) -> str | None:
+        """Why `bindings` cannot bind this form, or None.
+
+        Every variable must belong to the rule and every `src` variable must
+        be bound (with `complete`, every `dst` variable too); variables of
+        one kind bind distinct wires unless the rule allows them to alias.
+        """
+        for var in bindings:
+            if var not in self.kinds:
+                return f"unknown variable {var!r}"
+        for var in self.src_vars:
+            if var not in bindings:
+                return f"missing binding for {var!r}"
+        if complete:
+            for var in self.dst_vars:
+                if var not in bindings:
+                    return f"missing fresh wire binding for {var!r}"
+        for var in sorted(bindings):
+            other = self.clash(bindings, var, bindings[var])
+            if other is not None:
+                a, b = sorted((var, other))
+                return f"non-injective binding: {a!r} and {b!r}"
+        return None
+
+
+def _side(
+    rule: RewriteRule, direction: str, which: str, variant: str
+) -> tuple[tuple[Instruction, ...], tuple[PrepDecl, ...], tuple[str, ...]]:
+    fn, prep_fn = template_side(rule, direction, which)
+    tpl = tuple(fn(IDENT, variant))
+    preps = tuple(prep_fn(IDENT, variant)) if prep_fn is not None else ()
+    prep_vars = tuple(w for p in preps for w in p.wires if isinstance(w, str))
+    return tpl, preps, tuple(dict.fromkeys(template_variables(tpl) + prep_vars))
+
+
+def _compile(rule: RewriteRule, direction: str) -> dict[str, RuleForm]:
+    kinds = variable_kinds(rule)
+    forms = {}
+    for variant in rule.variants:
+        src, src_preps, src_vars = _side(rule, direction, "src", variant)
+        dst, dst_preps, dst_vars = _side(rule, direction, "dst", variant)
+        forms[variant] = RuleForm(
+            rule.id, direction, variant, src, dst, src_preps, dst_preps,
+            src_vars, dst_vars, kinds, rule.alias_ok, rule.condition,
+        )
+    return forms
+
+
+# (rule id, direction) -> variant -> form, variants in declaration order
+FORMS: dict[tuple[str, str], dict[str, RuleForm]] = {
+    (rule.id, direction): _compile(rule, direction)
+    for rule in RULES.values()
+    for direction in DIRECTIONS
+}
+
+
+def rule_forms(rule_id: str, direction: str) -> dict[str, RuleForm]:
+    """The compiled forms of a rule in one direction, keyed by variant in
+    declaration order."""
+    forms = FORMS.get((rule_id, direction))
+    if forms is None:
+        if rule_id not in RULES:
+            raise KeyError(f"unknown rule id {rule_id!r}")
+        raise ValueError(
+            f"unknown direction {direction!r}; expected one of {DIRECTIONS}"
+        )
+    return forms
+
+
 def instantiate(
     rule_id: str,
     bindings: Bindings,
     variant: str | None = None,
     direction: str = "forward",
 ) -> tuple[list[Instruction], list[Instruction]]:
-    """Concrete (pattern, replacement) instruction lists for a rule.
+    """Concrete (pattern, replacement) instruction lists for a rule, swapped
+    for the backward direction.
 
     Bindings must be total and injective on quantum variables (up to the
     rule's declared aliases); fresh wires introduced by the replacement
     (R4's r3, R5's ancilla) must be supplied.
     """
-    if rule_id not in RULES:
-        raise KeyError(f"unknown rule id {rule_id!r}")
-    rule = RULES[rule_id]
-    variant = variant or rule.variants[0]
-    if variant not in rule.variants:
+    forms = rule_forms(rule_id, direction)
+    variant = variant or next(iter(forms))
+    if variant not in forms:
         raise ValueError(f"unknown variant {variant!r} for {rule_id}")
-    kinds = variable_kinds(rule)
-    pat_tpl = rule.pattern(IDENT, variant)
-    rep_tpl = rule.replacement(IDENT, variant)
-    used = set(template_variables(pat_tpl)) | set(template_variables(rep_tpl))
-    for fn in (rule.prep_pattern, rule.prep_replacement):
-        if fn is not None:
-            used |= {
-                w for p in fn(IDENT, variant) for w in p.wires if isinstance(w, str)
-            }
-    by_val: dict[tuple[str, object], str] = {}
-    for var in sorted(used):
-        if var not in bindings:
-            raise ValueError(f"missing fresh wire binding for {var!r}")
-        key = (kinds[var], bindings[var])
-        other = by_val.get(key)
-        if other is not None and frozenset({other, var}) not in rule.alias_ok:
-            raise ValueError(f"non-injective binding: {other!r} and {var!r}")
-        by_val[key] = var
-    pat = ground(pat_tpl, bindings)
-    rep = ground(rep_tpl, bindings)
-    return (pat, rep) if direction == "forward" else (rep, pat)
+    form = forms[variant]
+    reason = form.binding_error(bindings, complete=True)
+    if reason is not None:
+        raise ValueError(reason)
+    return ground(form.src, bindings), ground(form.dst, bindings)

@@ -1,4 +1,6 @@
 """Engine: matching modulo commutation, rewriting, simplify, deferral."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qrewrite.engine import (
     simplify,
 )
 from qrewrite.equivalence import channel_equal, oracle_equal
+from qrewrite.rules import RULES
 from qrewrite.scenarios import make
 from qrewrite.sim import channel_of_deferred, extract_channel
 
@@ -104,6 +107,8 @@ def test_commute_rule():
     assert find_matches(overlapping, "Commute") == []
     with pytest.raises(RewriteError):
         rewrite_at(overlapping, Match("Commute", "forward", (0,)))
+    with pytest.raises(RewriteError, match="single index"):
+        rewrite_at(c, Match("Commute", "forward", ()))
 
 
 def test_simplify_cancels_pairs():
@@ -210,3 +215,68 @@ def test_gate_measure_orders_lexicographically():
         "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nMEASURE q0 c0\nCX c0 q1"
     )
     assert gate_measure(classical) < gate_measure(quantum)
+
+
+# sha256 over every rule and direction on 20 random circuits (seed 20240):
+# find_matches labels and the serialized rewrite of each match, or
+# "RewriteError"; recorded before the rules were compiled into forms
+ENGINE_DIGEST = "a7d921f4af757c36a515e7b6fd90a794a3f40f514249a1645f76c094243412f4"
+
+
+def test_engine_behaviour_is_pinned():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(20240)
+    for k in range(20):
+        c = random_circuit(rng)
+        for rule_id in RULES:
+            for direction in ("forward", "backward"):
+                h.update(f"{k} {rule_id} {direction}\n".encode())
+                for m in find_matches(c, rule_id, direction):
+                    h.update(m.label().encode() + b"\n")
+                    try:
+                        out = serialize(rewrite_at(c, m))
+                    except RewriteError:
+                        out = "RewriteError"
+                    h.update(out.encode() + b"\n")
+    assert h.hexdigest() == ENGINE_DIGEST
+
+
+def test_rewrite_rejects_aliased_cz_control_commute():
+    # the CNOT's target t may not alias the CZ's x: swapping would be unsound
+    c = parse("qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nCZ q0 q2\nCNOT q1 q0")
+    m = match("CzControlCommute", "forward", (0, 1), {"x": 0, "y": 2, "a": 1, "t": 0}, "cz_first")
+    with pytest.raises(RewriteError, match="non-injective"):
+        rewrite_at(c, m, verify=False)
+
+
+def test_rewrite_rejects_aliased_parallel_targets():
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCNOT q0 q1\nCNOT q0 q1")
+    m = match("R7_ParallelToLambda", site=(0, 1), bindings={"c": 0, "t1": 1, "t2": 1})
+    with pytest.raises(RewriteError, match="non-injective"):
+        rewrite_at(c, m)
+
+
+def test_rewrite_rejects_missing_or_unknown_binding():
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCZ q0 q1")
+    with pytest.raises(RewriteError, match="missing binding"):
+        rewrite_at(c, match("R2_CZFlip", site=(0,), bindings={"a": 0}))
+    with pytest.raises(RewriteError, match="unknown variable"):
+        rewrite_at(c, match("R2_CZFlip", site=(0,), bindings={"a": 0, "b": 1, "c": 2}))
+
+
+def test_rewrite_rejects_multi_index_insertion_site():
+    c = parse("qubits 1\ncbits 0\nINPUT q0\nX q0")
+    m = match("R1_InverseCancel", "backward", (0, 1), {"w": 0}, "H")
+    with pytest.raises(RewriteError, match="single index"):
+        rewrite_at(c, m)
+    assert len(rewrite_at(c, match("R1_InverseCancel", "backward", (0,), {"w": 0}, "H")).body) == 3
+
+
+def test_unknown_direction_is_rejected():
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCZ q0 q1")
+    with pytest.raises(ValueError, match="sideways"):
+        find_matches(c, "R2_CZFlip", "sideways")
+    with pytest.raises(ValueError, match="sideways"):
+        match("R2_CZFlip", "sideways", (0,), {"a": 0, "b": 1})
+    with pytest.raises(ValueError, match="sideways"):
+        rewrite_at(c, Match("R2_CZFlip", "sideways", (0,), (("a", 0), ("b", 1))))

@@ -6,7 +6,15 @@ import pytest
 from qrewrite.circuit import Gate1, Gate2, circuit, parse
 from qrewrite.engine import find_matches, rewrite_at
 from qrewrite.equivalence import channel_equal, oracle_equal, unitary_equal
-from qrewrite.rules import CATALOG_IDS, RULES, STRUCTURAL_IDS, instantiate
+from qrewrite.rules import (
+    CATALOG_IDS,
+    DIRECTIONS,
+    FORMS,
+    RULES,
+    STRUCTURAL_IDS,
+    instantiate,
+    rule_forms,
+)
 from qrewrite.sim import build_unitary, extract_channel
 
 from util import random_bindings, rule_pair
@@ -211,3 +219,46 @@ def test_rule_iv_requires_discarded_operand():
     assert [m.site for m in ms] == [(0, 1, 2, 3)]
     new = rewrite_at(ok, ms[0], verify=True)
     assert new.num_cbits == 3  # fresh c2 allocated
+
+
+def test_every_rule_direction_and_variant_is_compiled():
+    for rule in RULES.values():
+        for direction in DIRECTIONS:
+            forms = rule_forms(rule.id, direction)
+            assert tuple(forms) == rule.variants
+            for variant, form in forms.items():
+                assert (form.rule, form.direction, form.variant) == (
+                    rule.id, direction, variant,
+                )
+    assert sum(len(forms) for forms in FORMS.values()) == 72
+
+
+def test_every_form_variable_has_a_kind():
+    for forms in FORMS.values():
+        for form in forms.values():
+            for var in form.src_vars + form.dst_vars:
+                assert form.kinds[var] in ("q", "c"), (form.rule, var)
+
+
+def test_only_r4_and_r5_forward_need_fresh_wires():
+    # variables a rewrite must allocate: produced side, absent from the
+    # matched side, on forms that match instructions (not insertions)
+    fresh = {
+        (form.rule, form.direction, form.variant): set(form.dst_vars) - set(form.src_vars)
+        for forms in FORMS.values()
+        for form in forms.values()
+        if form.src
+    }
+    assert {k: v for k, v in fresh.items() if v} == {
+        ("R4_XorSubstitute", "forward", "cX"): {"r3"},
+        ("R4_XorSubstitute", "forward", "cZ"): {"r3"},
+        ("R5_DistributeCNOT", "forward", "i"): {"a"},
+        ("R5_DistributeCNOT", "forward", "ii"): {"a"},
+    }
+
+
+def test_instantiate_rejects_unknown_direction_and_missing_pattern_binding():
+    with pytest.raises(ValueError, match="unknown direction"):
+        instantiate("R2_CZFlip", {"a": 0, "b": 1}, direction="sideways")
+    with pytest.raises(ValueError, match="missing binding for 'b'"):
+        instantiate("R2_CZFlip", {"a": 0})

@@ -14,13 +14,7 @@ from qrewrite.circuit import (
     prep_plus,
     prep_zero,
 )
-from qrewrite.rules import (
-    IDENT,
-    RULES,
-    ground_preps,
-    instantiate,
-    variable_kinds,
-)
+from qrewrite.rules import ground_preps, instantiate, rule_forms
 
 
 def random_state(rng: np.random.Generator, n_wires: int) -> np.ndarray:
@@ -97,21 +91,10 @@ def random_circuit(
 
 def random_bindings(rng: np.random.Generator, rule_id: str, variant: str, n_qubits=4):
     """Random injective wire bindings for a rule variant (aliases respected)."""
-    rule = RULES[rule_id]
-    kinds = variable_kinds(rule)
-    pat = rule.pattern(IDENT, variant)
-    rep = rule.replacement(IDENT, variant)
-    from qrewrite.rules import template_variables
-
-    used = list(dict.fromkeys(template_variables(pat) + template_variables(rep)))
-    for fn in (rule.prep_pattern, rule.prep_replacement):
-        if fn is not None:
-            for p in fn(IDENT, variant):
-                for w in p.wires:
-                    if isinstance(w, str) and w not in used:
-                        used.append(w)
-    qvars = [v for v in used if kinds[v] == "q"]
-    cvars = [v for v in used if kinds[v] == "c"]
+    form = rule_forms(rule_id, "forward")[variant]
+    used = dict.fromkeys(form.src_vars + form.dst_vars)
+    qvars = [v for v in used if form.kinds[v] == "q"]
+    cvars = [v for v in used if form.kinds[v] == "c"]
     if rule_id == "CzControlCommute":
         x, y, t = (int(v) for v in rng.choice(n_qubits, size=3, replace=False))
         a = int(rng.choice([w for w in range(n_qubits) if w != t]))
@@ -125,18 +108,10 @@ def random_bindings(rng: np.random.Generator, rule_id: str, variant: str, n_qubi
 def rule_pair(rule_id: str, bindings: dict, variant: str, n_qubits: int = 4):
     """Pattern and replacement as standalone circuits with matching roles,
     including the preps a conditional rule relies on."""
-    rule = RULES[rule_id]
+    form = rule_forms(rule_id, "forward")[variant]
     pat, rep = instantiate(rule_id, bindings, variant)
-    preps_p = (
-        ground_preps(rule.prep_pattern(IDENT, variant), bindings)
-        if rule.prep_pattern
-        else []
-    )
-    preps_r = (
-        ground_preps(rule.prep_replacement(IDENT, variant), bindings)
-        if rule.prep_replacement
-        else []
-    )
+    preps_p = ground_preps(form.src_preps, bindings)
+    preps_r = ground_preps(form.dst_preps, bindings)
     extra = []
     if rule_id == "R1_TargetPlus":
         extra = [prep_plus(bindings["t"])]
@@ -145,8 +120,7 @@ def rule_pair(rule_id: str, bindings: dict, variant: str, n_qubits: int = 4):
     roles = {}
     if rule_id in ("DiscardedWireTail", "MeasureDiscarded"):
         roles = {bindings["w"]: "discard"}
-    kinds = variable_kinds(rule)
-    cbits = [v for k, v in bindings.items() if kinds.get(k) == "c"]
+    cbits = [v for k, v in bindings.items() if form.kinds.get(k) == "c"]
     m = max(cbits, default=-1) + 1
     c1 = circuit(n_qubits, m, pat, preps=extra + preps_p, q_roles=dict(roles))
     c2 = circuit(n_qubits, m, rep, preps=extra + preps_r, q_roles=dict(roles))
