@@ -113,6 +113,7 @@ def _cmd_unitary(args) -> int:
 def _cmd_check(args) -> int:
     a, b = _load(args.a), _load(args.b)
     mode = args.mode
+    probe = None
     if mode in ("unitary", "phase"):
         equal = unitary_equal(
             build_unitary(a), build_unitary(b), up_to_phase=(mode == "phase")
@@ -120,14 +121,16 @@ def _cmd_check(args) -> int:
     elif mode == "channel":
         equal = channel_equal(extract_channel(a), extract_channel(b))
     else:
-        equal = oracle_equal(a, b)
+        probe = distinguishing_probe(a, b)
+        equal = probe is None
     if equal:
         print(f"equivalent ({mode})")
         return EXIT_OK
-    try:
-        probe = distinguishing_probe(a, b)
-    except EquivalenceError:
-        probe = None
+    if mode != "oracle":
+        try:
+            probe = distinguishing_probe(a, b)
+        except EquivalenceError:
+            pass
     print(f"not equivalent ({mode})")
     if probe is not None:
         print(f"distinguishing probe: {probe}")

@@ -274,6 +274,10 @@ def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
     reason = form.binding_error(bindings, complete=not allow_fresh)
     if reason is not None:
         return reason
+    for var, wire in m.bindings:
+        kind = form.kinds[var]
+        if not 0 <= wire < (c.num_qubits if kind == "q" else c.num_cbits):
+            return f"binding of {var!r} to undeclared wire {kind}{wire}"
     if form.src:
         if len(m.site) != len(form.src):
             return "site length does not match pattern"

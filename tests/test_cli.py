@@ -122,6 +122,26 @@ def test_check_not_equivalent_prints_probe(files, capsys):
     assert "distinguishing probe: basis |0>" in out
 
 
+def test_check_oracle_builds_the_probe_set_once(files, capsys, monkeypatch):
+    from qrewrite import equivalence
+
+    calls = []
+    probe_states = equivalence.probe_states
+    monkeypatch.setattr(
+        equivalence, "probe_states", lambda n_in: calls.append(n_in) or probe_states(n_in)
+    )
+    x = files("x.qc", "qubits 1\ncbits 0\nINPUT q0\nX q0\n")
+    ident = files("id.qc", "qubits 1\ncbits 0\nINPUT q0\n")
+    assert main(["check", x, ident, "--mode", "oracle"]) == EXIT_NOT_EQUIV
+    assert capsys.readouterr().out == (
+        "not equivalent (oracle)\ndistinguishing probe: basis |0>\n"
+    )
+    assert calls == [1]
+    assert main(["check", ident, ident, "--mode", "oracle"]) == 0
+    assert capsys.readouterr().out == "equivalent (oracle)\n"
+    assert calls == [1, 1]
+
+
 def test_check_channel_oversized_is_a_usage_error(files, capsys):
     wide = "qubits 30\ncbits 0\n" + "".join(f"INPUT q{w}\n" for w in range(30))
     a = files("a.qc", wide + "H q0\n")

@@ -272,6 +272,27 @@ def test_rewrite_rejects_multi_index_insertion_site():
     assert len(rewrite_at(c, match("R1_InverseCancel", "backward", (0,), {"w": 0}, "H")).body) == 3
 
 
+def test_rewrite_rejects_binding_to_an_undeclared_wire():
+    c = parse("qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nCNOT q0 q2")
+    m = match("R5_DistributeCNOT", site=(0,), bindings={"c": 0, "t": 2, "a": 7}, variant="i")
+    with pytest.raises(RewriteError, match="undeclared wire q7"):
+        rewrite_at(c, m)
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1")
+    m = match("R1_InverseCancel", "backward", (0,), {"w": 5}, "H")
+    with pytest.raises(RewriteError, match="undeclared wire q5"):
+        rewrite_at(c, m)
+    c = parse(
+        "qubits 3\ncbits 2\nINPUT q0\nINPUT q1\nINPUT q2\n"
+        "CNOT q0 q1\nMEASURE q0 c0\nMEASURE q1 c1\nCX c1 q2"
+    )
+    bindings = {"a": 0, "b": 1, "r1": 0, "r2": 1, "t": 2}
+    m = match("R4_XorSubstitute", site=(0, 1, 2, 3), bindings=bindings | {"r3": 9}, variant="cX")
+    with pytest.raises(RewriteError, match="undeclared wire c9"):
+        rewrite_at(c, m)
+    m = match("R4_XorSubstitute", site=(0, 1, 2, 3), bindings=bindings, variant="cX")
+    assert rewrite_at(c, m, verify=True).num_cbits == 3
+
+
 def test_unknown_direction_is_rejected():
     c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCZ q0 q1")
     with pytest.raises(ValueError, match="sideways"):

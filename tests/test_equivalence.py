@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrewrite.circuit import Gate1, Gate2, circuit, parse
+from qrewrite import sim
+from qrewrite.circuit import Gate1, Gate2, Measure, circuit, parse, prep_zero
 from qrewrite.engine import RewriteError, find_matches, rewrite_at
 from qrewrite.equivalence import (
     CHANNEL_ATOL,
@@ -12,13 +13,20 @@ from qrewrite.equivalence import (
     channel_equal,
     distinguishing_probe,
     oracle_equal,
+    probe_states,
     unitary_equal,
 )
 from qrewrite.rules import RULES
 from qrewrite.scenarios import make
 from qrewrite.sim import build_unitary, channel_of_deferred, extract_channel, unitary_channel
 
-from util import random_bindings, random_circuit, rule_pair
+from util import (
+    kron_probe_states,
+    per_probe_oracle,
+    random_bindings,
+    random_circuit,
+    rule_pair,
+)
 
 
 def test_cnot_equals_h_cz_h_exactly():
@@ -200,3 +208,88 @@ def test_branch_and_deferred_paths_agree_at_eight_qubits():
     assert channel_equal(branch_path, unitary_path)
     y = circuit(8, 0, body + [Gate1("X", 3), Gate1("Z", 3)], inputs=range(8))
     assert not channel_equal(branch_path, channel_of_deferred(y))
+
+
+def test_probe_states_equal_the_kron_construction():
+    for n_in in range(7):
+        names, probes = probe_states(n_in)
+        reference = kron_probe_states(n_in)
+        assert names == [name for name, _ in reference]
+        assert probes.shape == (1 << n_in, len(reference))
+        for j, (_, vec) in enumerate(reference):
+            assert np.array_equal(probes[:, j], vec), (n_in, names[j])
+
+
+def _measured_ancilla_pair(rng, n: int, equal: bool):
+    """H/CNOT circuits on n/2 input data wires and n/2 |0> ancillas that copy
+    the data, are mixed by H and CNOT, and are measured at the end. The
+    partner inserts a self-inverse pair; without `equal` it also ends in Y
+    or Z on a data wire, which changes the channel unless the measurements
+    dephase that wire."""
+    h = n // 2
+    data = list(range(h))
+    gates = [Gate2("CNOT", d, d + h) for d in data] + [Gate1("H", a) for a in range(h, n)]
+    for _ in range(2 * n):
+        a, b = (int(w) for w in rng.choice(n, size=2, replace=False))
+        gates.append(Gate1("H", a) if rng.random() < 0.3 else Gate2("CNOT", a, b))
+    pos = int(rng.integers(len(gates) + 1))
+    pair = Gate2("CNOT", int(rng.integers(h)), int(rng.integers(h, n)))
+    other = gates[:pos] + [pair, pair] + gates[pos:]
+    if not equal:
+        w = int(rng.integers(h))
+        other += [Gate1("X", w), Gate1("Z", w)] if rng.random() < 0.5 else [Gate1("Z", w)]
+    meas = [Measure(a, k) for k, a in enumerate(range(h, n))]
+    preps = [prep_zero(a) for a in range(h, n)]
+    return tuple(
+        circuit(n, h, body + meas, preps=preps, inputs=data) for body in (gates, other)
+    )
+
+
+def test_batched_oracle_agrees_with_per_probe_reference():
+    rng = np.random.default_rng(4401)
+    pairs = []
+    for k in range(60):
+        p_input = 0.0 if k % 10 == 0 else 0.4
+        c = random_circuit(rng, max_qubits=4, max_instructions=10, p_input=p_input)
+        if k % 3 == 0 and c.num_cbits:
+            c = dataclasses.replace(c, c_roles=("report",) * c.num_cbits)
+            # X around a measurement flips its reported bit, not the output
+            i = next((i for i, ins in enumerate(c.body) if isinstance(ins, Measure)), None)
+            if i is not None:
+                x = Gate1("X", c.body[i].target)
+                flipped = c.body[:i] + (x, c.body[i], x) + c.body[i + 1 :]
+                pairs.append((c, dataclasses.replace(c, body=flipped)))
+        w = int(rng.integers(c.num_qubits))
+        pauli = Gate1(str(rng.choice(["X", "Z"])), w)
+        pairs.append((c, dataclasses.replace(c, body=c.body + (pauli,))))
+        other = _rule_rewrite(c)
+        if other is not None:
+            pairs.append((c, other))
+    for n in (4, 6, 8):
+        for equal in (True, False, False):
+            pairs.append(_measured_ancilla_pair(rng, n, equal))
+    names = []
+    for a, b in pairs:
+        name = distinguishing_probe(a, b)
+        assert name == per_probe_oracle(a, b), (a, b)
+        assert oracle_equal(a, b) == (name is None)
+        names.append(name)
+    n_in_zero = [a for a, _ in pairs if not a.effective_inputs]
+    reported = [a for a, _ in pairs if a.report_cbits]
+    later = [x for x in names if x is not None and ("wire" in x or "random" in x)]
+    assert names.count(None) >= 40 and len(names) - names.count(None) >= 40
+    assert len(n_in_zero) >= 6 and len(reported) >= 10 and len(later) >= 10
+
+
+def test_oracle_narrows_passes_to_fit_the_byte_budget(monkeypatch):
+    a, equal_b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=True)
+    _, b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=False)
+    # worst case for one column: every one of the 3 measurements splits
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (6 + 3))
+    _, probes = probe_states(3)
+    with pytest.raises(sim.SimulationError):
+        sim._branches(a, sim._prepare(a, probes[:, :8]))
+    for other in (b, equal_b):
+        assert distinguishing_probe(a, other) == per_probe_oracle(a, other)
+    assert oracle_equal(a, equal_b)
+    assert not oracle_equal(a, b)

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: random circuits and rule pair builders."""
+"""Shared helpers for the test suite: random circuits, rule pair builders and
+the per-probe reference oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,7 +15,9 @@ from qrewrite.circuit import (
     prep_plus,
     prep_zero,
 )
+from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL
 from qrewrite.rules import ground_preps, instantiate, rule_forms
+from qrewrite.sim import SQRT_HALF, basis_state, reduced_density, run
 
 
 def random_state(rng: np.random.Generator, n_wires: int) -> np.ndarray:
@@ -125,3 +128,51 @@ def rule_pair(rule_id: str, bindings: dict, variant: str, n_qubits: int = 4):
     c1 = circuit(n_qubits, m, pat, preps=extra + preps_p, q_roles=dict(roles))
     c2 = circuit(n_qubits, m, rep, preps=extra + preps_r, q_roles=dict(roles))
     return c1, c2
+
+
+def kron_probe_states(n_in: int) -> list[tuple[str, np.ndarray]]:
+    """The oracle's probe set built one probe at a time from Kronecker
+    products: the reference for `equivalence.probe_states`."""
+    plus = np.array([1, 1], dtype=complex) * SQRT_HALF
+    minus = np.array([1, -1], dtype=complex) * SQRT_HALF
+    plus_i = np.array([1, 1j], dtype=complex) * SQRT_HALF
+    zero = np.array([1, 0], dtype=complex)
+    probes = [
+        (f"basis |{j:0{n_in}b}>" if n_in else "scalar input", basis_state(n_in, j))
+        for j in range(1 << n_in)
+    ]
+    for w in range(n_in):
+        for name, single in (("+", plus), ("-", minus), ("+i", plus_i)):
+            vec = np.ones(1, dtype=complex)
+            for k in range(n_in):
+                vec = np.kron(vec, single if k == w else zero)
+            probes.append((f"{name} on input wire {w}", vec))
+    rng = np.random.default_rng(_ORACLE_SEED)
+    for k in range(_N_RANDOM_PROBES):
+        vec = rng.normal(size=1 << n_in) + 1j * rng.normal(size=1 << n_in)
+        probes.append((f"random state #{k}", vec / np.linalg.norm(vec)))
+    return probes
+
+
+def per_probe_oracle(c1, c2, atol: float = ORACLE_ATOL) -> str | None:
+    """The oracle one probe at a time: both circuits `run` on each probe in
+    turn, and the first probe whose outcome-marginalized output densities or
+    report distributions differ by more than `atol` is named (None if none
+    does). The reference for `equivalence.distinguishing_probe`."""
+
+    def outputs(c, vec):
+        branches = run(c, vec)
+        rho = sum(br.probability * reduced_density(br.state, c.output_wires) for br in branches)
+        dist: dict[tuple[int, ...], float] = {}
+        for br in branches:
+            key = tuple(br.outcome.get(w, -1) for w in c.report_cbits)
+            dist[key] = dist.get(key, 0.0) + br.probability
+        return rho, dist
+
+    for name, vec in kron_probe_states(len(c1.effective_inputs)):
+        (rho1, d1), (rho2, d2) = outputs(c1, vec), outputs(c2, vec)
+        if np.max(np.abs(rho1 - rho2)) > atol or any(
+            abs(d1.get(key, 0.0) - d2.get(key, 0.0)) > atol for key in d1.keys() | d2.keys()
+        ):
+            return name
+    return None
