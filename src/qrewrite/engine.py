@@ -1,6 +1,6 @@
 """Rewrite engine: match rules modulo disjoint-support commutation, apply
-rewrites with optional channel verification, simplify greedily, and record
-derivation traces.
+rewrites with optional channel verification, simplify greedily, record
+derivation traces, and defer measurements (Rule III canonical form).
 
 The engine reads each rule through its compiled forms (`rules.rule_forms`):
 a match names a rule, direction and variant, which select one `RuleForm`,
@@ -13,10 +13,16 @@ Matching is subsequence-based: the instructions of a pattern may be
 interleaved with others, provided each interleaved instruction touches
 wires disjoint from every later matched instruction, so the matched
 subsequence can be gathered contiguously at its first index by commuting.
+
+Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one check
+(`_step_check`): the step's circuit is channel-equal to the start.
+`defer_measurements` only applies `Commute` and `R3_DeferMeasure` forward
+matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace as dc_replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 from .circuit import (
@@ -24,7 +30,6 @@ from .circuit import (
     Gate1,
     Gate2,
     ClassicalCtrl,
-    ClassicalXor,
     Instruction,
     Measure,
     read_cbits,
@@ -261,6 +266,10 @@ def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
     form = rule_forms(m.rule, m.direction).get(m.variant)
     if form is None:
         return f"unknown variant {m.variant!r}"
+    bindings = m.binding_map
+    reason = form.binding_error(bindings, complete=not allow_fresh)
+    if reason is not None:
+        return reason
     if m.rule == "Commute":
         if len(m.site) != 1:
             return "commute site must be a single index"
@@ -270,10 +279,6 @@ def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
         if not supports_disjoint(c.body[i], c.body[i + 1]):
             return "adjacent instructions share support"
         return None
-    bindings = m.binding_map
-    reason = form.binding_error(bindings, complete=not allow_fresh)
-    if reason is not None:
-        return reason
     for var, wire in m.bindings:
         kind = form.kinds[var]
         if not 0 <= wire < (c.num_qubits if kind == "q" else c.num_cbits):
@@ -308,19 +313,12 @@ def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
 
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     """Apply a match: gather the matched instructions at the first site index
-    and splice in the instantiated replacement. Preps and roles carry over.
+    and splice in the instantiated replacement (a `Commute` match swaps its
+    two instructions). Preps and roles carry over.
     """
     reason = _check_applicable(c, m, allow_fresh=True)
     if reason is not None:
         raise RewriteError(f"{m.rule}: {reason}")
-    if m.rule == "Commute":
-        i = m.site[0]
-        body = list(c.body)
-        body[i], body[i + 1] = body[i + 1], body[i]
-        new = dc_replace(c, body=tuple(body))
-        validate(new)
-        return _verified(c, new, verify)
-
     form = rule_forms(m.rule, m.direction)[m.variant]
     bindings, num_cbits = _allocate_fresh(c, form, m.binding_map)
 
@@ -333,7 +331,10 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
 
     replacement = ground(form.dst, bindings)
     body = list(c.body)
-    if form.src:
+    if m.rule == "Commute":
+        i = m.site[0]
+        body[i : i + 2] = body[i + 1], body[i]
+    elif form.src:
         lo, hi = m.site[0], m.site[-1]
         skipped = [body[j] for j in range(lo, hi + 1) if j not in m.site]
         body = body[:lo] + replacement + skipped + body[hi + 1 :]
@@ -357,12 +358,8 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         c.c_roles + ("scratch",) * (num_cbits - c.num_cbits),
     )
     validate(new)
-    return _verified(c, new, verify)
-
-
-def _verified(old: Circuit, new: Circuit, verify: bool) -> Circuit:
-    if verify and not channel_equal(extract_channel(old), extract_channel(new)):
-        raise VerificationError("rewrite is not channel-preserving")
+    if verify:
+        _step_check(c, True)(m, new)
     return new
 
 
@@ -376,7 +373,7 @@ class TraceStep:
     label: str
     applied: Match | None
     circuit: Circuit
-    verified: bool | None  # None when verification was off
+    verified: bool | None  # None when verification was off; never False
 
 
 @dataclass
@@ -389,12 +386,10 @@ class DerivationTrace:
         return self.steps[-1].circuit if self.steps else self.start
 
     def render(self) -> str:
-        def tag(v: bool | None) -> str:
-            return "" if v is None else ("  VERIFIED" if v else "  FAILED")
-
         out = ["step 0: initial", _indent(serialize(self.start))]
         for k, step in enumerate(self.steps, start=1):
-            out.append(f"step {k}: {step.label}{tag(step.verified)}")
+            tag = "" if step.verified is None else "  VERIFIED"
+            out.append(f"step {k}: {step.label}{tag}")
             out.append(_indent(serialize(step.circuit)))
         return "\n".join(out)
 
@@ -403,20 +398,27 @@ def _indent(text: str) -> str:
     return "\n".join("    " + line for line in text.splitlines())
 
 
+def _step_check(start: Circuit, verify: bool) -> Callable[[Match, Circuit], TraceStep]:
+    """A recorder of steps from `start` as `TraceStep`s; with `verify`, a step
+    whose circuit is not channel-equal to `start` raises `VerificationError`."""
+    start_channel = extract_channel(start) if verify else None
+
+    def step(m: Match, new: Circuit) -> TraceStep:
+        if start_channel is None:
+            return TraceStep(m.label(), m, new, None)
+        if not channel_equal(start_channel, extract_channel(new)):
+            raise VerificationError(f"step {m.label()} broke channel equality")
+        return TraceStep(m.label(), m, new, True)
+
+    return step
+
+
 def apply_steps(c: Circuit, steps: list[Match], verify: bool = True) -> DerivationTrace:
     """Apply a scripted sequence of matches, verifying each against the start."""
     trace = DerivationTrace(c, [])
-    start_channel = extract_channel(c) if verify else None
-    current = c
+    check = _step_check(c, verify)
     for m in steps:
-        current = rewrite_at(current, m, verify=False)
-        ok: bool | None = None
-        if verify:
-            ok = channel_equal(start_channel, extract_channel(current))
-            if not ok:
-                trace.steps.append(TraceStep(m.label(), m, current, False))
-                raise VerificationError(f"step {m.label()} broke channel equality")
-        trace.steps.append(TraceStep(m.label(), m, current, ok))
+        trace.steps.append(check(m, rewrite_at(trace.final, m)))
     return trace
 
 
@@ -476,22 +478,10 @@ def simplify(c: Circuit, verify: bool = True) -> tuple[Circuit, DerivationTrace]
     instruction count), so the loop terminates.
     """
     trace = DerivationTrace(c, [])
-    start_channel = extract_channel(c) if verify else None
-    current = c
-    while True:
-        steps = _next_steps(current)
-        if steps is None:
-            break
-        for m, new in steps:
-            ok: bool | None = None
-            if verify:
-                ok = channel_equal(start_channel, extract_channel(new))
-                if not ok:
-                    trace.steps.append(TraceStep(m.label(), m, new, False))
-                    raise VerificationError(f"simplify step {m.label()} unsound")
-            trace.steps.append(TraceStep(m.label(), m, new, ok))
-            current = new
-    return current, trace
+    check = _step_check(c, verify)
+    while (steps := _next_steps(trace.final)) is not None:
+        trace.steps.extend(check(m, new) for m, new in steps)
+    return trace.final, trace
 
 
 # ----------------------------------------------------------------------
@@ -500,55 +490,24 @@ def simplify(c: Circuit, verify: bool = True) -> tuple[Circuit, DerivationTrace]
 
 
 def defer_measurements(c: Circuit) -> Circuit:
-    """Push measurements past the classically controlled gates they feed
-    (turning those gates quantum), then bubble all measurements to the end.
+    """Rule III canonical form: move measurements right, leftmost movable
+    one first, by engine rewrites only, until none moves.
 
-    This is the Rule III canonical form used by the deferred-measurement
-    cross-check; it fails if a measured wire is reused quantumly before a
-    reader or a result feeds a classical XOR.
+    A measurement becomes the quantum control of a classically controlled
+    gate reading its result (`R3_DeferMeasure` forward) and passes any other
+    disjoint instruction (`Commute`). It stops at another measurement, at a
+    reuse of its wire, at an XOR reading its result, or at a reader that
+    targets the measured wire. Only if every measurement reaches the end is
+    the result the gates-then-measurements form `channel_of_deferred` reads.
     """
-    body = list(c.body)
-    progress = True
-    while progress:
-        progress = False
-        for i, instr in enumerate(body):
-            if not isinstance(instr, Measure):
+    while True:
+        r3 = {m.site: m for m in find_matches(c, "R3_DeferMeasure")}
+        for i in range(len(c.body) - 1):
+            if not isinstance(c.body[i], Measure) or isinstance(c.body[i + 1], Measure):
                 continue
-            mw, r = instr.target, instr.result
-            for j in range(i + 1, len(body)):
-                ins = body[j]
-                if isinstance(ins, ClassicalCtrl) and ins.control == r:
-                    between_ok = all(
-                        mw not in {w.index for w in wires(body[k]) if w.kind == "q"}
-                        and r not in read_cbits(body[k])
-                        for k in range(i + 1, j)
-                    )
-                    if not between_ok:
-                        break
-                    kind = "CNOT" if ins.kind == "CX" else "CZ"
-                    body = (
-                        body[:i]
-                        + body[i + 1 : j]
-                        + [Gate2(kind, mw, ins.target), Measure(mw, r)]
-                        + body[j + 1 :]
-                    )
-                    progress = True
-                    break
-                if isinstance(ins, ClassicalXor) and r in (ins.a, ins.b):
-                    break
-            if progress:
+            step = r3.get((i, i + 1), Match("Commute", site=(i,)))
+            if _check_applicable(c, step, allow_fresh=True) is None:
+                c = rewrite_at(c, step)
                 break
-    moved = True
-    while moved:
-        moved = False
-        for i in range(len(body) - 1):
-            if (
-                isinstance(body[i], Measure)
-                and not isinstance(body[i + 1], Measure)
-                and supports_disjoint(body[i], body[i + 1])
-            ):
-                body[i], body[i + 1] = body[i + 1], body[i]
-                moved = True
-    new = dc_replace(c, body=tuple(body))
-    validate(new)
-    return new
+        else:
+            return c

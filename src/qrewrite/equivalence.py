@@ -182,15 +182,3 @@ def distinguishing_probe(
         if j is not None:
             return names[start + j]
     return None
-
-
-def states_equal_up_to_phase(
-    a: np.ndarray, b: np.ndarray, atol: float = UNITARY_ATOL
-) -> bool:
-    k = int(np.argmax(np.abs(b)))
-    if abs(b[k]) < 1e-12:
-        return bool(np.max(np.abs(a - b)) <= atol)
-    phi = a[k] / b[k]
-    if abs(abs(phi) - 1.0) > atol:
-        return False
-    return bool(np.max(np.abs(a - phi * b)) <= atol)

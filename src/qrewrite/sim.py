@@ -262,13 +262,6 @@ def build_unitary(c: Circuit) -> np.ndarray:
     return _apply_gates(np.eye(1 << c.num_qubits, dtype=complex), c.body)
 
 
-def is_unitary(mat: np.ndarray, tol: float = ATOL) -> bool:
-    dim = mat.shape[0]
-    return mat.shape == (dim, dim) and bool(
-        np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= tol
-    )
-
-
 # ----------------------------------------------------------------------
 # Channels
 # ----------------------------------------------------------------------
@@ -367,18 +360,3 @@ def channel_of_deferred(c: Circuit) -> Channel:
     rows = v[out_full | (label_full & disc_mask)]
     kraus = np.where(consistent[:, :, None], rows, 0)
     return make_channel(kraus, len(c.effective_inputs), len(outs))
-
-
-def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Density matrix of the kept wires, tracing out the rest."""
-    n = state.shape[0].bit_length() - 1
-    rest = tuple(w for w in range(n) if w not in keep)
-    t = state.reshape([2] * n if n else [1])
-    if n:
-        t = t.transpose(keep + rest)
-    t = t.reshape(1 << len(keep), -1)
-    return t @ t.conj().T
-
-
-def fidelity(state: np.ndarray, rho: np.ndarray) -> float:
-    return float((state.conj() @ rho @ state).real)

@@ -11,7 +11,6 @@ from qrewrite.engine import defer_measurements, simplify
 from qrewrite.equivalence import (
     channel_equal,
     oracle_equal,
-    states_equal_up_to_phase,
     unitary_equal,
 )
 from qrewrite.rules import CATALOG_IDS, RULES, instantiate
@@ -28,13 +27,19 @@ from qrewrite.sim import (
     build_unitary,
     channel_of_deferred,
     extract_channel,
-    fidelity,
-    reduced_density,
     run,
     unitary_channel,
 )
 
-from util import random_bindings, random_circuit, random_state, rule_pair
+from util import (
+    fidelity,
+    random_bindings,
+    random_circuit,
+    random_state,
+    reduced_density,
+    rule_pair,
+    states_equal_up_to_phase,
+)
 
 
 def _ok(msg: str) -> None:

@@ -8,7 +8,15 @@ import pytest
 
 import qrewrite
 
-from qrewrite.cli import EXIT_NOT_EQUIV, EXIT_PARSE, EXIT_USAGE, format_complex, main, parse_ket
+from qrewrite.cli import (
+    EXIT_NOT_EQUIV,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    format_complex,
+    main,
+    parse_ket,
+)
 from qrewrite.circuit import serialize
 from qrewrite.scenarios import make
 
@@ -185,6 +193,18 @@ def test_simplify_prints_trace(files, capsys):
     # the final circuit has an empty body
     assert out.strip().splitlines()[-1] == "INPUT q0"
     assert "X q0" not in out.split("final:")[1]
+
+
+def test_failed_verification_exit_code(files, capsys, monkeypatch):
+    monkeypatch.setattr("qrewrite.engine.channel_equal", lambda a, b: False)
+    path = files("hh.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0\n")
+    for argv in (
+        ["demo", "teleportation"],
+        ["simplify", path],
+        ["rewrite", path, "--rule", "R1_InverseCancel", "--site", "0"],
+    ):
+        assert main(argv) == EXIT_VERIFY
+        assert capsys.readouterr().err.startswith("verification failed:")
 
 
 def test_parse_error_exit_code(files, capsys):

@@ -7,7 +7,6 @@ from qrewrite.engine import defer_measurements
 from qrewrite.equivalence import (
     channel_equal,
     oracle_equal,
-    states_equal_up_to_phase,
     unitary_equal,
 )
 from qrewrite.scenarios import (
@@ -23,13 +22,11 @@ from qrewrite.sim import (
     build_unitary,
     channel_of_deferred,
     extract_channel,
-    fidelity,
-    reduced_density,
     run,
     unitary_channel,
 )
 
-from util import random_state
+from util import fidelity, random_state, reduced_density, states_equal_up_to_phase
 
 
 def bell_state(a: int, b: int) -> np.ndarray:

@@ -13,12 +13,10 @@ from qrewrite.sim import (
     build_unitary,
     channel_of_deferred,
     extract_channel,
-    fidelity,
-    reduced_density,
     run,
 )
 
-from util import random_circuit, random_state
+from util import fidelity, is_unitary, random_circuit, random_state, reduced_density
 
 
 def xor_swap_permutation() -> np.ndarray:
@@ -275,8 +273,6 @@ def test_channel_of_deferred_with_measured_output_wire():
 
 
 def test_scenario_unitaries_are_unitary():
-    from qrewrite.sim import is_unitary
-
     for name in ("XorSwap", "AltSwap", "BellGenerator", "BellDecoder"):
         assert is_unitary(build_unitary(make(name)))
 

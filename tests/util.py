@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: random circuits, rule pair builders and
-the per-probe reference oracle."""
+"""Shared helpers for the test suite: random circuits, rule pair builders,
+state and matrix checks, and the per-probe reference oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,14 +15,48 @@ from qrewrite.circuit import (
     prep_plus,
     prep_zero,
 )
-from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL
+from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
 from qrewrite.rules import ground_preps, instantiate, rule_forms
-from qrewrite.sim import SQRT_HALF, basis_state, reduced_density, run
+from qrewrite.sim import ATOL, SQRT_HALF, basis_state, run
 
 
 def random_state(rng: np.random.Generator, n_wires: int) -> np.ndarray:
     vec = rng.normal(size=1 << n_wires) + 1j * rng.normal(size=1 << n_wires)
     return vec / np.linalg.norm(vec)
+
+
+def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Density matrix of the kept wires, tracing out the rest."""
+    n = state.shape[0].bit_length() - 1
+    rest = tuple(w for w in range(n) if w not in keep)
+    t = state.reshape([2] * n if n else [1])
+    if n:
+        t = t.transpose(keep + rest)
+    t = t.reshape(1 << len(keep), -1)
+    return t @ t.conj().T
+
+
+def fidelity(state: np.ndarray, rho: np.ndarray) -> float:
+    return float((state.conj() @ rho @ state).real)
+
+
+def is_unitary(mat: np.ndarray, tol: float = ATOL) -> bool:
+    dim = mat.shape[0]
+    return mat.shape == (dim, dim) and bool(
+        np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= tol
+    )
+
+
+def states_equal_up_to_phase(
+    a: np.ndarray, b: np.ndarray, atol: float = UNITARY_ATOL
+) -> bool:
+    k = int(np.argmax(np.abs(b)))
+    if abs(b[k]) < 1e-12:
+        return bool(np.max(np.abs(a - b)) <= atol)
+    phi = a[k] / b[k]
+    if abs(abs(phi) - 1.0) > atol:
+        return False
+    return bool(np.max(np.abs(a - phi * b)) <= atol)
 
 
 def random_circuit(
