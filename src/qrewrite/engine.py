@@ -5,14 +5,17 @@ derivation traces, and defer measurements (Rule III canonical form).
 The engine reads each rule through its compiled forms (`rules.rule_forms`):
 a match names a rule, direction and variant, which select one `RuleForm`,
 and its `src` templates, variables, kinds and aliases drive matching,
-checking and rewriting alike. Hand-built matches pass the same checks as
-found ones (`_check_applicable`), so a malformed or aliased binding is a
-`RewriteError`, never a wrong rewrite.
+checking and rewriting alike.
 
 Matching is subsequence-based: the instructions of a pattern may be
 interleaved with others, provided each interleaved instruction touches
 wires disjoint from every later matched instruction, so the matched
 subsequence can be gathered contiguously at its first index by commuting.
+`_find_sites` alone decides what an occurrence is. `rewrite_at` checks
+every match, found or hand-built, on one path: `_check_applicable` (the
+search restricted to the site finds it), fresh-wire allocation, then
+`_context_error` (preps and the rule's condition, run once). So a bad
+match is a `RewriteError`, never a wrong rewrite.
 
 Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one check
 (`_step_check`): the step's circuit is channel-equal to the start.
@@ -21,11 +24,12 @@ matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from itertools import permutations
 
 from .circuit import (
+    FIELD_KINDS,
     Circuit,
     Gate1,
     Gate2,
@@ -109,35 +113,36 @@ def match(
 def _unify(
     tpl: Instruction, instr: Instruction, bindings: dict[str, int], form: RuleForm
 ) -> dict[str, int] | None:
-    if type(tpl) is not type(instr):
+    # a gate's kind is its one field that is not a wire slot; a template's
+    # wire slots all hold variable names
+    kind = getattr(tpl, "kind", None)
+    if type(tpl) is not type(instr) or getattr(instr, "kind", None) != kind:
         return None
     new = bindings
-    for f in fields(tpl):
-        want = getattr(tpl, f.name)
-        have = getattr(instr, f.name)
-        if f.name == "kind":
-            if want != have:
+    for name, _ in FIELD_KINDS[type(tpl)]:
+        want = getattr(tpl, name)
+        have = getattr(instr, name)
+        if want in new:
+            if new[want] != have:
                 return None
             continue
-        if isinstance(want, str):
-            if want in new:
-                if new[want] != have:
-                    return None
-                continue
-            if form.clash(new, want, have) is not None:
-                return None
-            if new is bindings:
-                new = dict(bindings)
-            new[want] = have
-        elif want != have:
+        if form.clash(new, want, have) is not None:
             return None
+        if new is bindings:
+            new = dict(bindings)
+        new[want] = have
     return new if new is not bindings else dict(bindings)
 
 
 def _find_sites(
-    c: Circuit, form: RuleForm
+    c: Circuit,
+    form: RuleForm,
+    site: tuple[int, ...] | None = None,
+    bindings: dict[str, int] | None = None,
 ) -> list[tuple[tuple[int, ...], dict[str, int]]]:
-    """All gatherable occurrences of the form's `src` side in body order."""
+    """All gatherable occurrences of the form's `src` side in body order,
+    only at the indices `site` and extending `bindings` if these are given.
+    The one definition of an occurrence, for found and hand-built sites."""
     body = c.body
     tpl = form.src
     results: list[tuple[tuple[int, ...], dict[str, int]]] = []
@@ -147,35 +152,34 @@ def _find_sites(
             results.append((tuple(picked), bindings))
             return
         sk = skipped
+        at = None if site is None else site[slot]
         for j in range(pos, len(body)):
             # instructions before the first matched index are not interleaved;
             # afterwards, a candidate must avoid every skipped instruction
-            if slot == 0 or not (wires(body[j]) & sk):
+            if (at is None or j == at) and (slot == 0 or not (wires(body[j]) & sk)):
                 b2 = _unify(tpl[slot], body[j], bindings, form)
                 if b2 is not None:
                     extend(slot + 1, j + 1, picked + [j], sk, b2)
+            if at is not None and j >= at:
+                break
             if slot > 0:
                 sk = sk | wires(body[j])
 
-    extend(0, 0, [], frozenset(), {})
+    extend(0, 0, [], frozenset(), bindings or {})
     return results
 
 
-def _insertion_matches(c: Circuit, form: RuleForm) -> list[Match]:
+def _insertion_sites(
+    c: Circuit, form: RuleForm
+) -> Iterator[tuple[tuple[int, ...], dict[str, int]]]:
+    """Every insertion position, with every injective binding of the form's
+    variables to declared wires."""
     qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
     cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
-    out: list[Match] = []
     for pos in range(len(c.body) + 1):
         for qs in permutations(range(c.num_qubits), len(qvars)):
             for cs in permutations(range(c.num_cbits), len(cvars)):
-                b = dict(zip(qvars, qs)) | dict(zip(cvars, cs))
-                m = Match(
-                    form.rule, form.direction, (pos,), tuple(sorted(b.items())),
-                    form.variant,
-                )
-                if _check_applicable(c, m, allow_fresh=False) is None:
-                    out.append(m)
-    return out
+                yield (pos,), dict(zip(qvars, qs)) | dict(zip(cvars, cs))
 
 
 def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[Match]:
@@ -193,16 +197,16 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
         ]
     out: list[Match] = []
     for form in forms.values():
-        if not form.src:
-            out.extend(_insertion_matches(c, form))
-            continue
-        for site, bindings in _find_sites(c, form):
-            m = Match(
-                rule_id, direction, site, tuple(sorted(bindings.items())),
-                form.variant,
-            )
-            if _check_applicable(c, m, allow_fresh=True) is None:
-                out.append(m)
+        found = _find_sites(c, form) if form.src else _insertion_sites(c, form)
+        for site, bindings in found:
+            # the search checked the rest of what `_check_applicable` checks
+            if _context_error(c, form, site, bindings) is None:
+                out.append(
+                    Match(
+                        rule_id, direction, site, tuple(sorted(bindings.items())),
+                        form.variant,
+                    )
+                )
     variants = list(forms)
     out.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
     return out
@@ -211,18 +215,6 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
 # ----------------------------------------------------------------------
 # Rewriting
 # ----------------------------------------------------------------------
-
-
-def _gather_ok(c: Circuit, site: tuple[int, ...]) -> bool:
-    matched = [(j, wires(c.body[j])) for j in site]
-    lo, hi = site[0], site[-1]
-    for j in range(lo, hi + 1):
-        if j in site:
-            continue
-        skipped = wires(c.body[j])
-        if any(skipped & w for k, w in matched if k > j):
-            return False
-    return True
 
 
 def _allocate_fresh(
@@ -258,8 +250,11 @@ def _allocate_fresh(
     return b, num_cbits
 
 
-def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
-    """None if the match applies cleanly, else the reason it does not.
+def _check_applicable(c: Circuit, m: Match) -> str | None:
+    """None if the match names an occurrence of its form in `c`, else the
+    reason it does not: its bindings fit the form and name declared wires,
+    and its site is an insertion position or one that `_find_sites`,
+    restricted to it and seeded with the bindings, gathers.
 
     Unknown rule ids raise KeyError, unknown directions ValueError.
     """
@@ -267,7 +262,7 @@ def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
     if form is None:
         return f"unknown variant {m.variant!r}"
     bindings = m.binding_map
-    reason = form.binding_error(bindings, complete=not allow_fresh)
+    reason = form.binding_error(bindings, complete=False)
     if reason is not None:
         return reason
     if m.rule == "Commute":
@@ -286,29 +281,31 @@ def _check_applicable(c: Circuit, m: Match, allow_fresh: bool) -> str | None:
     if form.src:
         if len(m.site) != len(form.src):
             return "site length does not match pattern"
-        if any(not 0 <= j < len(c.body) for j in m.site) or list(m.site) != sorted(
-            set(m.site)
-        ):
-            return "site indices invalid"
-        for j, want in zip(m.site, ground(form.src, bindings)):
-            if c.body[j] != want:
-                return f"instruction at {j} does not match pattern"
-        if not _gather_ok(c, m.site):
-            return "interleaved instructions block gathering"
+        if not _find_sites(c, form, m.site, bindings):
+            return "site is not a gatherable occurrence of the pattern"
     else:
         if len(m.site) > 1:
             return "insertion site must be a single index"
         pos = m.site[0] if m.site else len(c.body)
         if not 0 <= pos <= len(c.body):
             return "insertion position out of range"
+    return None
+
+
+def _context_error(
+    c: Circuit, form: RuleForm, site: tuple[int, ...], bindings: dict[str, int]
+) -> str | None:
+    """Why the circuit around an occurrence rules it out (a required prep
+    is missing or the rule's condition fails), or None. Conditions skip
+    fresh variables left unbound."""
     if form.src_preps:
         for p in ground_preps(form.src_preps, bindings):
             if p not in c.preps:
                 return f"required prep {p} not present"
-    if form.condition is not None:
-        pos_site = m.site if m.site else (len(c.body),)
-        return form.condition(c, pos_site, bindings, m.variant, m.direction)
-    return None
+    if form.condition is None:
+        return None
+    site = site or (len(c.body),)
+    return form.condition(c, site, bindings, form.variant, form.direction)
 
 
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
@@ -316,18 +313,13 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     and splice in the instantiated replacement (a `Commute` match swaps its
     two instructions). Preps and roles carry over.
     """
-    reason = _check_applicable(c, m, allow_fresh=True)
+    reason = _check_applicable(c, m)
+    if reason is None:
+        form = rule_forms(m.rule, m.direction)[m.variant]
+        bindings, num_cbits = _allocate_fresh(c, form, m.binding_map)
+        reason = _context_error(c, form, m.site, bindings)
     if reason is not None:
         raise RewriteError(f"{m.rule}: {reason}")
-    form = rule_forms(m.rule, m.direction)[m.variant]
-    bindings, num_cbits = _allocate_fresh(c, form, m.binding_map)
-
-    # re-check the condition with fresh variables bound
-    if form.condition is not None:
-        pos_site = m.site if m.site else (len(c.body),)
-        reason = form.condition(c, pos_site, bindings, m.variant, m.direction)
-        if reason is not None:
-            raise RewriteError(f"{m.rule}: {reason}")
 
     replacement = ground(form.dst, bindings)
     body = list(c.body)
@@ -505,9 +497,10 @@ def defer_measurements(c: Circuit) -> Circuit:
         for i in range(len(c.body) - 1):
             if not isinstance(c.body[i], Measure) or isinstance(c.body[i + 1], Measure):
                 continue
-            step = r3.get((i, i + 1), Match("Commute", site=(i,)))
-            if _check_applicable(c, step, allow_fresh=True) is None:
-                c = rewrite_at(c, step)
-                break
+            try:
+                c = rewrite_at(c, r3.get((i, i + 1), Match("Commute", site=(i,))))
+            except RewriteError:
+                continue
+            break
         else:
             return c

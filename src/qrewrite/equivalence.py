@@ -9,12 +9,12 @@ compares, probe by probe, the outcome-marginalized output density and
 the labeled distribution on report-role classical wires. The probes are
 the columns of one matrix and run through the simulator's branch loop
 (`sim._prepare`, `sim._branches`) as batches: probe 0 alone, so a pair
-that differs there costs one column, then passes of at most 2^n_in
-columns, narrowed (down to one column) when the branch states could
-exceed `sim.BYTE_BUDGET`. That loop is all the oracle shares with the
-channel path: it reads densities from the branch states itself and never
-touches Kraus operators, `make_channel`, `extract_channel` or
-`channel_equal`.
+that differs there costs one column (and, with no input wires, decides),
+then passes of at most 2^n_in columns, narrowed (down to one column) when
+the branch states could exceed `sim.BYTE_BUDGET`. That loop is all the
+oracle shares with the channel path: it reads densities from the branch
+states itself and never touches Kraus operators, `make_channel`,
+`extract_channel` or `channel_equal`.
 """
 from __future__ import annotations
 
@@ -170,12 +170,14 @@ def distinguishing_probe(
     """Name of the first probe on which the circuits differ, or None.
 
     Probe 0 runs alone, so a pair that differs there costs one column; the
-    rest run in passes of `_pass_width` columns.
+    rest run in passes of `_pass_width` columns. With no input wires every
+    probe is a global phase of probe 0, so probe 0 alone decides.
     """
     n_in = _require_matching_roles(c1, c2)
     names, probes = probe_states(n_in)
     width = min(_pass_width(c1, n_in), _pass_width(c2, n_in))
-    bounds = (0, 1, *range(1 + width, len(names), width), len(names))
+    count = len(names) if n_in else 1
+    bounds = (0, *range(1, count, width), count)
     for start, stop in zip(bounds, bounds[1:]):
         cols = probes[:, start:stop]
         j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols), atol)

@@ -23,7 +23,7 @@ instructions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Mapping
 
 from .circuit import (
@@ -557,12 +557,12 @@ def ground(instrs: list[Instruction], bindings: Bindings) -> list[Instruction]:
     out = []
     for instr in instrs:
         subs = {}
-        for f in fields(instr):
-            val = getattr(instr, f.name)
-            if isinstance(val, str) and f.name != "kind":
+        for name, _ in FIELD_KINDS[type(instr)]:
+            val = getattr(instr, name)
+            if isinstance(val, str):
                 if val not in bindings:
                     raise KeyError(f"missing binding for variable {val!r}")
-                subs[f.name] = bindings[val]
+                subs[name] = bindings[val]
         out.append(dc_replace(instr, **subs) if subs else instr)
     return out
 

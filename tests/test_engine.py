@@ -351,6 +351,50 @@ def test_rewrite_rejects_binding_to_an_undeclared_wire():
     assert rewrite_at(c, m, verify=True).num_cbits == 3
 
 
+@pytest.mark.parametrize(
+    "rule, direction, bindings, error",
+    [
+        ("R1_TargetPlus", "backward", {"c": 0}, None),
+        ("R1_ControlZero", "backward", {"t": 1}, "not provably |0>"),
+        ("DiscardedWireTail", "backward", {}, "role discard"),
+        ("MeasureDiscarded", "forward", {"r": 0}, "role discard"),
+    ],
+)
+def test_insertion_leaving_out_a_wire_allocates_it_before_the_condition(
+    rule, direction, bindings, error
+):
+    # the condition reads the left-out wire: it sees the allocated one
+    c = parse("qubits 2\ncbits 1\nINPUT q0\nPREP q1 +\nX q0")
+    m = match(rule, direction, (), bindings)
+    if error is not None:
+        with pytest.raises(RewriteError, match=error):
+            rewrite_at(c, m)
+        return
+    new = rewrite_at(c, m, verify=True)
+    assert new.body == c.body + (Gate2("CNOT", 0, 1),)
+
+
+def test_rewrite_rejects_sites_the_matcher_does_not_gather():
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCNOT q0 q1\nH q1\nCNOT q0 q1")
+    assert find_matches(c, "R1_InverseCancel") == []
+    cancel = {"c": 0, "t": 1}
+    # blocked by the interleaved H, descending, repeated, past the body, negative
+    for site in [(0, 2), (2, 0), (0, 0), (0, 3), (-1, 2)]:
+        m = match("R1_InverseCancel", site=site, bindings=cancel, variant="CNOT")
+        with pytest.raises(RewriteError, match="not a gatherable occurrence"):
+            rewrite_at(c, m)
+    for site in [(0,), (0, 1, 2)]:
+        m = match("R1_InverseCancel", site=site, bindings=cancel, variant="CNOT")
+        with pytest.raises(RewriteError, match="site length"):
+            rewrite_at(c, m)
+    unblocked = parse(
+        "qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nCNOT q0 q1\nH q2\nCNOT q0 q1"
+    )
+    m = match("R1_InverseCancel", site=(0, 2), bindings=cancel, variant="CNOT")
+    assert find_matches(unblocked, "R1_InverseCancel") == [m]
+    assert len(rewrite_at(unblocked, m, verify=True).body) == 1
+
+
 def test_unknown_direction_is_rejected():
     c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCZ q0 q1")
     with pytest.raises(ValueError, match="sideways"):

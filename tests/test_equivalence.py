@@ -281,6 +281,27 @@ def test_batched_oracle_agrees_with_per_probe_reference():
     assert len(n_in_zero) >= 6 and len(reported) >= 10 and len(later) >= 10
 
 
+def test_input_free_pairs_are_decided_on_probe_zero(monkeypatch):
+    # with no input wires every probe is a global phase of probe 0, so one
+    # branch loop per circuit decides the pair
+    widths = []
+    branches = sim._branches
+    monkeypatch.setattr(
+        sim, "_branches", lambda c, s: widths.append(s.shape[1]) or branches(c, s)
+    )
+    rng = np.random.default_rng(4402)
+    circuits = [random_circuit(rng, p_input=0.0) for _ in range(30)]
+    assert not any(c.effective_inputs for c in circuits)
+    assert all(oracle_equal(c, c) for c in circuits)
+    assert widths == [1] * 60
+    widths.clear()
+    zero = parse("qubits 1\ncbits 0\nPREP q0 0")
+    one = dataclasses.replace(zero, body=(Gate1("X", 0),))
+    assert distinguishing_probe(zero, one) == "scalar input"
+    assert widths == [1, 1]
+    assert per_probe_oracle(zero, one) == "scalar input"
+
+
 def test_oracle_narrows_passes_to_fit_the_byte_budget(monkeypatch):
     a, equal_b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=True)
     _, b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=False)
