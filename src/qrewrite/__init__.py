@@ -49,7 +49,6 @@ from .sim import (
     Channel,
     SimulationError,
     apply_gate,
-    basis_state,
     build_unitary,
     channel_of_deferred,
     extract_channel,

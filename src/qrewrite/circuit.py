@@ -97,10 +97,6 @@ def wires(instr: Instruction) -> frozenset[WireRef]:
     )
 
 
-def quantum_wires(instr: Instruction) -> frozenset[int]:
-    return frozenset(w.index for w in wires(instr) if w.kind == "q")
-
-
 def written_cbit(instr: Instruction) -> int | None:
     """Classical wire assigned by the instruction, if any."""
     if isinstance(instr, Measure):
@@ -108,14 +104,6 @@ def written_cbit(instr: Instruction) -> int | None:
     if isinstance(instr, ClassicalXor):
         return instr.out
     return None
-
-
-def read_cbits(instr: Instruction) -> frozenset[int]:
-    if isinstance(instr, ClassicalCtrl):
-        return frozenset((instr.control,))
-    if isinstance(instr, ClassicalXor):
-        return frozenset((instr.a, instr.b))
-    return frozenset()
 
 
 def supports_disjoint(i1: Instruction, i2: Instruction) -> bool:
@@ -448,19 +436,18 @@ def instruction_text(instr: Instruction) -> str:
     return f"XOR c{instr.a} c{instr.b} c{instr.out}"
 
 
-def touched_before(c: Circuit, ws: Iterable[int], pos: int) -> bool:
-    """True if any instruction before index pos touches one of the quantum wires."""
-    wset = set(ws)
-    return any(quantum_wires(i) & wset for i in c.body[:pos])
-
-
-def touched_at_or_after(c: Circuit, w: int, pos: int, skip: Iterable[int] = ()) -> bool:
-    skips = set(skip)
-    return any(
-        w in quantum_wires(instr)
-        for j, instr in enumerate(c.body)
-        if j >= pos and j not in skips
-    )
+def touched(
+    c: Circuit,
+    wire: WireRef,
+    start: int = 0,
+    stop: int | None = None,
+    skip: tuple[int, ...] = (),
+) -> bool:
+    """True if an instruction at a body index in start..stop-1, other than
+    those in `skip`, touches the wire (reads, writes or acts on it)."""
+    body = c.body
+    stop = len(body) if stop is None else stop
+    return any(j not in skip and wire in wires(body[j]) for j in range(start, stop))
 
 
 _STATE_TABLE = {
@@ -481,8 +468,9 @@ def wire_state_before(c: Circuit, w: int, pos: int) -> str | None:
     if p is None or p.kind == "bell":
         return None
     state: str | None = p.kind
+    wire = WireRef("q", w)
     for instr in c.body[:pos]:
-        if w not in quantum_wires(instr):
+        if wire not in wires(instr):
             continue
         if isinstance(instr, Gate1) and state is not None:
             state = _STATE_TABLE[instr.kind][state]

@@ -36,12 +36,12 @@ from .circuit import (
     ClassicalCtrl,
     Instruction,
     Measure,
-    read_cbits,
+    WireRef,
     serialize,
     supports_disjoint,
+    touched,
     validate,
     wires,
-    written_cbit,
 )
 from .equivalence import channel_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms
@@ -227,26 +227,21 @@ def _allocate_fresh(
     for var in form.dst_vars:
         if var in b:
             continue
+        taken = {v for k, v in b.items() if kinds.get(k) == kinds[var]}
         if kinds[var] == "q":
-            taken = {v for k, v in b.items() if kinds.get(k) == "q"}
             free = [w for w in range(c.num_qubits) if w not in taken]
             if not free:
                 raise RewriteError(f"fresh-wire allocation failure for {var!r}")
             b[var] = free[0]
         else:
-            used = set()
-            for instr in c.body:
-                used |= read_cbits(instr)
-                w = written_cbit(instr)
-                if w is not None:
-                    used.add(w)
-            used |= {v for k, v in b.items() if kinds.get(k) == "c"}
-            free = [w for w in range(num_cbits) if w not in used]
-            if free:
-                b[var] = free[0]
-            else:
-                b[var] = num_cbits
-                num_cbits += 1
+            b[var] = next(
+                (
+                    w for w in range(num_cbits)
+                    if w not in taken and not touched(c, WireRef("c", w))
+                ),
+                num_cbits,
+            )
+            num_cbits = max(num_cbits, b[var] + 1)
     return b, num_cbits
 
 
@@ -296,16 +291,18 @@ def _context_error(
     c: Circuit, form: RuleForm, site: tuple[int, ...], bindings: dict[str, int]
 ) -> str | None:
     """Why the circuit around an occurrence rules it out (a required prep
-    is missing or the rule's condition fails), or None. Conditions skip
-    fresh variables left unbound."""
+    is missing or the rule's condition fails), or None. The one caller of
+    a rule's condition: it gets the occurrence's first index, or the
+    insertion position, and the matched indices (none for an insertion)."""
     if form.src_preps:
         for p in ground_preps(form.src_preps, bindings):
             if p not in c.preps:
                 return f"required prep {p} not present"
     if form.condition is None:
         return None
-    site = site or (len(c.body),)
-    return form.condition(c, site, bindings, form.variant, form.direction)
+    if form.src:
+        return form.condition(c, site[0], site, bindings)
+    return form.condition(c, site[0] if site else len(c.body), (), bindings)
 
 
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
@@ -434,7 +431,7 @@ def gate_measure(c: Circuit) -> tuple[int, int, int]:
     return (q, cc, len(c.body))
 
 
-def _next_steps(c: Circuit) -> list[tuple[Match, Circuit]] | None:
+def _next_step(c: Circuit) -> tuple[Match, Circuit] | None:
     for rule_id, direction in _SIMPLIFY_PRIORITY:
         for m in find_matches(c, rule_id, direction):
             try:
@@ -442,23 +439,7 @@ def _next_steps(c: Circuit) -> list[tuple[Match, Circuit]] | None:
             except RewriteError:
                 continue
             if gate_measure(new) < gate_measure(c):
-                return [(m, new)]
-    # R3 forward only when the deferred CNOT enables cancellations that
-    # reduce the overall cost
-    for m in find_matches(c, "R3_DeferMeasure", "forward"):
-        try:
-            t = rewrite_at(c, m)
-        except RewriteError:
-            continue
-        seq = [(m, t)]
-        while True:
-            cancels = find_matches(t, "R1_InverseCancel", "forward")
-            if not cancels:
-                break
-            t = rewrite_at(t, cancels[0])
-            seq.append((cancels[0], t))
-        if gate_measure(t) < gate_measure(c):
-            return seq
+                return m, new
     return None
 
 
@@ -471,8 +452,8 @@ def simplify(c: Circuit, verify: bool = True) -> tuple[Circuit, DerivationTrace]
     """
     trace = DerivationTrace(c, [])
     check = _step_check(c, verify)
-    while (steps := _next_steps(trace.final)) is not None:
-        trace.steps.extend(check(m, new) for m, new in steps)
+    while (step := _next_step(trace.final)) is not None:
+        trace.steps.append(check(*step))
     return trace.final, trace
 
 

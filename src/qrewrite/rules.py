@@ -8,18 +8,20 @@ parallel-to-lambda) plus structural engine rules (adjacent commutations,
 discarded-wire cleanup, measurement insertion on discarded wires, Bell
 preparation folding) that the derivation scripts rely on.
 
-Patterns and replacements are declared as template functions of a binding
-map and a variant; a rule's `condition` is a static, syntactic predicate on
-the circuit at the match site (for example "this wire is provably in |+>
-here").
+Each rule is stated once, as data: its pattern and replacement are
+template functions of the variant alone, whose wire slots hold variable
+names (`lambda v: [Gate1(v, "w"), Gate1(v, "w")]`), and its `condition`
+is a static, syntactic predicate on the circuit around an occurrence (for
+example "this wire is provably in |+> here"). A condition sees where the
+occurrence sits and which body indices it matched, never the direction or
+variant, so one predicate serves both directions of a rule.
 
 Each rule is compiled once, at import, into one `RuleForm` per direction
 and variant (`FORMS`, looked up through `rule_forms`): the matched ("src")
-and produced ("dst") sides as instruction and prep templates whose wire
-slots hold variable names, the variables each side needs, their wire kinds
-and the rule's allowed aliases. The engine, `instantiate` and the tests
-read these records; grounding a template with a binding map gives concrete
-instructions.
+and produced ("dst") sides as instruction and prep templates, the
+variables each side needs, their wire kinds and the rule's allowed
+aliases. The engine, `instantiate` and the tests read these records;
+grounding a template with a binding map gives concrete instructions.
 """
 from __future__ import annotations
 
@@ -36,19 +38,20 @@ from .circuit import (
     Instruction,
     Measure,
     PrepDecl,
+    WireRef,
     prep_plus,
     prep_zero,
-    read_cbits,
-    touched_at_or_after,
-    touched_before,
+    touched,
     wire_state_before,
-    written_cbit,
 )
 
 Bindings = Mapping[str, object]
-TemplateFn = Callable[[Bindings, str], list[Instruction]]
-PrepFn = Callable[[Bindings, str], list[PrepDecl]]
-ConditionFn = Callable[[Circuit, tuple[int, ...], Bindings, str, str], "str | None"]
+TemplateFn = Callable[[str], list[Instruction]]
+PrepFn = Callable[[str], list[PrepDecl]]
+# condition(c, pos, matched, bindings) -> reason or None: `pos` is the first
+# matched index or the insertion position, `matched` the matched body
+# indices (empty for an insertion); fresh variables may be left unbound
+ConditionFn = Callable[[Circuit, int, tuple[int, ...], Bindings], "str | None"]
 
 
 @dataclass(frozen=True)
@@ -65,61 +68,50 @@ class RewriteRule:
     alias_ok: frozenset[frozenset[str]] = field(default_factory=frozenset)
 
 
-class _Idents(dict):
-    """Binding map that returns the key itself: grounds a template into
-    a template (used to discover which variables a rule mentions)."""
-
-    def __missing__(self, key):
-        return key
-
-
-IDENT = _Idents()
-
-
 # ----------------------------------------------------------------------
 # Rule I: null gates
 # ----------------------------------------------------------------------
 
 
-def _inverse_pattern(b: Bindings, v: str) -> list[Instruction]:
+def _inverse_pattern(v: str) -> list[Instruction]:
     if v in ("H", "X", "Z"):
-        return [Gate1(v, b["w"]), Gate1(v, b["w"])]
-    return [Gate2(v, b["c"], b["t"]), Gate2(v, b["c"], b["t"])]
+        return [Gate1(v, "w"), Gate1(v, "w")]
+    return [Gate2(v, "c", "t"), Gate2(v, "c", "t")]
 
 
 R1_INVERSE = RewriteRule(
     id="R1_InverseCancel",
     pattern=_inverse_pattern,
-    replacement=lambda b, v: [],
+    replacement=lambda v: [],
     variants=("H", "X", "Z", "CNOT", "CZ"),
     pure_gate=True,
 )
 
 
-def _target_plus_cond(c, site, b, v, direction) -> str | None:
-    if wire_state_before(c, b["t"], site[0]) != "plus":
+def _target_plus_cond(c, pos, matched, b) -> str | None:
+    if wire_state_before(c, b["t"], pos) != "plus":
         return "target wire is not provably |+> at this point"
     return None
 
 
 R1_TARGET_PLUS = RewriteRule(
     id="R1_TargetPlus",
-    pattern=lambda b, v: [Gate2("CNOT", b["c"], b["t"])],
-    replacement=lambda b, v: [],
+    pattern=lambda v: [Gate2("CNOT", "c", "t")],
+    replacement=lambda v: [],
     condition=_target_plus_cond,
 )
 
 
-def _control_zero_cond(c, site, b, v, direction) -> str | None:
-    if wire_state_before(c, b["c"], site[0]) != "zero":
+def _control_zero_cond(c, pos, matched, b) -> str | None:
+    if wire_state_before(c, b["c"], pos) != "zero":
         return "control wire is not provably |0> at this point"
     return None
 
 
 R1_CONTROL_ZERO = RewriteRule(
     id="R1_ControlZero",
-    pattern=lambda b, v: [Gate2(v, b["c"], b["t"])],
-    replacement=lambda b, v: [],
+    pattern=lambda v: [Gate2(v, "c", "t")],
+    replacement=lambda v: [],
     variants=("CNOT", "CZ"),
     condition=_control_zero_cond,
 )
@@ -130,47 +122,35 @@ R1_CONTROL_ZERO = RewriteRule(
 
 R2_CZ_FLIP = RewriteRule(
     id="R2_CZFlip",
-    pattern=lambda b, v: [Gate2("CZ", b["a"], b["b"])],
-    replacement=lambda b, v: [Gate2("CZ", b["b"], b["a"])],
+    pattern=lambda v: [Gate2("CZ", "a", "b")],
+    replacement=lambda v: [Gate2("CZ", "b", "a")],
     pure_gate=True,
 )
 
 R2_CNOT_VIA_CZ = RewriteRule(
     id="R2_CNOTviaCZ",
-    pattern=lambda b, v: [Gate2("CNOT", b["c"], b["t"])],
-    replacement=lambda b, v: [
-        Gate1("H", b["t"]),
-        Gate2("CZ", b["c"], b["t"]),
-        Gate1("H", b["t"]),
-    ],
+    pattern=lambda v: [Gate2("CNOT", "c", "t")],
+    replacement=lambda v: [Gate1("H", "t"), Gate2("CZ", "c", "t"), Gate1("H", "t")],
     pure_gate=True,
 )
 
 R2_CNOT_REVERSAL = RewriteRule(
     id="R2_CNOTReversal",
-    pattern=lambda b, v: [
-        Gate1("H", b["c"]),
-        Gate1("H", b["t"]),
-        Gate2("CNOT", b["c"], b["t"]),
-        Gate1("H", b["c"]),
-        Gate1("H", b["t"]),
+    pattern=lambda v: [
+        Gate1("H", "c"),
+        Gate1("H", "t"),
+        Gate2("CNOT", "c", "t"),
+        Gate1("H", "c"),
+        Gate1("H", "t"),
     ],
-    replacement=lambda b, v: [Gate2("CNOT", b["t"], b["c"])],
+    replacement=lambda v: [Gate2("CNOT", "t", "c")],
     pure_gate=True,
 )
 
 R2_H_MIRROR = RewriteRule(
     id="R2_HMirror",
-    pattern=lambda b, v: [
-        Gate1("H", b["c"]),
-        Gate1("H", b["t"]),
-        Gate2("CNOT", b["c"], b["t"]),
-    ],
-    replacement=lambda b, v: [
-        Gate2("CNOT", b["t"], b["c"]),
-        Gate1("H", b["c"]),
-        Gate1("H", b["t"]),
-    ],
+    pattern=lambda v: [Gate1("H", "c"), Gate1("H", "t"), Gate2("CNOT", "c", "t")],
+    replacement=lambda v: [Gate2("CNOT", "t", "c"), Gate1("H", "c"), Gate1("H", "t")],
     pure_gate=True,
 )
 
@@ -178,21 +158,16 @@ R2_H_MIRROR = RewriteRule(
 # Rule III: deferred measurement
 # ----------------------------------------------------------------------
 
-
-def _r3_pattern(b: Bindings, v: str) -> list[Instruction]:
-    kind = "CX" if v == "cX" else "CZC"
-    return [Measure(b["m"], b["r"]), ClassicalCtrl(kind, b["r"], b["t"])]
-
-
-def _r3_replacement(b: Bindings, v: str) -> list[Instruction]:
-    kind = "CNOT" if v == "cX" else "CZ"
-    return [Gate2(kind, b["m"], b["t"]), Measure(b["m"], b["r"])]
-
-
 R3_DEFER = RewriteRule(
     id="R3_DeferMeasure",
-    pattern=_r3_pattern,
-    replacement=_r3_replacement,
+    pattern=lambda v: [
+        Measure("m", "r"),
+        ClassicalCtrl("CX" if v == "cX" else "CZC", "r", "t"),
+    ],
+    replacement=lambda v: [
+        Gate2("CNOT" if v == "cX" else "CZ", "m", "t"),
+        Measure("m", "r"),
+    ],
     variants=("cX", "cZ"),
 )
 
@@ -201,49 +176,34 @@ R3_DEFER = RewriteRule(
 # ----------------------------------------------------------------------
 
 
-def _r4_pattern(b: Bindings, v: str) -> list[Instruction]:
-    kind = "CX" if v == "cX" else "CZC"
-    return [
-        Gate2("CNOT", b["a"], b["b"]),
-        Measure(b["a"], b["r1"]),
-        Measure(b["b"], b["r2"]),
-        ClassicalCtrl(kind, b["r2"], b["t"]),
-    ]
-
-
-def _r4_replacement(b: Bindings, v: str) -> list[Instruction]:
-    kind = "CX" if v == "cX" else "CZC"
-    return [
-        Measure(b["a"], b["r1"]),
-        Measure(b["b"], b["r2"]),
-        ClassicalXor(b["r1"], b["r2"], b["r3"]),
-        ClassicalCtrl(kind, b["r3"], b["t"]),
-    ]
-
-
-def _r4_condition(c, site, b, v, direction) -> str | None:
-    bw, r2 = b["b"], b["r2"]
-    r3 = b.get("r3")
+def _r4_condition(c, pos, matched, b) -> str | None:
+    bw, r2, r3 = b["b"], b["r2"], b.get("r3")
     if c.q_roles[bw] != "discard":
         return "measured operand b must have role discard"
-    i_m2 = site[2] if direction == "forward" else site[1]
-    if touched_at_or_after(c, bw, i_m2 + 1, skip=site):
+    i_m2 = next(j for j in matched if c.body[j] == Measure(bw, r2))
+    if touched(c, WireRef("q", bw), i_m2 + 1, skip=matched):
         return "wire b is used after its measurement"
-    for j, instr in enumerate(c.body):
-        if j in site:
-            continue
-        if r2 in read_cbits(instr):
-            return "classical wire r2 has readers outside the match"
-        if isinstance(r3, int):
-            if r3 in read_cbits(instr) or r3 == written_cbit(instr):
-                return "classical wire r3 is not fresh"
+    if touched(c, WireRef("c", r2), skip=matched):
+        return "classical wire r2 has readers outside the match"
+    if r3 is not None and touched(c, WireRef("c", r3), skip=matched):
+        return "classical wire r3 is not fresh"
     return None
 
 
 R4_XOR_SUBST = RewriteRule(
     id="R4_XorSubstitute",
-    pattern=_r4_pattern,
-    replacement=_r4_replacement,
+    pattern=lambda v: [
+        Gate2("CNOT", "a", "b"),
+        Measure("a", "r1"),
+        Measure("b", "r2"),
+        ClassicalCtrl("CX" if v == "cX" else "CZC", "r2", "t"),
+    ],
+    replacement=lambda v: [
+        Measure("a", "r1"),
+        Measure("b", "r2"),
+        ClassicalXor("r1", "r2", "r3"),
+        ClassicalCtrl("CX" if v == "cX" else "CZC", "r3", "t"),
+    ],
     variants=("cX", "cZ"),
     condition=_r4_condition,
 )
@@ -253,26 +213,14 @@ R4_XOR_SUBST = RewriteRule(
 # ----------------------------------------------------------------------
 
 
-def _r5_replacement(b: Bindings, v: str) -> list[Instruction]:
-    c, t, a = b["c"], b["t"], b["a"]
-    if v == "i":
-        return [
-            Gate2("CNOT", c, a),
-            Gate2("CNOT", a, t),
-            Gate2("CNOT", c, a),
-            Gate2("CNOT", a, t),
-        ]
-    return [
-        Gate2("CNOT", a, t),
-        Gate2("CNOT", c, a),
-        Gate2("CNOT", a, t),
-        Gate2("CNOT", c, a),
-    ]
+def _r5_replacement(v: str) -> list[Instruction]:
+    ca, at = Gate2("CNOT", "c", "a"), Gate2("CNOT", "a", "t")
+    return [ca, at, ca, at] if v == "i" else [at, ca, at, ca]
 
 
 R5_DISTRIBUTE = RewriteRule(
     id="R5_DistributeCNOT",
-    pattern=lambda b, v: [Gate2("CNOT", b["c"], b["t"])],
+    pattern=lambda v: [Gate2("CNOT", "c", "t")],
     replacement=_r5_replacement,
     variants=("i", "ii"),
     pure_gate=True,
@@ -282,25 +230,20 @@ R5_DISTRIBUTE = RewriteRule(
 # Rule VI: CNOT mirror (chained CNOTs reflect off a long CNOT)
 # ----------------------------------------------------------------------
 
-
-def _r6_pattern(b: Bindings, v: str) -> list[Instruction]:
-    ab = Gate2("CNOT", b["a"], b["b"])
-    bc = Gate2("CNOT", b["b"], b["c"])
-    return [ab, bc] if v[0] == "A" else [bc, ab]
+_AB = Gate2("CNOT", "a", "b")
+_BC = Gate2("CNOT", "b", "c")
+_AC = Gate2("CNOT", "a", "c")  # the long CNOT
 
 
-def _r6_replacement(b: Bindings, v: str) -> list[Instruction]:
-    ab = Gate2("CNOT", b["a"], b["b"])
-    bc = Gate2("CNOT", b["b"], b["c"])
-    long = Gate2("CNOT", b["a"], b["c"])
-    base = [bc, ab] if v[0] == "A" else [ab, bc]
-    base.insert(int(v[1]), long)
+def _r6_replacement(v: str) -> list[Instruction]:
+    base = [_BC, _AB] if v[0] == "A" else [_AB, _BC]
+    base.insert(int(v[1]), _AC)
     return base
 
 
 R6_MIRROR = RewriteRule(
     id="R6_CNOTMirror",
-    pattern=_r6_pattern,
+    pattern=lambda v: [_AB, _BC] if v[0] == "A" else [_BC, _AB],
     replacement=_r6_replacement,
     variants=("A0", "A1", "A2", "B0", "B1", "B2"),
     pure_gate=True,
@@ -312,14 +255,11 @@ R6_MIRROR = RewriteRule(
 
 R7_LAMBDA = RewriteRule(
     id="R7_ParallelToLambda",
-    pattern=lambda b, v: [
-        Gate2("CNOT", b["c"], b["t1"]),
-        Gate2("CNOT", b["c"], b["t2"]),
-    ],
-    replacement=lambda b, v: [
-        Gate2("CNOT", b["t1"], b["t2"]),
-        Gate2("CNOT", b["c"], b["t1"]),
-        Gate2("CNOT", b["t1"], b["t2"]),
+    pattern=lambda v: [Gate2("CNOT", "c", "t1"), Gate2("CNOT", "c", "t2")],
+    replacement=lambda v: [
+        Gate2("CNOT", "t1", "t2"),
+        Gate2("CNOT", "c", "t1"),
+        Gate2("CNOT", "t1", "t2"),
     ],
     pure_gate=True,
 )
@@ -330,45 +270,28 @@ R7_LAMBDA = RewriteRule(
 
 CONTROLS_COMMUTE = RewriteRule(
     id="ControlsCommute",
-    pattern=lambda b, v: [
-        Gate2("CNOT", b["c"], b["a"]),
-        Gate2("CNOT", b["c"], b["b"]),
-    ],
-    replacement=lambda b, v: [
-        Gate2("CNOT", b["c"], b["b"]),
-        Gate2("CNOT", b["c"], b["a"]),
-    ],
+    pattern=lambda v: [Gate2("CNOT", "c", "a"), Gate2("CNOT", "c", "b")],
+    replacement=lambda v: [Gate2("CNOT", "c", "b"), Gate2("CNOT", "c", "a")],
     pure_gate=True,
 )
 
 TARGETS_COMMUTE = RewriteRule(
     id="TargetsCommute",
-    pattern=lambda b, v: [
-        Gate2("CNOT", b["a"], b["t"]),
-        Gate2("CNOT", b["b"], b["t"]),
-    ],
-    replacement=lambda b, v: [
-        Gate2("CNOT", b["b"], b["t"]),
-        Gate2("CNOT", b["a"], b["t"]),
-    ],
+    pattern=lambda v: [Gate2("CNOT", "a", "t"), Gate2("CNOT", "b", "t")],
+    replacement=lambda v: [Gate2("CNOT", "b", "t"), Gate2("CNOT", "a", "t")],
     pure_gate=True,
 )
 
 
-def _cz_cnot_pattern(b: Bindings, v: str) -> list[Instruction]:
-    cz = Gate2("CZ", b["x"], b["y"])
-    cnot = Gate2("CNOT", b["a"], b["t"])
+def _cz_cnot_pattern(v: str) -> list[Instruction]:
+    cz, cnot = Gate2("CZ", "x", "y"), Gate2("CNOT", "a", "t")
     return [cz, cnot] if v == "cz_first" else [cnot, cz]
-
-
-def _cz_cnot_replacement(b: Bindings, v: str) -> list[Instruction]:
-    return list(reversed(_cz_cnot_pattern(b, v)))
 
 
 CZ_CONTROL_COMMUTE = RewriteRule(
     id="CzControlCommute",
     pattern=_cz_cnot_pattern,
-    replacement=_cz_cnot_replacement,
+    replacement=lambda v: _cz_cnot_pattern(v)[::-1],
     variants=("cz_first", "cnot_first"),
     pure_gate=True,
     # the CZ may share the CNOT's control wire (both preserve its basis),
@@ -377,76 +300,62 @@ CZ_CONTROL_COMMUTE = RewriteRule(
 )
 
 
-def _tail_cond(c, site, b, v, direction) -> str | None:
-    w = b["w"]
-    if c.q_roles[w] != "discard":
+def _tail_cond(c, pos, matched, b) -> str | None:
+    if c.q_roles[b["w"]] != "discard":
         return "wire must have role discard"
-    after = site[0] + 1 if direction == "forward" else site[0]
-    if touched_at_or_after(c, w, after, skip=site if direction == "forward" else ()):
+    if touched(c, WireRef("q", b["w"]), pos, skip=matched):
         return "wire is used again later"
     return None
 
 
 DISCARDED_TAIL = RewriteRule(
     id="DiscardedWireTail",
-    pattern=lambda b, v: [Gate1(v, b["w"])],
-    replacement=lambda b, v: [],
+    pattern=lambda v: [Gate1(v, "w")],
+    replacement=lambda v: [],
     variants=("H", "X", "Z"),
     condition=_tail_cond,
 )
 
 
-def _measure_discarded_cond(c, site, b, v, direction) -> str | None:
-    w = b["w"]
+def _measure_discarded_cond(c, pos, matched, b) -> str | None:
     r = b.get("r")
-    if c.q_roles[w] != "discard":
+    if c.q_roles[b["w"]] != "discard":
         return "wire must have role discard"
-    after = site[0] if direction == "forward" else site[0] + 1
-    if touched_at_or_after(c, w, after, skip=() if direction == "forward" else site):
+    if touched(c, WireRef("q", b["w"]), pos, skip=matched):
         return "wire is used again after the measurement point"
-    if isinstance(r, int):
-        for j, instr in enumerate(c.body):
-            if j in site and direction == "backward":
-                continue
-            if r in read_cbits(instr):
-                return "classical result wire is read"
-            if direction == "forward" and r == written_cbit(instr):
-                return "classical result wire is already assigned"
+    if r is not None and touched(c, WireRef("c", r), skip=matched):
+        return "classical result wire is read or assigned elsewhere"
     return None
 
 
 MEASURE_DISCARDED = RewriteRule(
     id="MeasureDiscarded",
-    pattern=lambda b, v: [],
-    replacement=lambda b, v: [Measure(b["w"], b["r"])],
+    pattern=lambda v: [],
+    replacement=lambda v: [Measure("w", "r")],
     condition=_measure_discarded_cond,
 )
 
 
-def _fold_pattern(b: Bindings, v: str) -> list[Instruction]:
-    if v == "hcnot":
-        return [Gate1("H", b["a"]), Gate2("CNOT", b["a"], b["b"])]
-    return [Gate2("CNOT", b["a"], b["b"])]
-
-
-def _fold_prep_pattern(b: Bindings, v: str) -> list[PrepDecl]:
-    first = prep_zero(b["a"]) if v == "hcnot" else prep_plus(b["a"])
-    return [first, prep_zero(b["b"])]
-
-
-def _fold_cond(c, site, b, v, direction) -> str | None:
-    if touched_before(c, (b["a"], b["b"]), site[0]):
+def _fold_cond(c, pos, matched, b) -> str | None:
+    if any(touched(c, WireRef("q", b[w]), stop=pos) for w in ("a", "b")):
         return "pair wires are touched before the fold point"
     return None
 
 
 BELL_PREP_FOLD = RewriteRule(
     id="BellPrepFold",
-    pattern=_fold_pattern,
-    replacement=lambda b, v: [],
+    pattern=lambda v: (
+        [Gate1("H", "a"), Gate2("CNOT", "a", "b")]
+        if v == "hcnot"
+        else [Gate2("CNOT", "a", "b")]
+    ),
+    replacement=lambda v: [],
     variants=("hcnot", "plus"),
-    prep_pattern=_fold_prep_pattern,
-    prep_replacement=lambda b, v: [PrepDecl("bell", (b["a"], b["b"]))],
+    prep_pattern=lambda v: [
+        prep_zero("a") if v == "hcnot" else prep_plus("a"),
+        prep_zero("b"),
+    ],
+    prep_replacement=lambda v: [PrepDecl("bell", ("a", "b"))],
     condition=_fold_cond,
 )
 
@@ -454,60 +363,37 @@ BELL_PREP_FOLD = RewriteRule(
 # engine; it is listed here so rule ids are uniform and CLI-visible.
 COMMUTE = RewriteRule(
     id="Commute",
-    pattern=lambda b, v: [],
-    replacement=lambda b, v: [],
+    pattern=lambda v: [],
+    replacement=lambda v: [],
     pure_gate=True,
 )
 
-CATALOG_IDS = (
-    "R1_InverseCancel",
-    "R1_TargetPlus",
-    "R1_ControlZero",
-    "R2_CZFlip",
-    "R2_CNOTviaCZ",
-    "R2_CNOTReversal",
-    "R2_HMirror",
-    "R3_DeferMeasure",
-    "R4_XorSubstitute",
-    "R5_DistributeCNOT",
-    "R6_CNOTMirror",
-    "R7_ParallelToLambda",
+CATALOG = (
+    R1_INVERSE,
+    R1_TARGET_PLUS,
+    R1_CONTROL_ZERO,
+    R2_CZ_FLIP,
+    R2_CNOT_VIA_CZ,
+    R2_CNOT_REVERSAL,
+    R2_H_MIRROR,
+    R3_DEFER,
+    R4_XOR_SUBST,
+    R5_DISTRIBUTE,
+    R6_MIRROR,
+    R7_LAMBDA,
 )
-
-STRUCTURAL_IDS = (
-    "Commute",
-    "ControlsCommute",
-    "TargetsCommute",
-    "CzControlCommute",
-    "DiscardedWireTail",
-    "MeasureDiscarded",
-    "BellPrepFold",
+STRUCTURAL = (
+    CONTROLS_COMMUTE,
+    TARGETS_COMMUTE,
+    CZ_CONTROL_COMMUTE,
+    DISCARDED_TAIL,
+    MEASURE_DISCARDED,
+    BELL_PREP_FOLD,
+    COMMUTE,
 )
-
-RULES: dict[str, RewriteRule] = {
-    r.id: r
-    for r in (
-        R1_INVERSE,
-        R1_TARGET_PLUS,
-        R1_CONTROL_ZERO,
-        R2_CZ_FLIP,
-        R2_CNOT_VIA_CZ,
-        R2_CNOT_REVERSAL,
-        R2_H_MIRROR,
-        R3_DEFER,
-        R4_XOR_SUBST,
-        R5_DISTRIBUTE,
-        R6_MIRROR,
-        R7_LAMBDA,
-        CONTROLS_COMMUTE,
-        TARGETS_COMMUTE,
-        CZ_CONTROL_COMMUTE,
-        DISCARDED_TAIL,
-        MEASURE_DISCARDED,
-        BELL_PREP_FOLD,
-        COMMUTE,
-    )
-}
+CATALOG_IDS = tuple(r.id for r in CATALOG)
+STRUCTURAL_IDS = tuple(r.id for r in STRUCTURAL)
+RULES: dict[str, RewriteRule] = {r.id: r for r in CATALOG + STRUCTURAL}
 
 
 def template_side(
@@ -537,7 +423,7 @@ def variable_kinds(rule: RewriteRule) -> dict[str, str]:
     kinds: dict[str, str] = {}
     for variant in rule.variants:
         for fn in (rule.pattern, rule.replacement):
-            for instr in fn(IDENT, variant):
+            for instr in fn(variant):
                 for name, kind in FIELD_KINDS[type(instr)]:
                     val = getattr(instr, name)
                     if isinstance(val, str):
@@ -545,7 +431,7 @@ def variable_kinds(rule: RewriteRule) -> dict[str, str]:
         for prep_fn in (rule.prep_pattern, rule.prep_replacement):
             if prep_fn is None:
                 continue
-            for p in prep_fn(IDENT, variant):
+            for p in prep_fn(variant):
                 for w in p.wires:
                     if isinstance(w, str):
                         kinds[w] = "q"
@@ -653,8 +539,8 @@ def _side(
     rule: RewriteRule, direction: str, which: str, variant: str
 ) -> tuple[tuple[Instruction, ...], tuple[PrepDecl, ...], tuple[str, ...]]:
     fn, prep_fn = template_side(rule, direction, which)
-    tpl = tuple(fn(IDENT, variant))
-    preps = tuple(prep_fn(IDENT, variant)) if prep_fn is not None else ()
+    tpl = tuple(fn(variant))
+    preps = tuple(prep_fn(variant)) if prep_fn is not None else ()
     prep_vars = tuple(w for p in preps for w in p.wires if isinstance(w, str))
     return tpl, preps, tuple(dict.fromkeys(template_variables(tpl) + prep_vars))
 

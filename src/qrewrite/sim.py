@@ -76,12 +76,6 @@ class Channel:
         return choi_of_kraus(self.kraus)
 
 
-def basis_state(n_wires: int, index: int) -> np.ndarray:
-    vec = np.zeros(1 << n_wires, dtype=complex)
-    vec[index] = 1.0
-    return vec
-
-
 def _bit(idx: np.ndarray, n: int, wire: int) -> np.ndarray:
     return (idx >> (n - 1 - wire)) & 1
 

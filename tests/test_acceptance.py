@@ -23,7 +23,6 @@ from qrewrite.scenarios import (
 from qrewrite.sim import (
     SQRT_HALF,
     apply_gate,
-    basis_state,
     build_unitary,
     channel_of_deferred,
     extract_channel,
@@ -32,6 +31,7 @@ from qrewrite.sim import (
 )
 
 from util import (
+    basis_state,
     fidelity,
     random_bindings,
     random_circuit,

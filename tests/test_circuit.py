@@ -11,10 +11,12 @@ from qrewrite.circuit import (
     Gate2,
     Measure,
     ParseError,
+    WireRef,
     circuit,
     parse,
     serialize,
     supports_disjoint,
+    touched,
     wire_state_before,
 )
 from qrewrite.scenarios import SCENARIO_NAMES, make
@@ -188,3 +190,14 @@ def test_wire_state_tracker():
     assert wire_state_before(c, 1, 2) == "plus"  # X fixes |+>
     assert wire_state_before(c, 0, 3) is None  # after CNOT: unknown
     assert wire_state_before(c, 1, 3) is None
+
+
+def test_touched_scans_only_its_range():
+    c = parse("qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nH q0\nMEASURE q1 c0\nCX c0 q0")
+    q0, q1, c0 = WireRef("q", 0), WireRef("q", 1), WireRef("c", 0)
+    assert touched(c, q0) and touched(c, q1) and touched(c, c0)
+    assert not touched(c, q0, 1, 2)  # only MEASURE q1 c0 is in range
+    assert touched(c, c0, 1, 2) and not touched(c, c0, 1, 2, skip=(1,))
+    assert touched(c, c0, 2)  # read by CX
+    assert not touched(c, q1, 2)
+    assert not touched(c, q0, stop=0)

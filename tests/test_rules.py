@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrewrite.circuit import Gate1, Gate2, circuit, parse
-from qrewrite.engine import find_matches, rewrite_at
+from qrewrite.engine import RewriteError, find_matches, match, rewrite_at
 from qrewrite.equivalence import channel_equal, oracle_equal, unitary_equal
 from qrewrite.rules import (
     CATALOG_IDS,
@@ -157,7 +157,9 @@ def _host_circuit_for(rule_id, variant, bindings):
     return c1
 
 
-@pytest.mark.parametrize("rule_id", CATALOG_IDS)
+@pytest.mark.parametrize(
+    "rule_id", CATALOG_IDS + tuple(r for r in STRUCTURAL_IDS if r != "Commute")
+)
 def test_forward_backward_round_trip(rule_id):
     """Applying forward then backward at the produced site restores the circuit."""
     rng = np.random.default_rng(hash(rule_id + "rt") % 2**32)
@@ -219,6 +221,45 @@ def test_rule_iv_requires_discarded_operand():
     assert [m.site for m in ms] == [(0, 1, 2, 3)]
     new = rewrite_at(ok, ms[0], verify=True)
     assert new.num_cbits == 3  # fresh c2 allocated
+
+
+_R4_FORWARD = (
+    "qubits 3\ncbits 3\nINPUT q0\nINPUT q1\nINPUT q2\n"
+    "CNOT q0 q1\nMEASURE q0 c0\nMEASURE q1 c1\nCX c1 q2\n"
+)
+_R4_BACKWARD = (
+    "qubits 3\ncbits 3\nINPUT q0\nINPUT q1\nINPUT q2\n"
+    "MEASURE q0 c0\nMEASURE q1 c1\nXOR c0 c1 c2\nCX c2 q2\n"
+)
+_R4_BINDINGS = {"a": 0, "b": 1, "r1": 0, "r2": 1, "r3": 2, "t": 2}
+
+
+@pytest.mark.parametrize(
+    "direction, host, tail, error",
+    [
+        ("forward", _R4_FORWARD, "H q1", "wire b is used after"),
+        ("forward", _R4_FORWARD, "CZC c1 q0", "r2 has readers outside"),
+        ("forward", _R4_FORWARD, "MEASURE q2 c2", "r3 is not fresh"),
+        ("backward", _R4_BACKWARD, "H q1", "wire b is used after"),
+        ("backward", _R4_BACKWARD, "CZC c1 q0", "r2 has readers outside"),
+        ("backward", _R4_BACKWARD, "CX c2 q0", "r3 is not fresh"),
+    ],
+)
+def test_rule_iv_condition_rejections(direction, host, tail, error):
+    """Each R4 context check, in both directions: the matcher finds no
+    match, and a hand-built match is a RewriteError naming the check.
+    Forward, r3 is a fresh wire that only a hand binding can clash with, so
+    the matcher's match (r3 allocated) still applies."""
+    c = parse(host + tail)
+    found = find_matches(c, "R4_XorSubstitute", direction)
+    if "r3" in error and direction == "forward":
+        assert [m.site for m in found] == [(0, 1, 2, 3)]
+        assert rewrite_at(c, found[0], verify=True).num_cbits == 4
+    else:
+        assert found == []
+    m = match("R4_XorSubstitute", direction, (0, 1, 2, 3), _R4_BINDINGS, "cX")
+    with pytest.raises(RewriteError, match=error):
+        rewrite_at(c, m)
 
 
 def test_every_rule_direction_and_variant_is_compiled():

@@ -18,7 +18,6 @@ from qrewrite.scenarios import (
 )
 from qrewrite.sim import (
     SQRT_HALF,
-    basis_state,
     build_unitary,
     channel_of_deferred,
     extract_channel,
@@ -26,7 +25,13 @@ from qrewrite.sim import (
     unitary_channel,
 )
 
-from util import fidelity, random_state, reduced_density, states_equal_up_to_phase
+from util import (
+    basis_state,
+    fidelity,
+    random_state,
+    reduced_density,
+    states_equal_up_to_phase,
+)
 
 
 def bell_state(a: int, b: int) -> np.ndarray:

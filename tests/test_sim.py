@@ -9,14 +9,20 @@ from qrewrite.sim import (
     SimulationError,
     _restriction_indices,
     apply_gate,
-    basis_state,
     build_unitary,
     channel_of_deferred,
     extract_channel,
     run,
 )
 
-from util import fidelity, is_unitary, random_circuit, random_state, reduced_density
+from util import (
+    basis_state,
+    fidelity,
+    is_unitary,
+    random_circuit,
+    random_state,
+    reduced_density,
+)
 
 
 def xor_swap_permutation() -> np.ndarray:

@@ -17,7 +17,13 @@ from qrewrite.circuit import (
 )
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
 from qrewrite.rules import ground_preps, instantiate, rule_forms
-from qrewrite.sim import ATOL, SQRT_HALF, basis_state, run
+from qrewrite.sim import ATOL, SQRT_HALF, run
+
+
+def basis_state(n_wires: int, index: int) -> np.ndarray:
+    vec = np.zeros(1 << n_wires, dtype=complex)
+    vec[index] = 1.0
+    return vec
 
 
 def random_state(rng: np.random.Generator, n_wires: int) -> np.ndarray:
