@@ -9,19 +9,14 @@ classical bits).
 Conventions:
     - qubit 0 is the most significant bit of a basis index
       (|q0 q1> -> index 2*q0 + q1)
-    - classical wires are single-assignment
+    - classical wires are single-assignment, and are read only after
+      they are written
     - measurement is projective and non-destructive (the wire persists)
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
-
-GATE1_KINDS = ("H", "X", "Z")
-GATE2_KINDS = ("CNOT", "CZ")
-CCTRL_KINDS = ("CX", "CZC")  # classically controlled X / Z
-
 
 class CircuitError(ValueError):
     """Invalid circuit structure."""
@@ -88,6 +83,27 @@ FIELD_KINDS: dict[type, tuple[tuple[str, str], ...]] = {
     ClassicalCtrl: (("control", "c"), ("target", "q")),
     ClassicalXor: (("a", "c"), ("b", "c"), ("out", "c")),
 }
+# the classical wire field an instruction writes; every other "c" field is read
+WRITES: dict[type, str] = {Measure: "result", ClassicalXor: "out"}
+
+# The instruction set: mnemonic -> (class, kind field or None). An
+# instruction's operands are its class's FIELD_KINDS slots, in order.
+MNEMONICS: dict[str, tuple[type, str | None]] = {
+    "H": (Gate1, "H"),
+    "X": (Gate1, "X"),
+    "Z": (Gate1, "Z"),
+    "CNOT": (Gate2, "CNOT"),
+    "CZ": (Gate2, "CZ"),
+    "MEASURE": (Measure, None),
+    "CX": (ClassicalCtrl, "CX"),  # classically controlled X
+    "CZC": (ClassicalCtrl, "CZC"),  # classically controlled Z
+    "XOR": (ClassicalXor, None),
+}
+# text of each (class, kind) entry, a str.format template over the fields
+_TEXT = {
+    entry: " ".join([name, *(f"{k}{{{f}}}" for f, k in FIELD_KINDS[entry[0]])])
+    for name, entry in MNEMONICS.items()
+}
 
 
 def wires(instr: Instruction) -> frozenset[WireRef]:
@@ -95,15 +111,6 @@ def wires(instr: Instruction) -> frozenset[WireRef]:
     return frozenset(
         WireRef(kind, getattr(instr, name)) for name, kind in FIELD_KINDS[type(instr)]
     )
-
-
-def written_cbit(instr: Instruction) -> int | None:
-    """Classical wire assigned by the instruction, if any."""
-    if isinstance(instr, Measure):
-        return instr.result
-    if isinstance(instr, ClassicalXor):
-        return instr.out
-    return None
 
 
 def supports_disjoint(i1: Instruction, i2: Instruction) -> bool:
@@ -140,6 +147,9 @@ class Circuit:
     body: tuple[Instruction, ...]
     q_roles: tuple[str, ...]  # per qubit: "output" | "discard"
     c_roles: tuple[str, ...]  # per cbit: "report" | "scratch"
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     # -- derived views -------------------------------------------------
     def prep_of(self, w: int) -> PrepDecl | None:
@@ -183,7 +193,7 @@ def circuit(
     q_roles: dict[int, str] | None = None,
     c_roles: dict[int, str] | None = None,
 ) -> Circuit:
-    """Build a validated circuit, applying default roles.
+    """Build a circuit, applying default roles.
 
     Default quantum role is discard for measured wires and output otherwise;
     default classical role is scratch.
@@ -196,7 +206,7 @@ def circuit(
         default = "discard" if w in measured else "output"
         roles_q.append((q_roles or {}).get(w, default))
     roles_c = [(c_roles or {}).get(w, "scratch") for w in range(num_cbits)]
-    c = Circuit(
+    return Circuit(
         num_qubits,
         num_cbits,
         preps,
@@ -205,22 +215,20 @@ def circuit(
         tuple(roles_q),
         tuple(roles_c),
     )
-    validate(c)
-    return c
 
 
 def validate(c: Circuit) -> None:
-    """Raise CircuitError on any violated structural invariant."""
+    """Raise CircuitError on any violated structural invariant.
+
+    `Circuit` runs this on construction, so every Circuit satisfies it.
+    """
+    size = {"q": c.num_qubits, "c": c.num_cbits}
     if c.num_qubits < 0 or c.num_cbits < 0:
         raise CircuitError("negative wire count")
 
     def check_q(w: int) -> None:
         if not 0 <= w < c.num_qubits:
             raise CircuitError(f"reference to undeclared wire q{w}")
-
-    def check_c(w: int) -> None:
-        if not 0 <= w < c.num_cbits:
-            raise CircuitError(f"reference to undeclared wire c{w}")
 
     seen_prep: set[int] = set()
     for p in c.preps:
@@ -242,24 +250,25 @@ def validate(c: Circuit) -> None:
     for w in c.inputs:
         check_q(w)
 
-    assigned: set[int] = set()
+    written: set[int] = set()
     for instr in c.body:
-        for name, kind in FIELD_KINDS[type(instr)]:
-            (check_q if kind == "q" else check_c)(getattr(instr, name))
-        if isinstance(instr, Gate1) and instr.kind not in GATE1_KINDS:
-            raise CircuitError(f"unknown gate {instr.kind!r}")
-        if isinstance(instr, Gate2):
-            if instr.kind not in GATE2_KINDS:
-                raise CircuitError(f"unknown gate {instr.kind!r}")
-            if instr.control == instr.target:
-                raise CircuitError("two-qubit gate control equals target")
-        if isinstance(instr, ClassicalCtrl) and instr.kind not in CCTRL_KINDS:
-            raise CircuitError(f"unknown classically controlled gate {instr.kind!r}")
-        w = written_cbit(instr)
-        if w is not None:
-            if w in assigned:
+        cls = type(instr)
+        if (cls, getattr(instr, "kind", None)) not in _TEXT:
+            raise CircuitError(f"unknown instruction {instr!r}")
+        out = WRITES.get(cls)
+        for name, kind in FIELD_KINDS[cls]:
+            w = getattr(instr, name)
+            if not 0 <= w < size[kind]:
+                raise CircuitError(f"reference to undeclared wire {kind}{w}")
+            if kind == "c" and name != out and w not in written:
+                raise CircuitError(f"classical wire c{w} is read before it is written")
+        if cls is Gate2 and instr.control == instr.target:
+            raise CircuitError("two-qubit gate control equals target")
+        if out is not None:
+            w = getattr(instr, out)
+            if w in written:
                 raise CircuitError(f"classical wire c{w} assigned twice")
-            assigned.add(w)
+            written.add(w)
     if len(c.q_roles) != c.num_qubits or len(c.c_roles) != c.num_cbits:
         raise CircuitError("role table has wrong length")
     for r in c.q_roles:
@@ -274,22 +283,12 @@ def validate(c: Circuit) -> None:
 # Text format
 # ----------------------------------------------------------------------
 
-_Q = re.compile(r"^q(\d+)$")
-_C = re.compile(r"^c(\d+)$")
-
-
-def _qref(tok: str, line: int) -> int:
-    m = _Q.match(tok)
-    if not m:
-        raise ParseError(f"expected quantum wire, got {tok!r}", line)
-    return int(m.group(1))
-
-
-def _cref(tok: str, line: int) -> int:
-    m = _C.match(tok)
-    if not m:
-        raise ParseError(f"expected classical wire, got {tok!r}", line)
-    return int(m.group(1))
+def _ref(tok: str, kind: str, line: int) -> int:
+    """Index of wire token `tok` ("q3", "c0"), which must be of `kind`."""
+    if tok[:1] != kind or not tok[1:].isdecimal():
+        name = "quantum" if kind == "q" else "classical"
+        raise ParseError(f"expected {name} wire, got {tok!r}", line)
+    return int(tok[1:])
 
 
 def parse(text: str) -> Circuit:
@@ -329,9 +328,9 @@ def parse(text: str) -> Circuit:
     def declaration(ln: int, toks: list[str]) -> None:
         op = toks[0]
         if op == "INPUT" and len(toks) == 2:
-            inputs.add(_qref(toks[1], ln))
+            inputs.add(_ref(toks[1], "q", ln))
         elif op == "PREP" and len(toks) == 3:
-            w = _qref(toks[1], ln)
+            w = _ref(toks[1], "q", ln)
             if toks[2] == "0":
                 preps.append(prep_zero(w))
             elif toks[2] == "+":
@@ -339,14 +338,14 @@ def parse(text: str) -> Circuit:
             else:
                 raise ParseError(f"unknown prep state {toks[2]!r}", ln)
         elif op == "BELL" and len(toks) == 3:
-            preps.append(prep_bell(_qref(toks[1], ln), _qref(toks[2], ln)))
+            preps.append(prep_bell(_ref(toks[1], "q", ln), _ref(toks[2], "q", ln)))
         elif op in ("OUTPUT", "DISCARD") and len(toks) == 2:
-            w = _qref(toks[1], ln)
+            w = _ref(toks[1], "q", ln)
             if w in q_roles:
                 raise ParseError(f"role of q{w} declared twice", ln)
             q_roles[w] = op.lower()
         elif op in ("REPORT", "SCRATCH") and len(toks) == 2:
-            w = _cref(toks[1], ln)
+            w = _ref(toks[1], "c", ln)
             if w in c_roles:
                 raise ParseError(f"role of c{w} declared twice", ln)
             c_roles[w] = op.lower()
@@ -354,20 +353,12 @@ def parse(text: str) -> Circuit:
             raise ParseError(f"syntax error: {' '.join(toks)!r}", ln)
 
     def instruction(ln: int, toks: list[str]) -> Instruction:
-        op = toks[0]
-        if op in GATE1_KINDS and len(toks) == 2:
-            return Gate1(op, _qref(toks[1], ln))
-        if op in GATE2_KINDS and len(toks) == 3:
-            return Gate2(op, _qref(toks[1], ln), _qref(toks[2], ln))
-        if op == "MEASURE" and len(toks) == 3:
-            return Measure(_qref(toks[1], ln), _cref(toks[2], ln))
-        if op in CCTRL_KINDS and len(toks) == 3:
-            return ClassicalCtrl(op, _cref(toks[1], ln), _qref(toks[2], ln))
-        if op == "XOR" and len(toks) == 4:
-            return ClassicalXor(
-                _cref(toks[1], ln), _cref(toks[2], ln), _cref(toks[3], ln)
-            )
-        raise ParseError(f"syntax error: {' '.join(toks)!r}", ln)
+        cls, kind = MNEMONICS.get(toks[0], (None, None))
+        slots = FIELD_KINDS.get(cls)
+        if slots is None or len(toks) != len(slots) + 1:
+            raise ParseError(f"syntax error: {' '.join(toks)!r}", ln)
+        operands = [_ref(tok, wire, ln) for tok, (_, wire) in zip(toks[1:], slots)]
+        return cls(*operands) if kind is None else cls(kind, *operands)
 
     DECL_OPS = {"INPUT", "PREP", "BELL", "OUTPUT", "DISCARD", "REPORT", "SCRATCH"}
     in_body = False
@@ -390,8 +381,6 @@ def parse(text: str) -> Circuit:
             q_roles=q_roles,
             c_roles=c_roles,
         )
-    except ParseError:
-        raise
     except CircuitError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -425,15 +414,7 @@ def serialize(c: Circuit) -> str:
 
 
 def instruction_text(instr: Instruction) -> str:
-    if isinstance(instr, Gate1):
-        return f"{instr.kind} q{instr.target}"
-    if isinstance(instr, Gate2):
-        return f"{instr.kind} q{instr.control} q{instr.target}"
-    if isinstance(instr, Measure):
-        return f"MEASURE q{instr.target} c{instr.result}"
-    if isinstance(instr, ClassicalCtrl):
-        return f"{instr.kind} c{instr.control} q{instr.target}"
-    return f"XOR c{instr.a} c{instr.b} c{instr.out}"
+    return _TEXT[type(instr), getattr(instr, "kind", None)].format_map(vars(instr))
 
 
 def touched(

@@ -40,7 +40,6 @@ from .circuit import (
     serialize,
     supports_disjoint,
     touched,
-    validate,
     wires,
 )
 from .equivalence import channel_equal
@@ -346,7 +345,6 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         c.q_roles,
         c.c_roles + ("scratch",) * (num_cbits - c.num_cbits),
     )
-    validate(new)
     if verify:
         _step_check(c, True)(m, new)
     return new

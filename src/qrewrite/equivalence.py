@@ -36,9 +36,7 @@ class EquivalenceError(ValueError):
     """Operands are not comparable (dimension or role mismatch)."""
 
 
-def unitary_equal(
-    a: np.ndarray, b: np.ndarray, up_to_phase: bool = False, atol: float = UNITARY_ATOL
-) -> bool:
+def unitary_equal(a: np.ndarray, b: np.ndarray, up_to_phase: bool = False) -> bool:
     """Entrywise equality of two unitaries, optionally modulo global phase.
 
     The phase reference is the largest-magnitude entry of b, which avoids
@@ -54,11 +52,11 @@ def unitary_equal(
         if abs(phi) < 1e-12:
             return False
         b = (phi / abs(phi)) * b
-    return bool(np.max(np.abs(a - b)) <= atol)
+    return bool(np.max(np.abs(a - b)) <= UNITARY_ATOL)
 
 
-def channel_equal(a: Channel, b: Channel, atol: float = CHANNEL_ATOL) -> bool:
-    """Choi matrices agree to `atol` in Frobenius norm, which implies they
+def channel_equal(a: Channel, b: Channel) -> bool:
+    """Choi matrices agree to CHANNEL_ATOL in Frobenius norm, which implies they
     agree entrywise; Kraus decompositions may differ.
 
     With V the vec(K) columns of a channel, Choi = V V^dag. Factoring
@@ -72,7 +70,7 @@ def channel_equal(a: Channel, b: Channel, atol: float = CHANNEL_ATOL) -> bool:
     vecs = np.concatenate([a.kraus.reshape(r_a, -1), b.kraus.reshape(len(b.kraus), -1)])
     r = np.linalg.qr(vecs.T, mode="r")
     ra, rb = r[:, :r_a], r[:, r_a:]
-    return bool(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T) <= atol)
+    return bool(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T) <= CHANNEL_ATOL)
 
 
 def probe_states(n_in: int) -> tuple[list[str], np.ndarray]:
@@ -130,19 +128,19 @@ def _probe_outputs(c: Circuit, columns: np.ndarray):
     return np.concatenate(rows, axis=2), dist
 
 
-def _first_difference(out1, out2, atol: float) -> int | None:
+def _first_difference(out1, out2) -> int | None:
     """First probe column whose output densities or report distributions
-    differ by more than `atol` in some entry, or None."""
+    differ by more than ORACLE_ATOL in some entry, or None."""
     (r1, d1), (r2, d2) = out1, out2
     k = len(r1)
     bad = np.zeros(k, dtype=bool)
     for key in d1.keys() | d2.keys():
-        bad |= np.abs(d1.get(key, 0.0) - d2.get(key, 0.0)) > atol
+        bad |= np.abs(d1.get(key, 0.0) - d2.get(key, 0.0)) > ORACLE_ATOL
     step = max(1, _DENSITY_CHUNK // r1.shape[1] ** 2)
     for j in range(0, k, step):
         a, b = r1[j : j + step], r2[j : j + step]
         diff = a @ a.conj().transpose(0, 2, 1) - b @ b.conj().transpose(0, 2, 1)
-        bad[j : j + step] |= np.abs(diff).max(axis=(1, 2)) > atol
+        bad[j : j + step] |= np.abs(diff).max(axis=(1, 2)) > ORACLE_ATOL
     hits = np.flatnonzero(bad)
     return int(hits[0]) if len(hits) else None
 
@@ -158,15 +156,13 @@ def _require_matching_roles(c1: Circuit, c2: Circuit) -> int:
     return n_in1
 
 
-def oracle_equal(c1: Circuit, c2: Circuit, atol: float = ORACLE_ATOL) -> bool:
+def oracle_equal(c1: Circuit, c2: Circuit) -> bool:
     """Brute-force equivalence check, independent of the Choi machinery:
     no probe in `probe_states` tells the circuits apart."""
-    return distinguishing_probe(c1, c2, atol) is None
+    return distinguishing_probe(c1, c2) is None
 
 
-def distinguishing_probe(
-    c1: Circuit, c2: Circuit, atol: float = ORACLE_ATOL
-) -> str | None:
+def distinguishing_probe(c1: Circuit, c2: Circuit) -> str | None:
     """Name of the first probe on which the circuits differ, or None.
 
     Probe 0 runs alone, so a pair that differs there costs one column; the
@@ -180,7 +176,7 @@ def distinguishing_probe(
     bounds = (0, *range(1, count, width), count)
     for start, stop in zip(bounds, bounds[1:]):
         cols = probes[:, start:stop]
-        j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols), atol)
+        j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols))
         if j is not None:
             return names[start + j]
     return None

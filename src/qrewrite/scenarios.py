@@ -274,11 +274,6 @@ _SCRIPTS: dict[str, tuple[str, list[Match], str]] = {
 }
 
 
-def derivation_start(name: str) -> Circuit:
-    src, _, _ = _SCRIPTS[name]
-    return parse(src)
-
-
 def derive(name: str, verify: bool = True) -> DerivationTrace:
     """Replay a named derivation; every step is channel-checked against the
     start, and the final circuit must be structurally equal to the target."""

@@ -160,10 +160,6 @@ def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
     dim_in = 1 << len(inputs)
     k = dim_in if columns is None else columns.shape[1]
     _require_budget((1 << n) * k, "prepared state")
-    prepped = {w for p in c.preps for w in p.wires}
-    for w in range(n):
-        if w not in prepped and w not in inputs:
-            raise SimulationError(f"wire q{w} has no prep and is not an input")
     if columns is None:
         columns = np.eye(dim_in, dtype=complex)
 
@@ -210,16 +206,10 @@ def _branches(c: Circuit, state: np.ndarray) -> list[tuple[dict[int, int], np.nd
         elif isinstance(instr, ClassicalCtrl):
             gate = Gate1("X" if instr.kind == "CX" else "Z", instr.target)
             for i, (outcome, s) in enumerate(branches):
-                if instr.control not in outcome:
-                    raise SimulationError(
-                        f"use of unassigned classical wire c{instr.control}"
-                    )
                 if outcome[instr.control]:
                     branches[i] = (outcome, apply_gate(s, gate))
         else:  # ClassicalXor
             for outcome, _ in branches:
-                if instr.a not in outcome or instr.b not in outcome:
-                    raise SimulationError("use of unassigned classical wire in XOR")
                 outcome[instr.out] = outcome[instr.a] ^ outcome[instr.b]
     return branches
 

@@ -83,7 +83,7 @@ def test_criterion_02_rule_soundness_suite():
             variant = rule.variants[k % len(rule.variants)]
             bindings = random_bindings(rng, rule_id, variant)
             c1, c2 = rule_pair(rule_id, bindings, variant)
-            if not channel_equal(extract_channel(c1), extract_channel(c2), atol=1e-9):
+            if not channel_equal(extract_channel(c1), extract_channel(c2)):
                 oracle = oracle_equal(c1, c2)
                 raise AssertionError(
                     f"{rule_id} {variant} {bindings}: channel mismatch "
@@ -133,7 +133,7 @@ def test_criterion_05_teleportation():
     """Teleportation channel equals identity within 1e-9; per-branch
     post-correction fidelity >= 1 - 1e-9 over 100 random inputs."""
     tele = make("Teleportation")
-    assert channel_equal(extract_channel(tele), unitary_channel(np.eye(2)), atol=1e-9)
+    assert channel_equal(extract_channel(tele), unitary_channel(np.eye(2)))
     rng = np.random.default_rng(2024)
     for _ in range(100):
         psi = random_state(rng, 1)
@@ -171,7 +171,7 @@ def test_criterion_07_gate_teleportation():
     amplitudes are 1/2 at indices {0, 3, 13, 14} within 1e-12."""
     cnot = build_unitary(parse("qubits 2\ncbits 0\nCNOT q0 q1"))
     assert channel_equal(
-        extract_channel(make("GateTeleportation")), unitary_channel(cnot), atol=1e-9
+        extract_channel(make("GateTeleportation")), unitary_channel(cnot)
     )
     (br,) = run(make("Chi"))
     expected = np.zeros(16, dtype=complex)

@@ -1,10 +1,15 @@
 """Circuit IR: parsing, serialization, validation, structural queries."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrewrite.circuit import (
+    FIELD_KINDS,
+    MNEMONICS,
+    WRITES,
     CircuitError,
     ClassicalCtrl,
     Gate1,
@@ -23,6 +28,22 @@ from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import build_unitary
 
 from util import random_circuit
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# two input qubits and two written classical wires; the instruction after
+# it is on line 7
+_PREFIX = "qubits 2\ncbits 3\nINPUT q0\nINPUT q1\nMEASURE q0 c0\nMEASURE q1 c1\n"
+
+
+def _operands(cls) -> list[str]:
+    """Valid operand tokens for `cls` after `_PREFIX`: distinct qubits,
+    c0/c1 for classical reads and c2 for the classical write."""
+    qs, cs = iter(("q0", "q1")), iter(("c0", "c1"))
+    return [
+        next(qs) if kind == "q" else "c2" if name == WRITES.get(cls) else next(cs)
+        for name, kind in FIELD_KINDS[cls]
+    ]
 
 
 def test_parse_basic():
@@ -54,6 +75,27 @@ def test_parse_prep_on_input():
 def test_parse_syntax_error_reports_line():
     with pytest.raises(ParseError, match="line 3"):
         parse("qubits 1\ncbits 0\nFROB q0")
+    # every mnemonic with one operand too many, one too few, and each
+    # operand in turn of the other wire kind
+    flip = {"q": "c", "c": "q"}
+    for mnemonic, (cls, _) in MNEMONICS.items():
+        ops = _operands(cls)
+        wrong = [ops + ["q0"], ops[:-1]]
+        for i, tok in enumerate(ops):
+            wrong.append(ops[:i] + [flip[tok[0]] + tok[1:]] + ops[i + 1 :])
+        for operands in wrong:
+            line = " ".join([mnemonic, *operands])
+            with pytest.raises(ParseError, match="^line 7: "):
+                parse(_PREFIX + line)
+
+
+def test_read_before_write_is_error():
+    with pytest.raises(ParseError, match="c0 is read before it is written"):
+        parse("qubits 1\ncbits 1\nINPUT q0\nCX c0 q0")
+    with pytest.raises(ParseError, match="c1 is read before it is written"):
+        parse("qubits 1\ncbits 3\nINPUT q0\nMEASURE q0 c0\nXOR c0 c1 c2\nMEASURE q0 c1")
+    with pytest.raises(CircuitError, match="c0 is read before it is written"):
+        circuit(1, 1, [ClassicalCtrl("CZC", 0, 0), Measure(0, 0)])
 
 
 def test_parse_missing_header():
@@ -81,6 +123,27 @@ def test_gate2_same_wire_rejected():
 def test_xor_double_assignment_rejected():
     with pytest.raises(ParseError, match="assigned twice"):
         parse("qubits 1\ncbits 2\nMEASURE q0 c0\nXOR c0 c0 c0")
+
+
+def test_mnemonic_table():
+    for mnemonic, (cls, kind) in MNEMONICS.items():
+        assert cls in FIELD_KINDS, mnemonic
+        text = _PREFIX + " ".join([mnemonic, *_operands(cls)])
+        c = parse(text)  # validate accepts the entry's kind
+        assert type(c.body[-1]) is cls and getattr(c.body[-1], "kind", None) == kind
+        assert serialize(c) == text
+        assert parse(serialize(c)) == c
+    with pytest.raises(CircuitError, match="unknown instruction"):
+        circuit(2, 0, [Gate1("CNOT", 0)])
+    with pytest.raises(CircuitError, match="unknown instruction"):
+        circuit(2, 0, [Gate2("CX", 0, 1)])
+
+
+def test_readme_format_example_parses():
+    section = README.read_text(encoding="utf-8").split("## Circuit file format", 1)[1]
+    example = section.split("```\n", 2)[1]
+    c = parse(example)
+    assert {type(instr) for instr in c.body} == set(FIELD_KINDS)
 
 
 def test_serialize_single_x():

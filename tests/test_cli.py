@@ -213,6 +213,13 @@ def test_parse_error_exit_code(files, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_check_read_before_write_is_a_parse_error(files, capsys):
+    a = files("a.qc", "qubits 1\ncbits 1\nINPUT q0\nCX c0 q0\n")
+    b = files("b.qc", "qubits 1\ncbits 0\nINPUT q0\n")
+    assert main(["check", a, b]) == EXIT_PARSE
+    assert "c0 is read before it is written" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["run", "/nonexistent/x.qc"]) == EXIT_PARSE
 

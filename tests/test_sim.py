@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qrewrite.circuit import Gate1, Gate2, circuit, parse, prep_zero
+from qrewrite.circuit import Gate1, Gate2, ParseError, circuit, parse, prep_zero
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import (
     SQRT_HALF,
@@ -110,9 +110,9 @@ def test_classical_control_semantics():
 
 
 def test_unassigned_classical_wire_errors():
-    c = parse("qubits 1\ncbits 1\nPREP q0 0\nCX c0 q0")
-    with pytest.raises(SimulationError, match="unassigned"):
-        run(c)
+    # rejected when parsed, so no unassigned wire ever reaches `run`
+    with pytest.raises(ParseError, match="c0 is read before it is written"):
+        parse("qubits 1\ncbits 1\nPREP q0 0\nCX c0 q0")
 
 
 def test_input_required_and_dimension_checked():
