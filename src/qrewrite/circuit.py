@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 class CircuitError(ValueError):
-    """Invalid circuit structure."""
+    """Invalid circuit structure; `index` is the body index of the
+    instruction at fault, if one is."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class ParseError(CircuitError):
@@ -196,8 +201,13 @@ def circuit(
     """Build a circuit, applying default roles.
 
     Default quantum role is discard for measured wires and output otherwise;
-    default classical role is scratch.
+    default classical role is scratch. A role for an undeclared wire is a
+    CircuitError.
     """
+    for kind, roles, size in (("q", q_roles, num_qubits), ("c", c_roles, num_cbits)):
+        for w in roles or {}:
+            if not 0 <= w < size:
+                raise CircuitError(f"role for undeclared wire {kind}{w}")
     body = tuple(body)
     preps = tuple(sorted(preps, key=lambda p: p.wires))
     measured = {i.target for i in body if isinstance(i, Measure)}
@@ -218,7 +228,8 @@ def circuit(
 
 
 def validate(c: Circuit) -> None:
-    """Raise CircuitError on any violated structural invariant.
+    """Raise CircuitError on any violated structural invariant; an error in
+    an instruction carries its body index.
 
     `Circuit` runs this on construction, so every Circuit satisfies it.
     """
@@ -251,23 +262,25 @@ def validate(c: Circuit) -> None:
         check_q(w)
 
     written: set[int] = set()
-    for instr in c.body:
+    for k, instr in enumerate(c.body):
         cls = type(instr)
         if (cls, getattr(instr, "kind", None)) not in _TEXT:
-            raise CircuitError(f"unknown instruction {instr!r}")
+            raise CircuitError(f"unknown instruction {instr!r}", k)
         out = WRITES.get(cls)
         for name, kind in FIELD_KINDS[cls]:
             w = getattr(instr, name)
             if not 0 <= w < size[kind]:
-                raise CircuitError(f"reference to undeclared wire {kind}{w}")
+                raise CircuitError(f"reference to undeclared wire {kind}{w}", k)
             if kind == "c" and name != out and w not in written:
-                raise CircuitError(f"classical wire c{w} is read before it is written")
+                raise CircuitError(
+                    f"classical wire c{w} is read before it is written", k
+                )
         if cls is Gate2 and instr.control == instr.target:
-            raise CircuitError("two-qubit gate control equals target")
+            raise CircuitError("two-qubit gate control equals target", k)
         if out is not None:
             w = getattr(instr, out)
             if w in written:
-                raise CircuitError(f"classical wire c{w} assigned twice")
+                raise CircuitError(f"classical wire c{w} assigned twice", k)
             written.add(w)
     if len(c.q_roles) != c.num_qubits or len(c.c_roles) != c.num_cbits:
         raise CircuitError("role table has wrong length")
@@ -323,7 +336,7 @@ def parse(text: str) -> Circuit:
     inputs: set[int] = set()
     q_roles: dict[int, str] = {}
     c_roles: dict[int, str] = {}
-    body: list[Instruction] = []
+    body: list[tuple[int, Instruction]] = []  # (source line, instruction)
 
     def declaration(ln: int, toks: list[str]) -> None:
         op = toks[0]
@@ -369,20 +382,21 @@ def parse(text: str) -> Circuit:
             declaration(ln, toks)
         else:
             in_body = True
-            body.append(instruction(ln, toks))
+            body.append((ln, instruction(ln, toks)))
 
     try:
         return circuit(
             num_qubits,
             num_cbits,
-            body,
+            [instr for _, instr in body],
             preps=preps,
             inputs=inputs,
             q_roles=q_roles,
             c_roles=c_roles,
         )
     except CircuitError as exc:
-        raise ParseError(str(exc)) from exc
+        line = None if exc.index is None else body[exc.index][0]
+        raise ParseError(str(exc), line) from exc
 
 
 def serialize(c: Circuit) -> str:

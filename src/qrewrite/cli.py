@@ -153,23 +153,14 @@ def _cmd_rewrite(args) -> int:
     if not 0 <= args.site < len(matches):
         print(f"error: site index {args.site} out of range", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        new = rewrite_at(c, matches[args.site], verify=not args.no_verify)
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    new = rewrite_at(c, matches[args.site], verify=not args.no_verify)
     print(serialize(new))
     print("UNVERIFIED" if args.no_verify else "VERIFIED")
     return EXIT_OK
 
 
 def _cmd_simplify(args) -> int:
-    c = _load(args.file)
-    try:
-        final, trace = simplify(c, verify=not args.no_verify)
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    final, trace = simplify(_load(args.file), verify=not args.no_verify)
     print(trace.render())
     print("final:")
     print(serialize(final))
@@ -202,12 +193,7 @@ def _cmd_demo(args) -> int:
             print(f"{label}: {'VERIFIED' if passed else 'FAILED'}")
             ok = ok and passed
         return EXIT_OK if ok else EXIT_VERIFY
-    try:
-        trace = derive(_DEMOS[args.name])
-    except (VerificationError, AssertionError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    print(trace.render())
+    print(derive(_DEMOS[args.name]).render())
     print("final circuit structurally equal to target: VERIFIED")
     return EXIT_OK
 
@@ -274,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (SimulationError, EquivalenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,20 +2,22 @@
 rewrites with optional channel verification, simplify greedily, record
 derivation traces, and defer measurements (Rule III canonical form).
 
-The engine reads each rule through its compiled forms (`rules.rule_forms`):
-a match names a rule, direction and variant, which select one `RuleForm`,
-and its `src` templates, variables, kinds and aliases drive matching,
-checking and rewriting alike.
+A match names a rule, direction and variant, which select one compiled
+`RuleForm` (`rules.rule_forms`); its templates, variables, kinds and
+aliases drive matching, checking and rewriting alike.
 
-Matching is subsequence-based: the instructions of a pattern may be
-interleaved with others, provided each interleaved instruction touches
-wires disjoint from every later matched instruction, so the matched
-subsequence can be gathered contiguously at its first index by commuting.
-`_find_sites` alone decides what an occurrence is. `rewrite_at` checks
-every match, found or hand-built, on one path: `_check_applicable` (the
-search restricted to the site finds it), fresh-wire allocation, then
-`_context_error` (preps and the rule's condition, run once). So a bad
-match is a `RewriteError`, never a wrong rewrite.
+`_occurrences` is the one search for where a form applies: adjacent
+disjoint pairs for `Commute`, the pattern occurrences `_find_sites`
+gathers (its instructions may be interleaved with others that touch no
+wire of a later one, so commuting gathers them at the first index), and
+every position and injective binding for an insertion (empty `src`).
+`find_matches` keeps those that pass `_context_error` (preps and the
+rule's condition). `rewrite_at` checks every match, found or hand-built,
+on one path: `_check_applicable` (bindings, site shape, then the search
+restricted to the site), fresh-wire allocation, `_context_error`. So a
+bad match is a `RewriteError`, never a wrong rewrite. One splice puts
+the replacement at the occurrence's position, after gathering the matched
+instructions there (an insertion gathers none); `Commute` swaps.
 
 Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one check
 (`_step_check`): the step's circuit is channel-equal to the start.
@@ -57,11 +59,8 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Match:
-    """A located rule occurrence: ordered body indices plus variable bindings.
-
-    For insertion-style applications (empty matched side) `site` holds the
-    single insertion position.
-    """
+    """A located rule occurrence: ordered body indices plus variable bindings
+    (an insertion's site is its position, or empty for the end of the body)."""
 
     rule: str
     direction: str = "forward"
@@ -168,17 +167,41 @@ def _find_sites(
     return results
 
 
-def _insertion_sites(
-    c: Circuit, form: RuleForm
+def _anchor(
+    c: Circuit, form: RuleForm, site: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """An occurrence's position and its matched indices (none for an insertion)."""
+    if form.src:
+        return site[0], site
+    return (site[0] if site else len(c.body)), ()
+
+
+def _occurrences(
+    c: Circuit,
+    form: RuleForm,
+    site: tuple[int, ...] | None = None,
+    bindings: dict[str, int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], dict[str, int]]]:
-    """Every insertion position, with every injective binding of the form's
-    variables to declared wires."""
-    qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
-    cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
-    for pos in range(len(c.body) + 1):
-        for qs in permutations(range(c.num_qubits), len(qvars)):
-            for cs in permutations(range(c.num_cbits), len(cvars)):
-                yield (pos,), dict(zip(qvars, qs)) | dict(zip(cvars, cs))
+    """Every occurrence of the form in `c` as (site, bindings), by first
+    index; with `site` and `bindings`, only the one they name, if it is
+    one (a named insertion keeps its checked, maybe partial, bindings)."""
+    body = c.body
+    if form.rule == "Commute":
+        for i in range(len(body) - 1) if site is None else site:
+            if 0 <= i < len(body) - 1 and supports_disjoint(body[i], body[i + 1]):
+                yield (i,), {}
+    elif form.src:
+        yield from _find_sites(c, form, site, bindings)
+    elif site is not None:
+        if 0 <= _anchor(c, form, site)[0] <= len(body):
+            yield site, bindings or {}
+    else:
+        qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
+        cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
+        for pos in range(len(body) + 1):
+            for qs in permutations(range(c.num_qubits), len(qvars)):
+                for cs in permutations(range(c.num_cbits), len(cvars)):
+                    yield (pos,), dict(zip(qvars, qs)) | dict(zip(cvars, cs))
 
 
 def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[Match]:
@@ -188,24 +211,15 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
     Unknown rule ids raise KeyError, unknown directions ValueError.
     """
     forms = rule_forms(rule_id, direction)
-    if rule_id == "Commute":
-        return [
-            Match("Commute", "forward", (i,))
-            for i in range(len(c.body) - 1)
-            if supports_disjoint(c.body[i], c.body[i + 1])
-        ]
-    out: list[Match] = []
-    for form in forms.values():
-        found = _find_sites(c, form) if form.src else _insertion_sites(c, form)
-        for site, bindings in found:
-            # the search checked the rest of what `_check_applicable` checks
-            if _context_error(c, form, site, bindings) is None:
-                out.append(
-                    Match(
-                        rule_id, direction, site, tuple(sorted(bindings.items())),
-                        form.variant,
-                    )
-                )
+    # a swap reads the same both ways, so a `Commute` match says forward
+    said = "forward" if rule_id == "Commute" else direction
+    out = [
+        Match(rule_id, said, site, tuple(sorted(bindings.items())), form.variant)
+        for form in forms.values()
+        for site, bindings in _occurrences(c, form)
+        # the search checked the rest of what `_check_applicable` checks
+        if _context_error(c, form, site, bindings) is None
+    ]
     variants = list(forms)
     out.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
     return out
@@ -244,30 +258,15 @@ def _allocate_fresh(
     return b, num_cbits
 
 
-def _check_applicable(c: Circuit, m: Match) -> str | None:
+def _check_applicable(c: Circuit, form: RuleForm, m: Match) -> str | None:
     """None if the match names an occurrence of its form in `c`, else the
     reason it does not: its bindings fit the form and name declared wires,
-    and its site is an insertion position or one that `_find_sites`,
-    restricted to it and seeded with the bindings, gathers.
-
-    Unknown rule ids raise KeyError, unknown directions ValueError.
-    """
-    form = rule_forms(m.rule, m.direction).get(m.variant)
-    if form is None:
-        return f"unknown variant {m.variant!r}"
+    its site has the form's shape, and `_occurrences`, restricted to the
+    site and seeded with the bindings, finds it."""
     bindings = m.binding_map
     reason = form.binding_error(bindings, complete=False)
     if reason is not None:
         return reason
-    if m.rule == "Commute":
-        if len(m.site) != 1:
-            return "commute site must be a single index"
-        i = m.site[0]
-        if not (0 <= i < len(c.body) - 1):
-            return "commute site out of range"
-        if not supports_disjoint(c.body[i], c.body[i + 1]):
-            return "adjacent instructions share support"
-        return None
     for var, wire in m.bindings:
         kind = form.kinds[var]
         if not 0 <= wire < (c.num_qubits if kind == "q" else c.num_cbits):
@@ -275,14 +274,10 @@ def _check_applicable(c: Circuit, m: Match) -> str | None:
     if form.src:
         if len(m.site) != len(form.src):
             return "site length does not match pattern"
-        if not _find_sites(c, form, m.site, bindings):
-            return "site is not a gatherable occurrence of the pattern"
-    else:
-        if len(m.site) > 1:
-            return "insertion site must be a single index"
-        pos = m.site[0] if m.site else len(c.body)
-        if not 0 <= pos <= len(c.body):
-            return "insertion position out of range"
+    elif len(m.site) > 1 or (m.rule == "Commute" and not m.site):
+        return "site must be a single index"
+    if next(_occurrences(c, form, m.site, bindings), None) is None:
+        return "site is not a gatherable occurrence of the pattern"
     return None
 
 
@@ -291,44 +286,39 @@ def _context_error(
 ) -> str | None:
     """Why the circuit around an occurrence rules it out (a required prep
     is missing or the rule's condition fails), or None. The one caller of
-    a rule's condition: it gets the occurrence's first index, or the
-    insertion position, and the matched indices (none for an insertion)."""
+    a rule's condition, which gets the occurrence's `_anchor`."""
     if form.src_preps:
         for p in ground_preps(form.src_preps, bindings):
             if p not in c.preps:
                 return f"required prep {p} not present"
     if form.condition is None:
         return None
-    if form.src:
-        return form.condition(c, site[0], site, bindings)
-    return form.condition(c, site[0] if site else len(c.body), (), bindings)
+    pos, matched = _anchor(c, form, site)
+    return form.condition(c, pos, matched, bindings)
 
 
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
-    """Apply a match: gather the matched instructions at the first site index
-    and splice in the instantiated replacement (a `Commute` match swaps its
-    two instructions). Preps and roles carry over.
-    """
-    reason = _check_applicable(c, m)
+    """Apply a match: gather the matched instructions at the occurrence's
+    position and splice in the instantiated replacement (a `Commute` match
+    swaps its two instructions). Preps and roles carry over. Unknown rule
+    ids raise KeyError, unknown directions ValueError."""
+    form = rule_forms(m.rule, m.direction).get(m.variant)
+    reason = _check_applicable(c, form, m) if form else f"unknown variant {m.variant!r}"
     if reason is None:
-        form = rule_forms(m.rule, m.direction)[m.variant]
         bindings, num_cbits = _allocate_fresh(c, form, m.binding_map)
         reason = _context_error(c, form, m.site, bindings)
     if reason is not None:
         raise RewriteError(f"{m.rule}: {reason}")
 
-    replacement = ground(form.dst, bindings)
     body = list(c.body)
     if m.rule == "Commute":
         i = m.site[0]
         body[i : i + 2] = body[i + 1], body[i]
-    elif form.src:
-        lo, hi = m.site[0], m.site[-1]
-        skipped = [body[j] for j in range(lo, hi + 1) if j not in m.site]
-        body = body[:lo] + replacement + skipped + body[hi + 1 :]
     else:
-        pos = m.site[0] if m.site else len(body)
-        body = body[:pos] + replacement + body[pos:]
+        pos, matched = _anchor(c, form, m.site)
+        end = matched[-1] + 1 if matched else pos
+        skipped = [body[j] for j in range(pos, end) if j not in matched]
+        body[pos:end] = ground(form.dst, bindings) + skipped
 
     preps = list(c.preps)
     if form.src_preps or form.dst_preps:
@@ -429,30 +419,23 @@ def gate_measure(c: Circuit) -> tuple[int, int, int]:
     return (q, cc, len(c.body))
 
 
-def _next_step(c: Circuit) -> tuple[Match, Circuit] | None:
-    for rule_id, direction in _SIMPLIFY_PRIORITY:
-        for m in find_matches(c, rule_id, direction):
-            try:
-                new = rewrite_at(c, m)
-            except RewriteError:
-                continue
-            if gate_measure(new) < gate_measure(c):
-                return m, new
-    return None
-
-
 def simplify(c: Circuit, verify: bool = True) -> tuple[Circuit, DerivationTrace]:
     """Greedy fixpoint of the null-gate and classical-substitution rules.
 
-    Deterministic: fixed rule priority, leftmost match first. Every committed
-    step strictly reduces (quantum gates, classically controlled gates,
-    instruction count), so the loop terminates.
+    Deterministic: fixed rule priority, leftmost match first, and the first
+    match found is committed. Each priority form's replacement counts less
+    than its pattern by `gate_measure` and needs no fresh qubit, so every
+    step applies and strictly reduces the measure, and the loop terminates.
     """
     trace = DerivationTrace(c, [])
     check = _step_check(c, verify)
-    while (step := _next_step(trace.final)) is not None:
-        trace.steps.append(check(*step))
-    return trace.final, trace
+    while True:
+        c = trace.final
+        found = (m for rule in _SIMPLIFY_PRIORITY for m in find_matches(c, *rule))
+        m = next(found, None)
+        if m is None:
+            return c, trace
+        trace.steps.append(check(m, rewrite_at(c, m)))
 
 
 # ----------------------------------------------------------------------

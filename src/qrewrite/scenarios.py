@@ -9,7 +9,7 @@ circuit structurally equal to the corresponding `make` target.
 from __future__ import annotations
 
 from .circuit import Circuit, parse
-from .engine import DerivationTrace, Match, apply_steps, match
+from .engine import DerivationTrace, Match, VerificationError, apply_steps, match
 
 _SOURCES: dict[str, str] = {
     # three alternating CNOTs implement the XOR swap
@@ -276,13 +276,14 @@ _SCRIPTS: dict[str, tuple[str, list[Match], str]] = {
 
 def derive(name: str, verify: bool = True) -> DerivationTrace:
     """Replay a named derivation; every step is channel-checked against the
-    start, and the final circuit must be structurally equal to the target."""
+    start, and a final circuit that is not structurally equal to the target
+    raises `VerificationError`."""
     if name not in _SCRIPTS:
         raise KeyError(f"unknown derivation {name!r}")
     src, steps, target = _SCRIPTS[name]
     trace = apply_steps(parse(src), steps, verify=verify)
     if trace.final != make(target):
-        raise AssertionError(
+        raise VerificationError(
             f"derivation {name} did not reach its target circuit {target}"
         )
     return trace

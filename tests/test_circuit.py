@@ -58,13 +58,29 @@ def test_parse_comments_and_blank_lines():
 
 
 def test_parse_double_assignment_is_error():
-    with pytest.raises(ParseError, match="assigned twice"):
+    with pytest.raises(ParseError, match="^line 4: .*assigned twice"):
         parse("qubits 1\ncbits 1\nMEASURE q0 c0\nMEASURE q0 c0")
 
 
 def test_parse_undeclared_wire():
-    with pytest.raises(ParseError, match="undeclared wire"):
+    with pytest.raises(ParseError, match="^line 3: .*undeclared wire q5"):
         parse("qubits 2\ncbits 0\nH q5")
+    with pytest.raises(ParseError, match="^line 5: .*undeclared wire q7") as err:
+        parse("qubits 1\ncbits 0\nH q0\n# comment\nH q7")
+    assert err.value.line == 5
+
+
+def test_role_on_undeclared_wire_is_error():
+    with pytest.raises(ParseError, match="undeclared wire q5"):
+        parse("qubits 1\ncbits 0\nDISCARD q5\nH q0")
+    with pytest.raises(ParseError, match="undeclared wire c3"):
+        parse("qubits 1\ncbits 0\nREPORT c3")
+    with pytest.raises(CircuitError, match="undeclared wire q5"):
+        circuit(1, 0, [], q_roles={5: "discard"})
+    with pytest.raises(CircuitError, match="undeclared wire c0"):
+        circuit(1, 0, [], c_roles={0: "report"})
+    with pytest.raises(CircuitError, match="undeclared wire q-1"):
+        circuit(1, 0, [], q_roles={-1: "output"})
 
 
 def test_parse_prep_on_input():
@@ -90,9 +106,9 @@ def test_parse_syntax_error_reports_line():
 
 
 def test_read_before_write_is_error():
-    with pytest.raises(ParseError, match="c0 is read before it is written"):
+    with pytest.raises(ParseError, match="^line 4: .*c0 is read before it is written"):
         parse("qubits 1\ncbits 1\nINPUT q0\nCX c0 q0")
-    with pytest.raises(ParseError, match="c1 is read before it is written"):
+    with pytest.raises(ParseError, match="^line 5: .*c1 is read before it is written"):
         parse("qubits 1\ncbits 3\nINPUT q0\nMEASURE q0 c0\nXOR c0 c1 c2\nMEASURE q0 c1")
     with pytest.raises(CircuitError, match="c0 is read before it is written"):
         circuit(1, 1, [ClassicalCtrl("CZC", 0, 0), Measure(0, 0)])
@@ -116,12 +132,15 @@ def test_parse_malformed_declaration():
 
 
 def test_gate2_same_wire_rejected():
-    with pytest.raises(CircuitError, match="control equals target"):
-        circuit(2, 0, [Gate2("CNOT", 1, 1)])
+    with pytest.raises(CircuitError, match="control equals target") as err:
+        circuit(2, 0, [Gate1("H", 0), Gate2("CNOT", 1, 1)])
+    assert err.value.index == 1
+    with pytest.raises(ParseError, match="^line 4: .*control equals target"):
+        parse("qubits 2\ncbits 0\nH q0\nCZ q1 q1")
 
 
 def test_xor_double_assignment_rejected():
-    with pytest.raises(ParseError, match="assigned twice"):
+    with pytest.raises(ParseError, match="^line 4: .*assigned twice"):
         parse("qubits 1\ncbits 2\nMEASURE q0 c0\nXOR c0 c0 c0")
 
 

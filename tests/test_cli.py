@@ -17,8 +17,10 @@ from qrewrite.cli import (
     main,
     parse_ket,
 )
+from qrewrite import scenarios
 from qrewrite.circuit import serialize
-from qrewrite.scenarios import make
+from qrewrite.engine import VerificationError
+from qrewrite.scenarios import derive, make
 
 BELL_MEASURE = """qubits 2
 cbits 2
@@ -217,7 +219,23 @@ def test_check_read_before_write_is_a_parse_error(files, capsys):
     a = files("a.qc", "qubits 1\ncbits 1\nINPUT q0\nCX c0 q0\n")
     b = files("b.qc", "qubits 1\ncbits 0\nINPUT q0\n")
     assert main(["check", a, b]) == EXIT_PARSE
-    assert "c0 is read before it is written" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 4: classical wire c0 is read before it is written" in err
+
+
+def test_check_role_on_undeclared_wire_is_a_parse_error(files, capsys):
+    a = files("a.qc", "qubits 1\ncbits 0\nDISCARD q5\nH q0\n")
+    assert main(["check", a, a]) == EXIT_PARSE
+    assert "undeclared wire q5" in capsys.readouterr().err
+
+
+def test_derivation_missing_its_target_is_a_verification_failure(capsys, monkeypatch):
+    src, steps, target = scenarios._SCRIPTS["DenseFromCopy"]
+    monkeypatch.setitem(scenarios._SCRIPTS, "DenseFromCopy", (src, steps[:-1], target))
+    with pytest.raises(VerificationError, match="DenseFromCopy"):
+        derive("DenseFromCopy")
+    assert main(["demo", "densecoding"]) == EXIT_VERIFY
+    assert "DenseFromCopy did not reach" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,11 +1,13 @@
 """Engine: matching modulo commutation, rewriting, simplify, deferral."""
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qrewrite.circuit import Gate2, parse, serialize
 from qrewrite.engine import (
+    _SIMPLIFY_PRIORITY,
     Match,
     RewriteError,
     VerificationError,
@@ -17,7 +19,7 @@ from qrewrite.engine import (
     simplify,
 )
 from qrewrite.equivalence import channel_equal, oracle_equal
-from qrewrite.rules import RULES
+from qrewrite.rules import RULES, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
@@ -106,10 +108,18 @@ def test_commute_rule():
     assert [i.target for i in new.body] == [1, 0]
     overlapping = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nH q0\nCNOT q0 q1")
     assert find_matches(overlapping, "Commute") == []
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match="not a gatherable occurrence"):
         rewrite_at(overlapping, Match("Commute", "forward", (0,)))
-    with pytest.raises(RewriteError, match="single index"):
-        rewrite_at(c, Match("Commute", "forward", ()))
+    # before the body, at the last index (no right neighbour)
+    for site in [(-1,), (1,)]:
+        with pytest.raises(RewriteError, match="not a gatherable occurrence"):
+            rewrite_at(c, Match("Commute", "forward", site))
+    for site in [(), (0, 1)]:
+        with pytest.raises(RewriteError, match="single index"):
+            rewrite_at(c, Match("Commute", "forward", site))
+    # a swap reads the same both ways: backward matches say forward
+    assert find_matches(c, "Commute", "backward") == ms
+    assert rewrite_at(c, Match("Commute", "backward", (0,))) == new
 
 
 def test_simplify_cancels_pairs():
@@ -264,6 +274,17 @@ def test_failed_verification_raises(monkeypatch):
     assert rewrite_at(c, m).body == ()
 
 
+def test_simplify_forms_reduce_the_measure_and_need_no_fresh_qubit():
+    # why `simplify` can commit the first match it finds: every step applies
+    # and strictly lowers `gate_measure`
+    for rule_id, direction in _SIMPLIFY_PRIORITY:
+        for form in rule_forms(rule_id, direction).values():
+            src, dst = (SimpleNamespace(body=side) for side in (form.src, form.dst))
+            assert gate_measure(dst) < gate_measure(src), form.variant
+            fresh = set(form.dst_vars) - set(form.src_vars)
+            assert all(form.kinds[v] == "c" for v in fresh), (rule_id, fresh)
+
+
 def test_gate_measure_orders_lexicographically():
     quantum = parse("qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nCNOT q0 q1\nMEASURE q0 c0")
     classical = parse(
@@ -278,11 +299,14 @@ def test_gate_measure_orders_lexicographically():
 ENGINE_DIGEST = "a7d921f4af757c36a515e7b6fd90a794a3f40f514249a1645f76c094243412f4"
 
 
+def _digest_corpus():
+    rng = np.random.default_rng(20240)
+    return [random_circuit(rng) for _ in range(20)]
+
+
 def test_engine_behaviour_is_pinned():
     h = hashlib.sha256()
-    rng = np.random.default_rng(20240)
-    for k in range(20):
-        c = random_circuit(rng)
+    for k, c in enumerate(_digest_corpus()):
         for rule_id in RULES:
             for direction in ("forward", "backward"):
                 h.update(f"{k} {rule_id} {direction}\n".encode())
@@ -294,6 +318,27 @@ def test_engine_behaviour_is_pinned():
                         out = "RewriteError"
                     h.update(out.encode() + b"\n")
     assert h.hexdigest() == ENGINE_DIGEST
+
+
+def test_found_matches_are_refused_only_for_want_of_an_ancilla():
+    # `find_matches` does not allocate fresh wires, so it lists R5 forward
+    # matches on circuits with no free qubit for the ancilla; `rewrite_at`
+    # refuses those, and no other found match
+    found, refused = 0, []
+    for c in _digest_corpus():
+        for rule_id in RULES:
+            for direction in ("forward", "backward"):
+                for m in find_matches(c, rule_id, direction):
+                    found += 1
+                    try:
+                        rewrite_at(c, m)
+                    except RewriteError as exc:
+                        refused.append((m.rule, m.direction, str(exc)))
+    assert (found, len(refused)) == (8229, 24)
+    assert {(rule, direction) for rule, direction, _ in refused} == {
+        ("R5_DistributeCNOT", "forward")
+    }
+    assert all("fresh-wire allocation failure for 'a'" in e for _, _, e in refused)
 
 
 def test_rewrite_rejects_aliased_cz_control_commute():
@@ -327,7 +372,18 @@ def test_rewrite_rejects_multi_index_insertion_site():
     m = match("R1_InverseCancel", "backward", (0, 1), {"w": 0}, "H")
     with pytest.raises(RewriteError, match="single index"):
         rewrite_at(c, m)
+    # before the body, and past the end of the body (length 1)
+    for site in [(-1,), (2,)]:
+        m = match("R1_InverseCancel", "backward", site, {"w": 0}, "H")
+        with pytest.raises(RewriteError, match="not a gatherable occurrence"):
+            rewrite_at(c, m)
     assert len(rewrite_at(c, match("R1_InverseCancel", "backward", (0,), {"w": 0}, "H")).body) == 3
+    # an empty site inserts at the end of the body
+    at_end, empty = (
+        rewrite_at(c, match("R1_InverseCancel", "backward", site, {"w": 0}, "H"))
+        for site in [(1,), ()]
+    )
+    assert empty == at_end and empty.body[0] == c.body[0]
 
 
 def test_rewrite_rejects_binding_to_an_undeclared_wire():
