@@ -42,7 +42,7 @@ from .equivalence import (
     oracle_equal,
     unitary_equal,
 )
-from .rules import CATALOG_IDS, RULES, STRUCTURAL_IDS, instantiate
+from .rules import CATALOG_IDS, RULES, STRUCTURAL_IDS
 from .scenarios import DERIVATION_NAMES, SCENARIO_NAMES, derive, make
 from .sim import (
     Branch,

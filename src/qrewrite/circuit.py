@@ -104,6 +104,10 @@ MNEMONICS: dict[str, tuple[type, str | None]] = {
     "CZC": (ClassicalCtrl, "CZC"),  # classically controlled Z
     "XOR": (ClassicalXor, None),
 }
+# largest wire count a header may declare, far above what the simulator's
+# budget or the engine's searches can handle, so a header alone cannot
+# exhaust memory
+MAX_WIRES = 4096
 # text of each (class, kind) entry, a str.format template over the fields
 _TEXT = {
     entry: " ".join([name, *(f"{k}{{{f}}}" for f, k in FIELD_KINDS[entry[0]])])
@@ -211,10 +215,8 @@ def circuit(
     body = tuple(body)
     preps = tuple(sorted(preps, key=lambda p: p.wires))
     measured = {i.target for i in body if isinstance(i, Measure)}
-    roles_q = []
-    for w in range(num_qubits):
-        default = "discard" if w in measured else "output"
-        roles_q.append((q_roles or {}).get(w, default))
+    defaults = _default_q_roles(num_qubits, measured)
+    roles_q = [(q_roles or {}).get(w, default) for w, default in enumerate(defaults)]
     roles_c = [(c_roles or {}).get(w, "scratch") for w in range(num_cbits)]
     return Circuit(
         num_qubits,
@@ -225,6 +227,11 @@ def circuit(
         tuple(roles_q),
         tuple(roles_c),
     )
+
+
+def _default_q_roles(num_qubits: int, measured: set[int] | frozenset[int]) -> list[str]:
+    """Discard for a measured wire, output for any other."""
+    return ["discard" if w in measured else "output" for w in range(num_qubits)]
 
 
 def validate(c: Circuit) -> None:
@@ -326,11 +333,14 @@ def parse(text: str) -> Circuit:
     if len(lines) < 2:
         raise ParseError("missing 'qubits N' / 'cbits M' header")
     (ln1, head1), (ln2, head2) = lines[0], lines[1]
-    if len(head1) != 2 or head1[0] != "qubits" or not head1[1].isdigit():
+    if len(head1) != 2 or head1[0] != "qubits" or not head1[1].isdecimal():
         raise ParseError("expected 'qubits N'", ln1)
-    if len(head2) != 2 or head2[0] != "cbits" or not head2[1].isdigit():
+    if len(head2) != 2 or head2[0] != "cbits" or not head2[1].isdecimal():
         raise ParseError("expected 'cbits M'", ln2)
     num_qubits, num_cbits = int(head1[1]), int(head2[1])
+    for ln, (word, count) in ((ln1, head1), (ln2, head2)):
+        if int(count) > MAX_WIRES:
+            raise ParseError(f"{word} {count} is over the limit of {MAX_WIRES}", ln)
 
     preps: list[PrepDecl] = []
     inputs: set[int] = set()
@@ -414,9 +424,7 @@ def serialize(c: Circuit) -> str:
             out.append(f"PREP q{p.wires[0]} +")
         else:
             out.append(f"BELL q{p.wires[0]} q{p.wires[1]}")
-    measured = c.measured
-    for w in range(c.num_qubits):
-        default = "discard" if w in measured else "output"
+    for w, default in enumerate(_default_q_roles(c.num_qubits, c.measured)):
         if c.q_roles[w] != default:
             out.append(f"{c.q_roles[w].upper()} q{w}")
     for w in range(c.num_cbits):

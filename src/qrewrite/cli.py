@@ -26,7 +26,7 @@ from .equivalence import (
 )
 from .rules import RULES
 from .scenarios import derive, make
-from .sim import build_unitary, extract_channel, run, SimulationError
+from .sim import build_unitary, extract_channel, run, SimulationError, _require_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,9 +46,11 @@ def format_vector(vec: np.ndarray) -> str:
 
 
 def parse_ket(spec: str, n_wires: int) -> np.ndarray:
-    """Input state: '|01>'-style basis label or comma-separated amplitudes."""
+    """Input state: '|01>'-style basis label or comma-separated amplitudes;
+    a state over `sim.BYTE_BUDGET` is refused before it is allocated."""
     spec = spec.strip()
     dim = 1 << n_wires
+    _require_budget(dim, "input state")
     if spec.startswith("|"):
         bits = spec.lstrip("|").rstrip(">⟩")
         if len(bits) != n_wires or any(b not in "01" for b in bits):

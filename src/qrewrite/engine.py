@@ -11,11 +11,14 @@ disjoint pairs for `Commute`, the pattern occurrences `_find_sites`
 gathers (its instructions may be interleaved with others that touch no
 wire of a later one, so commuting gathers them at the first index), and
 every position and injective binding for an insertion (empty `src`).
-`find_matches` keeps those that pass `_context_error` (preps and the
-rule's condition). `rewrite_at` checks every match, found or hand-built,
-on one path: `_check_applicable` (bindings, site shape, then the search
-restricted to the site), fresh-wire allocation, `_context_error`. So a
-bad match is a `RewriteError`, never a wrong rewrite. One splice puts
+`_admit` is the one admission check of an occurrence: it binds the fresh
+wires a rewrite needs (`dst` variables left unbound), checks the required
+preps and runs the rule's condition on the complete bindings.
+`find_matches` keeps the occurrences `_admit` accepts, so every match it
+finds applies. `rewrite_at` checks every match, found or hand-built, on
+one path: `_check_applicable` (bindings, site shape, then the search
+restricted to the site), then `_admit`. So a bad match is a
+`RewriteError`, never a wrong rewrite. One splice puts
 the replacement at the occurrence's position, after gathering the matched
 instructions there (an insertion gathers none); `Commute` swaps.
 
@@ -204,6 +207,47 @@ def _occurrences(
                     yield (pos,), dict(zip(qvars, qs)) | dict(zip(cvars, cs))
 
 
+def _admit(
+    c: Circuit, form: RuleForm, site: tuple[int, ...], bindings: dict[str, int]
+) -> tuple[str | None, dict[str, int], int]:
+    """Admit an occurrence: bind each unbound `dst` variable to a fresh wire
+    (the first free qubit; the first untouched cbit, or a new one), check
+    the required preps, then run the rule's condition, which is called
+    nowhere else, on the complete bindings at the occurrence's `_anchor`.
+    Returns the reason it refuses (None if it admits), the complete
+    bindings and the new cbit count."""
+    b, num_cbits = bindings, c.num_cbits
+    for var in form.dst_vars:
+        if var in b:
+            continue
+        if b is bindings:
+            b = dict(bindings)
+        kinds = form.kinds
+        taken = {v for k, v in b.items() if kinds[k] == kinds[var]}
+        if kinds[var] == "q":
+            free = [w for w in range(c.num_qubits) if w not in taken]
+            if not free:
+                return f"fresh-wire allocation failure for {var!r}", b, num_cbits
+            b[var] = free[0]
+        else:
+            b[var] = next(
+                (
+                    w for w in range(num_cbits)
+                    if w not in taken and not touched(c, WireRef("c", w))
+                ),
+                num_cbits,
+            )
+            num_cbits = max(num_cbits, b[var] + 1)
+    if form.src_preps:
+        for p in ground_preps(form.src_preps, b):
+            if p not in c.preps:
+                return f"required prep {p} not present", b, num_cbits
+    if form.condition is None:
+        return None, b, num_cbits
+    pos, matched = _anchor(c, form, site)
+    return form.condition(c, pos, matched, b), b, num_cbits
+
+
 def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[Match]:
     """All rule occurrences, ordered left to right by first matched index.
 
@@ -218,7 +262,7 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
         for form in forms.values()
         for site, bindings in _occurrences(c, form)
         # the search checked the rest of what `_check_applicable` checks
-        if _context_error(c, form, site, bindings) is None
+        if _admit(c, form, site, bindings)[0] is None
     ]
     variants = list(forms)
     out.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
@@ -230,41 +274,13 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
 # ----------------------------------------------------------------------
 
 
-def _allocate_fresh(
-    c: Circuit, form: RuleForm, bindings: dict[str, int]
-) -> tuple[dict[str, int], int]:
-    """Bind replacement-only variables; returns bindings and new cbit count."""
-    kinds = form.kinds
-    num_cbits = c.num_cbits
-    b = dict(bindings)
-    for var in form.dst_vars:
-        if var in b:
-            continue
-        taken = {v for k, v in b.items() if kinds.get(k) == kinds[var]}
-        if kinds[var] == "q":
-            free = [w for w in range(c.num_qubits) if w not in taken]
-            if not free:
-                raise RewriteError(f"fresh-wire allocation failure for {var!r}")
-            b[var] = free[0]
-        else:
-            b[var] = next(
-                (
-                    w for w in range(num_cbits)
-                    if w not in taken and not touched(c, WireRef("c", w))
-                ),
-                num_cbits,
-            )
-            num_cbits = max(num_cbits, b[var] + 1)
-    return b, num_cbits
-
-
 def _check_applicable(c: Circuit, form: RuleForm, m: Match) -> str | None:
     """None if the match names an occurrence of its form in `c`, else the
     reason it does not: its bindings fit the form and name declared wires,
     its site has the form's shape, and `_occurrences`, restricted to the
     site and seeded with the bindings, finds it."""
     bindings = m.binding_map
-    reason = form.binding_error(bindings, complete=False)
+    reason = form.binding_error(bindings)
     if reason is not None:
         return reason
     for var, wire in m.bindings:
@@ -281,22 +297,6 @@ def _check_applicable(c: Circuit, form: RuleForm, m: Match) -> str | None:
     return None
 
 
-def _context_error(
-    c: Circuit, form: RuleForm, site: tuple[int, ...], bindings: dict[str, int]
-) -> str | None:
-    """Why the circuit around an occurrence rules it out (a required prep
-    is missing or the rule's condition fails), or None. The one caller of
-    a rule's condition, which gets the occurrence's `_anchor`."""
-    if form.src_preps:
-        for p in ground_preps(form.src_preps, bindings):
-            if p not in c.preps:
-                return f"required prep {p} not present"
-    if form.condition is None:
-        return None
-    pos, matched = _anchor(c, form, site)
-    return form.condition(c, pos, matched, bindings)
-
-
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     """Apply a match: gather the matched instructions at the occurrence's
     position and splice in the instantiated replacement (a `Commute` match
@@ -305,8 +305,7 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     form = rule_forms(m.rule, m.direction).get(m.variant)
     reason = _check_applicable(c, form, m) if form else f"unknown variant {m.variant!r}"
     if reason is None:
-        bindings, num_cbits = _allocate_fresh(c, form, m.binding_map)
-        reason = _context_error(c, form, m.site, bindings)
+        reason, bindings, num_cbits = _admit(c, form, m.site, m.binding_map)
     if reason is not None:
         raise RewriteError(f"{m.rule}: {reason}")
 
@@ -348,7 +347,6 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
 @dataclass
 class TraceStep:
     label: str
-    applied: Match | None
     circuit: Circuit
     verified: bool | None  # None when verification was off; never False
 
@@ -382,10 +380,10 @@ def _step_check(start: Circuit, verify: bool) -> Callable[[Match, Circuit], Trac
 
     def step(m: Match, new: Circuit) -> TraceStep:
         if start_channel is None:
-            return TraceStep(m.label(), m, new, None)
+            return TraceStep(m.label(), new, None)
         if not channel_equal(start_channel, extract_channel(new)):
             raise VerificationError(f"step {m.label()} broke channel equality")
-        return TraceStep(m.label(), m, new, True)
+        return TraceStep(m.label(), new, True)
 
     return step
 

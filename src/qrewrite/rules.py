@@ -20,8 +20,8 @@ Each rule is compiled once, at import, into one `RuleForm` per direction
 and variant (`FORMS`, looked up through `rule_forms`): the matched ("src")
 and produced ("dst") sides as instruction and prep templates, the
 variables each side needs, their wire kinds and the rule's allowed
-aliases. The engine, `instantiate` and the tests read these records;
-grounding a template with a binding map gives concrete instructions.
+aliases. The engine and the tests read these records; grounding a
+template with a binding map gives concrete instructions.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ TemplateFn = Callable[[str], list[Instruction]]
 PrepFn = Callable[[str], list[PrepDecl]]
 # condition(c, pos, matched, bindings) -> reason or None: `pos` is the first
 # matched index or the insertion position, `matched` the matched body
-# indices (empty for an insertion); fresh variables may be left unbound
+# indices (empty for an insertion), `bindings` binds every variable
 ConditionFn = Callable[[Circuit, int, tuple[int, ...], Bindings], "str | None"]
 
 
@@ -177,7 +177,7 @@ R3_DEFER = RewriteRule(
 
 
 def _r4_condition(c, pos, matched, b) -> str | None:
-    bw, r2, r3 = b["b"], b["r2"], b.get("r3")
+    bw, r2, r3 = b["b"], b["r2"], b["r3"]
     if c.q_roles[bw] != "discard":
         return "measured operand b must have role discard"
     i_m2 = next(j for j in matched if c.body[j] == Measure(bw, r2))
@@ -185,7 +185,7 @@ def _r4_condition(c, pos, matched, b) -> str | None:
         return "wire b is used after its measurement"
     if touched(c, WireRef("c", r2), skip=matched):
         return "classical wire r2 has readers outside the match"
-    if r3 is not None and touched(c, WireRef("c", r3), skip=matched):
+    if touched(c, WireRef("c", r3), skip=matched):
         return "classical wire r3 is not fresh"
     return None
 
@@ -318,12 +318,11 @@ DISCARDED_TAIL = RewriteRule(
 
 
 def _measure_discarded_cond(c, pos, matched, b) -> str | None:
-    r = b.get("r")
     if c.q_roles[b["w"]] != "discard":
         return "wire must have role discard"
     if touched(c, WireRef("q", b["w"]), pos, skip=matched):
         return "wire is used again after the measurement point"
-    if r is not None and touched(c, WireRef("c", r), skip=matched):
+    if touched(c, WireRef("c", b["r"]), skip=matched):
         return "classical result wire is read or assigned elsewhere"
     return None
 
@@ -408,12 +407,12 @@ def template_side(
 
 
 def template_variables(instrs: list[Instruction]) -> tuple[str, ...]:
-    """Variable names (string-valued wire slots) of a template, in order."""
+    """Variable names (the wire slots) of a template, in order."""
     seen: list[str] = []
     for instr in instrs:
         for name, _ in FIELD_KINDS[type(instr)]:
             val = getattr(instr, name)
-            if isinstance(val, str) and val not in seen:
+            if val not in seen:
                 seen.append(val)
     return tuple(seen)
 
@@ -425,16 +424,13 @@ def variable_kinds(rule: RewriteRule) -> dict[str, str]:
         for fn in (rule.pattern, rule.replacement):
             for instr in fn(variant):
                 for name, kind in FIELD_KINDS[type(instr)]:
-                    val = getattr(instr, name)
-                    if isinstance(val, str):
-                        kinds[val] = kind
+                    kinds[getattr(instr, name)] = kind
         for prep_fn in (rule.prep_pattern, rule.prep_replacement):
             if prep_fn is None:
                 continue
             for p in prep_fn(variant):
                 for w in p.wires:
-                    if isinstance(w, str):
-                        kinds[w] = "q"
+                    kinds[w] = "q"
     return kinds
 
 
@@ -442,21 +438,15 @@ def ground(instrs: list[Instruction], bindings: Bindings) -> list[Instruction]:
     """Substitute variables with bound wires; bindings must be total."""
     out = []
     for instr in instrs:
-        subs = {}
-        for name, _ in FIELD_KINDS[type(instr)]:
-            val = getattr(instr, name)
-            if isinstance(val, str):
-                if val not in bindings:
-                    raise KeyError(f"missing binding for variable {val!r}")
-                subs[name] = bindings[val]
-        out.append(dc_replace(instr, **subs) if subs else instr)
+        slots = FIELD_KINDS[type(instr)]
+        out.append(dc_replace(instr, **{f: bindings[getattr(instr, f)] for f, _ in slots}))
     return out
 
 
 def ground_preps(preps: list[PrepDecl], bindings: Bindings) -> list[PrepDecl]:
     out = []
     for p in preps:
-        ws = tuple(bindings[w] if isinstance(w, str) else w for w in p.wires)
+        ws = tuple(bindings[w] for w in p.wires)
         if p.kind == "bell":
             ws = (min(ws), max(ws))
         out.append(PrepDecl(p.kind, ws))
@@ -510,12 +500,12 @@ class RuleForm:
                 return other
         return None
 
-    def binding_error(self, bindings: Bindings, complete: bool) -> str | None:
+    def binding_error(self, bindings: Bindings) -> str | None:
         """Why `bindings` cannot bind this form, or None.
 
         Every variable must belong to the rule and every `src` variable must
-        be bound (with `complete`, every `dst` variable too); variables of
-        one kind bind distinct wires unless the rule allows them to alias.
+        be bound; variables of one kind bind distinct wires unless the rule
+        allows them to alias.
         """
         for var in bindings:
             if var not in self.kinds:
@@ -523,10 +513,6 @@ class RuleForm:
         for var in self.src_vars:
             if var not in bindings:
                 return f"missing binding for {var!r}"
-        if complete:
-            for var in self.dst_vars:
-                if var not in bindings:
-                    return f"missing fresh wire binding for {var!r}"
         for var in sorted(bindings):
             other = self.clash(bindings, var, bindings[var])
             if other is not None:
@@ -541,7 +527,7 @@ def _side(
     fn, prep_fn = template_side(rule, direction, which)
     tpl = tuple(fn(variant))
     preps = tuple(prep_fn(variant)) if prep_fn is not None else ()
-    prep_vars = tuple(w for p in preps for w in p.wires if isinstance(w, str))
+    prep_vars = tuple(w for p in preps for w in p.wires)
     return tpl, preps, tuple(dict.fromkeys(template_variables(tpl) + prep_vars))
 
 
@@ -578,26 +564,3 @@ def rule_forms(rule_id: str, direction: str) -> dict[str, RuleForm]:
         )
     return forms
 
-
-def instantiate(
-    rule_id: str,
-    bindings: Bindings,
-    variant: str | None = None,
-    direction: str = "forward",
-) -> tuple[list[Instruction], list[Instruction]]:
-    """Concrete (pattern, replacement) instruction lists for a rule, swapped
-    for the backward direction.
-
-    Bindings must be total and injective on quantum variables (up to the
-    rule's declared aliases); fresh wires introduced by the replacement
-    (R4's r3, R5's ancilla) must be supplied.
-    """
-    forms = rule_forms(rule_id, direction)
-    variant = variant or next(iter(forms))
-    if variant not in forms:
-        raise ValueError(f"unknown variant {variant!r} for {rule_id}")
-    form = forms[variant]
-    reason = form.binding_error(bindings, complete=True)
-    if reason is not None:
-        raise ValueError(reason)
-    return ground(form.src, bindings), ground(form.dst, bindings)

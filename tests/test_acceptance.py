@@ -13,7 +13,7 @@ from qrewrite.equivalence import (
     oracle_equal,
     unitary_equal,
 )
-from qrewrite.rules import CATALOG_IDS, RULES, instantiate
+from qrewrite.rules import CATALOG_IDS, RULES
 from qrewrite.scenarios import (
     DERIVATION_NAMES,
     SCENARIO_NAMES,
@@ -33,6 +33,7 @@ from qrewrite.sim import (
 from util import (
     basis_state,
     fidelity,
+    instantiate,
     random_bindings,
     random_circuit,
     random_state,

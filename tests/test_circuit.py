@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qrewrite.circuit import (
     FIELD_KINDS,
+    MAX_WIRES,
     MNEMONICS,
     WRITES,
     CircuitError,
@@ -163,6 +164,27 @@ def test_readme_format_example_parses():
     example = section.split("```\n", 2)[1]
     c = parse(example)
     assert {type(instr) for instr in c.body} == set(FIELD_KINDS)
+
+
+def test_readme_library_sketch_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert capsys.readouterr().out.endswith("qubits 1\ncbits 0\nINPUT q0\n")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (f"qubits {MAX_WIRES + 1}\ncbits 0", f"line 1: qubits {MAX_WIRES + 1} is over"),
+        (f"qubits 1\ncbits {MAX_WIRES + 1}", f"line 2: cbits {MAX_WIRES + 1} is over"),
+        ("qubits \u00b2\ncbits 0", "line 1: expected 'qubits N'"),
+    ],
+)
+def test_parse_rejects_bad_header_counts(text, error):
+    parse(f"qubits {MAX_WIRES}\ncbits {MAX_WIRES}")  # the limit itself is allowed
+    with pytest.raises(ParseError, match=error):
+        parse(text)
 
 
 def test_serialize_single_x():

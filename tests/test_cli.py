@@ -18,7 +18,7 @@ from qrewrite.cli import (
     parse_ket,
 )
 from qrewrite import scenarios
-from qrewrite.circuit import serialize
+from qrewrite.circuit import MAX_WIRES, serialize
 from qrewrite.engine import VerificationError
 from qrewrite.scenarios import derive, make
 
@@ -160,6 +160,18 @@ def test_check_channel_oversized_is_a_usage_error(files, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_run_input_over_the_budget_is_a_usage_error(files, capsys):
+    path = files("wide.qc", "qubits 40\ncbits 0\nH q0\n")
+    assert main(["run", path, "--input", "|" + "0" * 40 + ">"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: input state needs")
+
+
+def test_header_over_the_wire_limit_is_a_parse_error(files, capsys):
+    path = files("huge.qc", f"qubits 1\ncbits {MAX_WIRES + 1}\nH q0\n")
+    assert main(["run", path]) == EXIT_PARSE
+    assert "line 2: cbits" in capsys.readouterr().err
+
+
 def test_rewrite_list_and_apply(files, capsys):
     path = files("hh.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0\n")
     assert main(["rewrite", path, "--rule", "R1_InverseCancel", "--list"]) == 0
@@ -180,6 +192,13 @@ def test_rewrite_backward(files, capsys):
     assert main(["rewrite", path, "--rule", "R3_DeferMeasure", "--backward", "--site", "0"]) == 0
     out = capsys.readouterr().out
     assert "CX c0 q1" in out and "VERIFIED" in out
+
+
+def test_rewrite_lists_no_match_it_cannot_apply(files, capsys):
+    # R5 needs a third qubit for its ancilla: no match is listed without one
+    path = files("cnot.qc", "qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCNOT q0 q1\n")
+    assert main(["rewrite", path, "--rule", "R5_DistributeCNOT", "--list"]) == 0
+    assert capsys.readouterr().out == "no matches\n"
 
 
 def test_rewrite_unknown_rule(files, capsys):

@@ -3,7 +3,7 @@ XOR-arithmetic oracles, invertibility, and static conditions."""
 import numpy as np
 import pytest
 
-from qrewrite.circuit import Gate1, Gate2, circuit, parse
+from qrewrite.circuit import FIELD_KINDS, Gate1, Gate2, circuit, parse
 from qrewrite.engine import RewriteError, find_matches, match, rewrite_at
 from qrewrite.equivalence import channel_equal, oracle_equal, unitary_equal
 from qrewrite.rules import (
@@ -12,12 +12,11 @@ from qrewrite.rules import (
     FORMS,
     RULES,
     STRUCTURAL_IDS,
-    instantiate,
     rule_forms,
 )
 from qrewrite.sim import build_unitary, extract_channel
 
-from util import random_bindings, rule_pair
+from util import instantiate, random_bindings, rule_pair
 
 
 def test_instantiate_r5_distributed():
@@ -279,6 +278,16 @@ def test_every_form_variable_has_a_kind():
         for form in forms.values():
             for var in form.src_vars + form.dst_vars:
                 assert form.kinds[var] in ("q", "c"), (form.rule, var)
+
+
+def test_every_template_slot_is_a_variable_name():
+    for forms in FORMS.values():
+        for form in forms.values():
+            for instr in form.src + form.dst:
+                for name, _ in FIELD_KINDS[type(instr)]:
+                    assert isinstance(getattr(instr, name), str), (form.rule, instr)
+            for p in form.src_preps + form.dst_preps:
+                assert all(isinstance(w, str) for w in p.wires), (form.rule, p)
 
 
 def test_only_r4_and_r5_forward_need_fresh_wires():

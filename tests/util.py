@@ -16,7 +16,7 @@ from qrewrite.circuit import (
     prep_zero,
 )
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
-from qrewrite.rules import ground_preps, instantiate, rule_forms
+from qrewrite.rules import ground, ground_preps, rule_forms
 from qrewrite.sim import ATOL, SQRT_HALF, run
 
 
@@ -130,6 +130,30 @@ def random_circuit(
             assigned.append(out)
             body.append(ClassicalXor(a, b, out))
     return circuit(n, m, body, preps=preps, inputs=inputs)
+
+
+def instantiate(
+    rule_id: str, bindings: dict, variant: str | None = None, direction: str = "forward"
+):
+    """Concrete (pattern, replacement) instruction lists for a rule, swapped
+    for the backward direction.
+
+    Bindings must be total and injective on quantum variables (up to the
+    rule's declared aliases); fresh wires introduced by the replacement
+    (R4's r3, R5's ancilla) must be supplied.
+    """
+    forms = rule_forms(rule_id, direction)
+    variant = variant or next(iter(forms))
+    if variant not in forms:
+        raise ValueError(f"unknown variant {variant!r} for {rule_id}")
+    form = forms[variant]
+    reason = form.binding_error(bindings)
+    for var in form.dst_vars:
+        if reason is None and var not in bindings:
+            reason = f"missing fresh wire binding for {var!r}"
+    if reason is not None:
+        raise ValueError(reason)
+    return ground(form.src, bindings), ground(form.dst, bindings)
 
 
 def random_bindings(rng: np.random.Generator, rule_id: str, variant: str, n_qubits=4):
