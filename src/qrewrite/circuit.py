@@ -15,15 +15,21 @@ Conventions:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
 class CircuitError(ValueError):
     """Invalid circuit structure; `index` is the body index of the
-    instruction at fault, if one is."""
+    instruction at fault, if one is, and `wire` the declared wire at fault,
+    if a declaration is."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(
+        self, message: str, index: int | None = None, wire: WireRef | None = None
+    ):
         self.index = index
+        self.wire = wire
         super().__init__(message)
 
 
@@ -147,6 +153,15 @@ def prep_bell(a: int, b: int) -> PrepDecl:
     return PrepDecl("bell", (min(a, b), max(a, b)))
 
 
+class WireIndex(NamedTuple):
+    """A circuit body indexed by wire: each body index's wire set, and each
+    wire's body positions in ascending order (wires nothing touches are
+    absent)."""
+
+    wires: tuple[frozenset[WireRef], ...]
+    positions: dict[WireRef, list[int]]
+
+
 @dataclass(frozen=True)
 class Circuit:
     num_qubits: int
@@ -161,6 +176,17 @@ class Circuit:
         validate(self)
 
     # -- derived views -------------------------------------------------
+    @cached_property
+    def wire_index(self) -> WireIndex:
+        """The body indexed by wire, built on first use (a circuit that is
+        never searched never builds it)."""
+        body_wires = tuple(wires(instr) for instr in self.body)
+        positions: dict[WireRef, list[int]] = {}
+        for k, ws in enumerate(body_wires):
+            for w in ws:
+                positions.setdefault(w, []).append(k)
+        return WireIndex(body_wires, positions)
+
     def prep_of(self, w: int) -> PrepDecl | None:
         for p in self.preps:
             if w in p.wires:
@@ -211,7 +237,9 @@ def circuit(
     for kind, roles, size in (("q", q_roles, num_qubits), ("c", c_roles, num_cbits)):
         for w in roles or {}:
             if not 0 <= w < size:
-                raise CircuitError(f"role for undeclared wire {kind}{w}")
+                raise CircuitError(
+                    f"role for undeclared wire {kind}{w}", wire=WireRef(kind, w)
+                )
     body = tuple(body)
     preps = tuple(sorted(preps, key=lambda p: p.wires))
     measured = {i.target for i in body if isinstance(i, Measure)}
@@ -244,9 +272,12 @@ def validate(c: Circuit) -> None:
     if c.num_qubits < 0 or c.num_cbits < 0:
         raise CircuitError("negative wire count")
 
+    def declared(message: str, w: int) -> CircuitError:
+        return CircuitError(message, wire=WireRef("q", w))
+
     def check_q(w: int) -> None:
         if not 0 <= w < c.num_qubits:
-            raise CircuitError(f"reference to undeclared wire q{w}")
+            raise declared(f"reference to undeclared wire q{w}", w)
 
     seen_prep: set[int] = set()
     for p in c.preps:
@@ -255,16 +286,16 @@ def validate(c: Circuit) -> None:
                 raise CircuitError("single-wire prep must name one wire")
         elif p.kind == "bell":
             if len(p.wires) != 2 or p.wires[0] == p.wires[1]:
-                raise CircuitError("BELL prep must pair two distinct wires")
+                raise declared("BELL prep must pair two distinct wires", p.wires[0])
         else:
             raise CircuitError(f"unknown prep kind {p.kind!r}")
         for w in p.wires:
             check_q(w)
             if w in seen_prep:
-                raise CircuitError(f"wire q{w} has more than one prep directive")
+                raise declared(f"wire q{w} has more than one prep directive", w)
             seen_prep.add(w)
-        if set(p.wires) & c.inputs:
-            raise CircuitError(f"prep on an input wire q{p.wires[0]}")
+            if w in c.inputs:
+                raise declared(f"prep on an input wire q{w}", w)
     for w in c.inputs:
         check_q(w)
 
@@ -347,11 +378,24 @@ def parse(text: str) -> Circuit:
     q_roles: dict[int, str] = {}
     c_roles: dict[int, str] = {}
     body: list[tuple[int, Instruction]] = []  # (source line, instruction)
+    # the line of the last INPUT, PREP or BELL naming each wire, else of its
+    # role: the line at fault when validation rejects that wire
+    decl_line: dict[WireRef, int] = {}
 
     def declaration(ln: int, toks: list[str]) -> None:
         op = toks[0]
+        if op in ("OUTPUT", "DISCARD", "REPORT", "SCRATCH") and len(toks) == 2:
+            kind = "q" if op in ("OUTPUT", "DISCARD") else "c"
+            w = _ref(toks[1], kind, ln)
+            roles = q_roles if kind == "q" else c_roles
+            if w in roles:
+                raise ParseError(f"role of {kind}{w} declared twice", ln)
+            roles[w] = op.lower()
+            decl_line.setdefault(WireRef(kind, w), ln)
+            return
         if op == "INPUT" and len(toks) == 2:
-            inputs.add(_ref(toks[1], "q", ln))
+            named = [_ref(toks[1], "q", ln)]
+            inputs.update(named)
         elif op == "PREP" and len(toks) == 3:
             w = _ref(toks[1], "q", ln)
             if toks[2] == "0":
@@ -360,20 +404,14 @@ def parse(text: str) -> Circuit:
                 preps.append(prep_plus(w))
             else:
                 raise ParseError(f"unknown prep state {toks[2]!r}", ln)
+            named = [w]
         elif op == "BELL" and len(toks) == 3:
-            preps.append(prep_bell(_ref(toks[1], "q", ln), _ref(toks[2], "q", ln)))
-        elif op in ("OUTPUT", "DISCARD") and len(toks) == 2:
-            w = _ref(toks[1], "q", ln)
-            if w in q_roles:
-                raise ParseError(f"role of q{w} declared twice", ln)
-            q_roles[w] = op.lower()
-        elif op in ("REPORT", "SCRATCH") and len(toks) == 2:
-            w = _ref(toks[1], "c", ln)
-            if w in c_roles:
-                raise ParseError(f"role of c{w} declared twice", ln)
-            c_roles[w] = op.lower()
+            named = [_ref(toks[1], "q", ln), _ref(toks[2], "q", ln)]
+            preps.append(prep_bell(*named))
         else:
             raise ParseError(f"syntax error: {' '.join(toks)!r}", ln)
+        for w in named:
+            decl_line[WireRef("q", w)] = ln
 
     def instruction(ln: int, toks: list[str]) -> Instruction:
         cls, kind = MNEMONICS.get(toks[0], (None, None))
@@ -405,7 +443,10 @@ def parse(text: str) -> Circuit:
             c_roles=c_roles,
         )
     except CircuitError as exc:
-        line = None if exc.index is None else body[exc.index][0]
+        if exc.index is not None:
+            line = body[exc.index][0]
+        else:
+            line = decl_line.get(exc.wire)
         raise ParseError(str(exc), line) from exc
 
 
@@ -448,9 +489,14 @@ def touched(
 ) -> bool:
     """True if an instruction at a body index in start..stop-1, other than
     those in `skip`, touches the wire (reads, writes or acts on it)."""
-    body = c.body
-    stop = len(body) if stop is None else stop
-    return any(j not in skip and wire in wires(body[j]) for j in range(start, stop))
+    at = c.wire_index.positions.get(wire, ())
+    stop = len(c.body) if stop is None else stop
+    for k in range(bisect_left(at, start), len(at)):
+        if at[k] >= stop:
+            return False
+        if at[k] not in skip:
+            return True
+    return False
 
 
 _STATE_TABLE = {
@@ -470,13 +516,12 @@ def wire_state_before(c: Circuit, w: int, pos: int) -> str | None:
     p = c.prep_of(w)
     if p is None or p.kind == "bell":
         return None
-    state: str | None = p.kind
-    wire = WireRef("q", w)
-    for instr in c.body[:pos]:
-        if wire not in wires(instr):
-            continue
-        if isinstance(instr, Gate1) and state is not None:
-            state = _STATE_TABLE[instr.kind][state]
-        else:
+    state = p.kind
+    for j in c.wire_index.positions.get(WireRef("q", w), ()):
+        if j >= pos:
+            break
+        instr = c.body[j]
+        if not isinstance(instr, Gate1):
             return None
+        state = _STATE_TABLE[instr.kind][state]
     return state

@@ -10,10 +10,16 @@ aliases drive matching, checking and rewriting alike.
 disjoint pairs for `Commute`, the pattern occurrences `_find_sites`
 gathers (its instructions may be interleaved with others that touch no
 wire of a later one, so commuting gathers them at the first index), and
-every position and injective binding for an insertion (empty `src`).
+the positions and injective bindings of an insertion (empty `src`). Both
+read the circuit's wire index (`Circuit.wire_index`) rather than each
+instruction's wires. A rule's condition is a list of tests, each on one
+variable's wire (`rules.WireTest`), so at each insertion position the
+search keeps for every variable only the wires with the prep `src_preps`
+requires and that pass that variable's tests, and only then takes
+injective tuples of them: it never enumerates a binding a test refuses.
 `_admit` is the one admission check of an occurrence: it binds the fresh
 wires a rewrite needs (`dst` variables left unbound), checks the required
-preps and runs the rule's condition on the complete bindings.
+preps and runs the condition's tests, in order, on the complete bindings.
 `find_matches` keeps the occurrences `_admit` accepts, so every match it
 finds applies. `rewrite_at` checks every match, found or hand-built, on
 one path: `_check_applicable` (bindings, site shape, then the search
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import product
 
 from .circuit import (
     FIELD_KINDS,
@@ -43,9 +49,7 @@ from .circuit import (
     Measure,
     WireRef,
     serialize,
-    supports_disjoint,
     touched,
-    wires,
 )
 from .equivalence import channel_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms
@@ -144,7 +148,7 @@ def _find_sites(
     """All gatherable occurrences of the form's `src` side in body order,
     only at the indices `site` and extending `bindings` if these are given.
     The one definition of an occurrence, for found and hand-built sites."""
-    body = c.body
+    body, body_wires = c.body, c.wire_index.wires
     tpl = form.src
     results: list[tuple[tuple[int, ...], dict[str, int]]] = []
 
@@ -157,14 +161,14 @@ def _find_sites(
         for j in range(pos, len(body)):
             # instructions before the first matched index are not interleaved;
             # afterwards, a candidate must avoid every skipped instruction
-            if (at is None or j == at) and (slot == 0 or not (wires(body[j]) & sk)):
+            if (at is None or j == at) and (slot == 0 or not (body_wires[j] & sk)):
                 b2 = _unify(tpl[slot], body[j], bindings, form)
                 if b2 is not None:
                     extend(slot + 1, j + 1, picked + [j], sk, b2)
             if at is not None and j >= at:
                 break
             if slot > 0:
-                sk = sk | wires(body[j])
+                sk = sk | body_wires[j]
 
     extend(0, 0, [], frozenset(), bindings or {})
     return results
@@ -190,8 +194,9 @@ def _occurrences(
     one (a named insertion keeps its checked, maybe partial, bindings)."""
     body = c.body
     if form.rule == "Commute":
+        body_wires = c.wire_index.wires
         for i in range(len(body) - 1) if site is None else site:
-            if 0 <= i < len(body) - 1 and supports_disjoint(body[i], body[i + 1]):
+            if 0 <= i < len(body) - 1 and not (body_wires[i] & body_wires[i + 1]):
                 yield (i,), {}
     elif form.src:
         yield from _find_sites(c, form, site, bindings)
@@ -199,12 +204,36 @@ def _occurrences(
         if 0 <= _anchor(c, form, site)[0] <= len(body):
             yield site, bindings or {}
     else:
+        # each variable's wires that `_admit` could accept: of its kind, with
+        # the prep `src_preps` requires, then passing its condition's tests
+        need = {var: p.kind for p in form.src_preps for var in p.wires}
+        size = {"q": c.num_qubits, "c": c.num_cbits}
         qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
         cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
+        typed = {
+            var: [
+                w for w in range(size[form.kinds[var]])
+                if var not in need or getattr(c.prep_of(w), "kind", None) == need[var]
+            ]
+            for var in qvars + cvars
+        }
+        tests = {var: [t for v, t in form.condition if v == var] for var in typed}
         for pos in range(len(body) + 1):
-            for qs in permutations(range(c.num_qubits), len(qvars)):
-                for cs in permutations(range(c.num_cbits), len(cvars)):
-                    yield (pos,), dict(zip(qvars, qs)) | dict(zip(cvars, cs))
+            admitted = {
+                var: [w for w in ws if all(t(c, pos, (), w) is None for t in tests[var])]
+                if tests[var] else ws
+                for var, ws in typed.items()
+            }
+            for qs in _injective([admitted[v] for v in qvars]):
+                for cs in _injective([admitted[v] for v in cvars]):
+                    yield (pos,), dict(zip(qvars + cvars, qs + cs))
+
+
+def _injective(choices: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Tuples with one entry from each list, no two entries equal."""
+    for ws in product(*choices):
+        if len(set(ws)) == len(ws):
+            yield ws
 
 
 def _admit(
@@ -242,10 +271,12 @@ def _admit(
         for p in ground_preps(form.src_preps, b):
             if p not in c.preps:
                 return f"required prep {p} not present", b, num_cbits
-    if form.condition is None:
-        return None, b, num_cbits
     pos, matched = _anchor(c, form, site)
-    return form.condition(c, pos, matched, b), b, num_cbits
+    for var, test in form.condition:
+        reason = test(c, pos, matched, b[var])
+        if reason is not None:
+            return reason, b, num_cbits
+    return None, b, num_cbits
 
 
 def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[Match]:

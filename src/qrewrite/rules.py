@@ -11,10 +11,14 @@ preparation folding) that the derivation scripts rely on.
 Each rule is stated once, as data: its pattern and replacement are
 template functions of the variant alone, whose wire slots hold variable
 names (`lambda v: [Gate1(v, "w"), Gate1(v, "w")]`), and its `condition`
-is a static, syntactic predicate on the circuit around an occurrence (for
-example "this wire is provably in |+> here"). A condition sees where the
-occurrence sits and which body indices it matched, never the direction or
-variant, so one predicate serves both directions of a rule.
+is a static, syntactic check of the circuit around an occurrence, stated
+as ordered `(variable, test)` pairs that must all pass. Each test looks at
+one variable's wire (for example "this wire is provably in |+> here", or
+"nothing outside the match touches this classical wire"). A test sees
+where the occurrence sits and which body indices it matched, never the
+direction, the variant or another variable's wire, so one condition serves
+both directions of a rule, and the engine can filter each variable's
+candidate wires on its own before it binds them together.
 
 Each rule is compiled once, at import, into one `RuleForm` per direction
 and variant (`FORMS`, looked up through `rule_forms`): the matched ("src")
@@ -25,7 +29,7 @@ template with a binding map gives concrete instructions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .circuit import (
@@ -48,10 +52,13 @@ from .circuit import (
 Bindings = Mapping[str, object]
 TemplateFn = Callable[[str], list[Instruction]]
 PrepFn = Callable[[str], list[PrepDecl]]
-# condition(c, pos, matched, bindings) -> reason or None: `pos` is the first
-# matched index or the insertion position, `matched` the matched body
-# indices (empty for an insertion), `bindings` binds every variable
-ConditionFn = Callable[[Circuit, int, tuple[int, ...], Bindings], "str | None"]
+# test(c, pos, matched, wire) -> reason or None: `pos` is the first matched
+# index or the insertion position, `matched` the matched body indices (empty
+# for an insertion), `wire` the wire its variable binds; it reads no other
+# variable's wire
+WireTest = Callable[[Circuit, int, tuple[int, ...], int], "str | None"]
+# a rule's condition: (variable, test) pairs, all of which must pass, in order
+Condition = tuple[tuple[str, WireTest], ...]
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class RewriteRule:
     pure_gate: bool = False
     prep_pattern: PrepFn | None = None
     prep_replacement: PrepFn | None = None
-    condition: ConditionFn | None = None
+    condition: Condition = ()
     # pairs of quantum variables allowed to bind the same wire
     alias_ok: frozenset[frozenset[str]] = field(default_factory=frozenset)
 
@@ -88,8 +95,8 @@ R1_INVERSE = RewriteRule(
 )
 
 
-def _target_plus_cond(c, pos, matched, b) -> str | None:
-    if wire_state_before(c, b["t"], pos) != "plus":
+def _plus_target(c, pos, matched, t) -> str | None:
+    if wire_state_before(c, t, pos) != "plus":
         return "target wire is not provably |+> at this point"
     return None
 
@@ -98,12 +105,12 @@ R1_TARGET_PLUS = RewriteRule(
     id="R1_TargetPlus",
     pattern=lambda v: [Gate2("CNOT", "c", "t")],
     replacement=lambda v: [],
-    condition=_target_plus_cond,
+    condition=(("t", _plus_target),),
 )
 
 
-def _control_zero_cond(c, pos, matched, b) -> str | None:
-    if wire_state_before(c, b["c"], pos) != "zero":
+def _zero_control(c, pos, matched, w) -> str | None:
+    if wire_state_before(c, w, pos) != "zero":
         return "control wire is not provably |0> at this point"
     return None
 
@@ -113,7 +120,7 @@ R1_CONTROL_ZERO = RewriteRule(
     pattern=lambda v: [Gate2(v, "c", "t")],
     replacement=lambda v: [],
     variants=("CNOT", "CZ"),
-    condition=_control_zero_cond,
+    condition=(("c", _zero_control),),
 )
 
 # ----------------------------------------------------------------------
@@ -176,17 +183,24 @@ R3_DEFER = RewriteRule(
 # ----------------------------------------------------------------------
 
 
-def _r4_condition(c, pos, matched, b) -> str | None:
-    bw, r2, r3 = b["b"], b["r2"], b["r3"]
+def _cbit_unused(reason: str) -> WireTest:
+    """A test that nothing outside the match touches the classical wire."""
+
+    def test(c, pos, matched, r) -> str | None:
+        return reason if touched(c, WireRef("c", r), skip=matched) else None
+
+    return test
+
+
+def _r4_measured_operand(c, pos, matched, bw) -> str | None:
     if c.q_roles[bw] != "discard":
         return "measured operand b must have role discard"
-    i_m2 = next(j for j in matched if c.body[j] == Measure(bw, r2))
+    # b's measurement is the matched Measure that targets b
+    i_m2 = next(
+        j for j in matched if isinstance(c.body[j], Measure) and c.body[j].target == bw
+    )
     if touched(c, WireRef("q", bw), i_m2 + 1, skip=matched):
         return "wire b is used after its measurement"
-    if touched(c, WireRef("c", r2), skip=matched):
-        return "classical wire r2 has readers outside the match"
-    if touched(c, WireRef("c", r3), skip=matched):
-        return "classical wire r3 is not fresh"
     return None
 
 
@@ -205,7 +219,11 @@ R4_XOR_SUBST = RewriteRule(
         ClassicalCtrl("CX" if v == "cX" else "CZC", "r3", "t"),
     ],
     variants=("cX", "cZ"),
-    condition=_r4_condition,
+    condition=(
+        ("b", _r4_measured_operand),
+        ("r2", _cbit_unused("classical wire r2 has readers outside the match")),
+        ("r3", _cbit_unused("classical wire r3 is not fresh")),
+    ),
 )
 
 # ----------------------------------------------------------------------
@@ -300,12 +318,18 @@ CZ_CONTROL_COMMUTE = RewriteRule(
 )
 
 
-def _tail_cond(c, pos, matched, b) -> str | None:
-    if c.q_roles[b["w"]] != "discard":
-        return "wire must have role discard"
-    if touched(c, WireRef("q", b["w"]), pos, skip=matched):
-        return "wire is used again later"
-    return None
+def _discarded_from_here(used: str) -> WireTest:
+    """A test that the quantum wire is discarded and that nothing outside
+    the match touches it from the occurrence on (`used` if something does)."""
+
+    def test(c, pos, matched, w) -> str | None:
+        if c.q_roles[w] != "discard":
+            return "wire must have role discard"
+        if touched(c, WireRef("q", w), pos, skip=matched):
+            return used
+        return None
+
+    return test
 
 
 DISCARDED_TAIL = RewriteRule(
@@ -313,30 +337,23 @@ DISCARDED_TAIL = RewriteRule(
     pattern=lambda v: [Gate1(v, "w")],
     replacement=lambda v: [],
     variants=("H", "X", "Z"),
-    condition=_tail_cond,
+    condition=(("w", _discarded_from_here("wire is used again later")),),
 )
-
-
-def _measure_discarded_cond(c, pos, matched, b) -> str | None:
-    if c.q_roles[b["w"]] != "discard":
-        return "wire must have role discard"
-    if touched(c, WireRef("q", b["w"]), pos, skip=matched):
-        return "wire is used again after the measurement point"
-    if touched(c, WireRef("c", b["r"]), skip=matched):
-        return "classical result wire is read or assigned elsewhere"
-    return None
 
 
 MEASURE_DISCARDED = RewriteRule(
     id="MeasureDiscarded",
     pattern=lambda v: [],
     replacement=lambda v: [Measure("w", "r")],
-    condition=_measure_discarded_cond,
+    condition=(
+        ("w", _discarded_from_here("wire is used again after the measurement point")),
+        ("r", _cbit_unused("classical result wire is read or assigned elsewhere")),
+    ),
 )
 
 
-def _fold_cond(c, pos, matched, b) -> str | None:
-    if any(touched(c, WireRef("q", b[w]), stop=pos) for w in ("a", "b")):
+def _untouched_before(c, pos, matched, w) -> str | None:
+    if touched(c, WireRef("q", w), stop=pos):
         return "pair wires are touched before the fold point"
     return None
 
@@ -355,7 +372,7 @@ BELL_PREP_FOLD = RewriteRule(
         prep_zero("b"),
     ],
     prep_replacement=lambda v: [PrepDecl("bell", ("a", "b"))],
-    condition=_fold_cond,
+    condition=(("a", _untouched_before), ("b", _untouched_before)),
 )
 
 # "Commute" (adjacent disjoint-support swap) is handled specially by the
@@ -438,8 +455,10 @@ def ground(instrs: list[Instruction], bindings: Bindings) -> list[Instruction]:
     """Substitute variables with bound wires; bindings must be total."""
     out = []
     for instr in instrs:
-        slots = FIELD_KINDS[type(instr)]
-        out.append(dc_replace(instr, **{f: bindings[getattr(instr, f)] for f, _ in slots}))
+        cls = type(instr)
+        ws = [bindings[getattr(instr, f)] for f, _ in FIELD_KINDS[cls]]
+        kind = getattr(instr, "kind", None)
+        out.append(cls(*ws) if kind is None else cls(kind, *ws))
     return out
 
 
@@ -484,7 +503,7 @@ class RuleForm:
     dst_vars: tuple[str, ...]
     kinds: Mapping[str, str]
     alias_ok: frozenset[frozenset[str]]
-    condition: ConditionFn | None
+    condition: Condition
 
     def clash(self, bindings: Bindings, var: str, wire: object) -> str | None:
         """A variable other than `var` that `bindings` binds to `wire`, of

@@ -28,6 +28,8 @@ from qrewrite.circuit import (
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import build_unitary
 
+from util import linear_state_before, linear_touched, random_circuit
+
 from util import random_circuit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -87,6 +89,27 @@ def test_role_on_undeclared_wire_is_error():
 def test_parse_prep_on_input():
     with pytest.raises(ParseError, match="prep on an input wire"):
         parse("qubits 1\ncbits 0\nINPUT q0\nPREP q0 0")
+
+
+@pytest.mark.parametrize(
+    "text, line, error",
+    [
+        ("INPUT q0\nPREP q0 0", 4, "prep on an input wire q0"),
+        ("PREP q0 0\n# comment\nINPUT q0\nOUTPUT q0", 5, "prep on an input wire q0"),
+        ("PREP q0 0\nPREP q0 +", 4, "wire q0 has more than one prep directive"),
+        ("BELL q0 q1\nPREP q1 0", 4, "wire q1 has more than one prep directive"),
+        ("BELL q1 q1", 3, "BELL prep must pair two distinct wires"),
+        ("INPUT q0\nDISCARD q5", 4, "role for undeclared wire q5"),
+        ("REPORT c3", 3, "role for undeclared wire c3"),
+        ("INPUT q7", 3, "reference to undeclared wire q7"),
+        ("INPUT q0\nBELL q1 q9", 4, "reference to undeclared wire q9"),
+    ],
+)
+def test_declaration_errors_name_their_line(text, line, error):
+    # the line at fault is the last declaration naming the rejected wire
+    with pytest.raises(ParseError) as err:
+        parse(f"qubits 2\ncbits 0\n{text}\nH q0")
+    assert err.value.line == line and str(err.value) == f"line {line}: {error}"
 
 
 def test_parse_syntax_error_reports_line():
@@ -294,6 +317,26 @@ def test_wire_state_tracker():
     assert wire_state_before(c, 1, 2) == "plus"  # X fixes |+>
     assert wire_state_before(c, 0, 3) is None  # after CNOT: unknown
     assert wire_state_before(c, 1, 3) is None
+
+
+def test_indexed_queries_equal_linear_scans():
+    rng = np.random.default_rng(515)
+    for _ in range(25):
+        c = random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=12)
+        n = len(c.body)
+        refs = [WireRef("q", w) for w in range(c.num_qubits)]
+        refs += [WireRef("c", w) for w in range(c.num_cbits)]
+        skips = [(), tuple(int(j) for j in rng.choice(n + 1, size=min(n, 2), replace=False))]
+        for wire in refs:
+            for start in range(n + 1):
+                for stop in [None, *range(start, n + 1)]:
+                    for skip in skips:
+                        assert touched(c, wire, start, stop, skip) == linear_touched(
+                            c, wire, start, stop, skip
+                        ), (serialize(c), wire, start, stop, skip)
+        for w in range(c.num_qubits):
+            for pos in range(n + 1):
+                assert wire_state_before(c, w, pos) == linear_state_before(c, w, pos)
 
 
 def test_touched_scans_only_its_range():

@@ -248,6 +248,13 @@ def test_check_role_on_undeclared_wire_is_a_parse_error(files, capsys):
     assert "undeclared wire q5" in capsys.readouterr().err
 
 
+def test_check_declaration_error_names_its_line(files, capsys):
+    a = files("a.qc", "qubits 2\ncbits 0\nINPUT q0\nPREP q0 0\nH q0\n")
+    b = files("b.qc", "qubits 2\ncbits 0\nINPUT q0\n")
+    assert main(["check", a, b]) == EXIT_PARSE
+    assert "line 4: prep on an input wire q0" in capsys.readouterr().err
+
+
 def test_derivation_missing_its_target_is_a_verification_failure(capsys, monkeypatch):
     src, steps, target = scenarios._SCRIPTS["DenseFromCopy"]
     monkeypatch.setitem(scenarios._SCRIPTS, "DenseFromCopy", (src, steps[:-1], target))

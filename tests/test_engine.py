@@ -1,4 +1,5 @@
 """Engine: matching modulo commutation, rewriting, simplify, deferral."""
+import dataclasses
 import hashlib
 from types import SimpleNamespace
 
@@ -19,11 +20,11 @@ from qrewrite.engine import (
     simplify,
 )
 from qrewrite.equivalence import channel_equal, oracle_equal
-from qrewrite.rules import RULES, rule_forms
+from qrewrite.rules import FORMS, RULES, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
-from util import random_circuit
+from util import exhaustive_insertions, random_circuit
 
 
 def test_find_matches_adjacent_pair():
@@ -337,6 +338,54 @@ def test_every_found_match_applies():
     assert (found, refused) == (8205, [])
 
 
+INSERTION_FORMS = [
+    ("R1_InverseCancel", "backward"),
+    ("R1_ControlZero", "backward"),
+    ("R1_TargetPlus", "backward"),
+    ("DiscardedWireTail", "backward"),
+    ("BellPrepFold", "backward"),
+    ("MeasureDiscarded", "forward"),
+]
+
+
+def test_insertion_forms_are_exactly_those_with_an_empty_matched_side():
+    insertions = {
+        (rule, direction)
+        for (rule, direction), forms in FORMS.items()
+        if rule != "Commute" and not next(iter(forms.values())).src
+    }
+    assert insertions == set(INSERTION_FORMS)
+
+
+def _insertion_corpus():
+    # the digest corpus, plus random circuits with |0>, |+> and Bell preps,
+    # some wires given the discard role and some cbits left unwritten
+    rng = np.random.default_rng(4711)
+    extra = []
+    for _ in range(30):
+        c = random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=10)
+        roles = tuple(str(r) for r in rng.choice(["output", "discard"], size=c.num_qubits))
+        extra.append(dataclasses.replace(c, q_roles=roles))
+    return _digest_corpus() + extra
+
+
+def test_insertion_search_equals_the_exhaustive_enumeration():
+    # the search enumerates only wires each variable's tests admit; brute
+    # force over every position and injective binding, filtered by
+    # `_admit`, finds the same matches
+    admitted, refused = dict.fromkeys(INSERTION_FORMS, 0), dict.fromkeys(INSERTION_FORMS, 0)
+    for c in _insertion_corpus():
+        for rule, direction in INSERTION_FORMS:
+            expected, n_refused = exhaustive_insertions(c, rule, direction)
+            assert find_matches(c, rule, direction) == expected, (rule, direction, serialize(c))
+            admitted[rule, direction] += len(expected)
+            refused[rule, direction] += n_refused
+    assert all(admitted.values()), admitted
+    # every form with a condition or a required prep refuses somewhere;
+    # R1_InverseCancel backward has neither, so it admits every candidate
+    assert [form for form, n in refused.items() if not n] == [("R1_InverseCancel", "backward")]
+
+
 def test_no_match_without_a_free_qubit_for_the_ancilla():
     c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCNOT q0 q1")
     assert find_matches(c, "R5_DistributeCNOT") == []
@@ -463,3 +512,16 @@ def test_unknown_direction_is_rejected():
         match("R2_CZFlip", "sideways", (0,), {"a": 0, "b": 1})
     with pytest.raises(ValueError, match="sideways"):
         rewrite_at(c, Match("R2_CZFlip", "sideways", (0,), (("a", 0), ("b", 1))))
+
+
+def test_a_circuit_never_searched_builds_no_wire_index():
+    # the index is built on first use: a rewrite's output that is never
+    # searched carries none, so a sweep of rewrites keeps no indexes
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nH q0\nH q0\nCNOT q0 q1")
+    assert "wire_index" not in vars(c)
+    m = find_matches(c, "R1_InverseCancel")[0]
+    assert "wire_index" in vars(c)
+    new = rewrite_at(c, m)
+    assert "wire_index" not in vars(new)
+    find_matches(new, "R1_InverseCancel")
+    assert "wire_index" in vars(new)

@@ -2,19 +2,25 @@
 state and matrix checks, and the per-probe reference oracle."""
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
 from qrewrite.circuit import (
+    _STATE_TABLE,
     ClassicalCtrl,
     ClassicalXor,
     Gate1,
     Gate2,
     Measure,
+    WireRef,
     circuit,
     prep_bell,
     prep_plus,
     prep_zero,
+    wires,
 )
+from qrewrite.engine import Match, _admit
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
 from qrewrite.rules import ground, ground_preps, rule_forms
 from qrewrite.sim import ATOL, SQRT_HALF, run
@@ -192,6 +198,55 @@ def rule_pair(rule_id: str, bindings: dict, variant: str, n_qubits: int = 4):
     c1 = circuit(n_qubits, m, pat, preps=extra + preps_p, q_roles=dict(roles))
     c2 = circuit(n_qubits, m, rep, preps=extra + preps_r, q_roles=dict(roles))
     return c1, c2
+
+
+def linear_touched(c, wire, start=0, stop=None, skip=()) -> bool:
+    """`circuit.touched` by a scan of every body index in range: the
+    reference for the indexed query."""
+    stop = len(c.body) if stop is None else stop
+    return any(j not in skip and wire in wires(c.body[j]) for j in range(start, stop))
+
+
+def linear_state_before(c, w: int, pos: int) -> str | None:
+    """`circuit.wire_state_before` by a scan of the body prefix: the
+    reference for the indexed query."""
+    p = c.prep_of(w)
+    if p is None or p.kind == "bell":
+        return None
+    state = p.kind
+    for instr in c.body[:pos]:
+        if WireRef("q", w) not in wires(instr):
+            continue
+        if not isinstance(instr, Gate1):
+            return None
+        state = _STATE_TABLE[instr.kind][state]
+    return state
+
+
+def exhaustive_insertions(c, rule_id: str, direction: str) -> tuple[list, int]:
+    """The matches of an insertion rule (empty matched side) found by brute
+    force: every position with every injective binding of the variables,
+    each kept if `engine._admit` accepts it. Returns the matches in
+    `find_matches` order and the number of candidates refused."""
+    forms = rule_forms(rule_id, direction)
+    variants = list(forms)
+    found, refused = [], 0
+    for form in forms.values():
+        assert not form.src, (rule_id, direction)
+        qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
+        cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
+        for pos in range(len(c.body) + 1):
+            for qs in permutations(range(c.num_qubits), len(qvars)):
+                for cs in permutations(range(c.num_cbits), len(cvars)):
+                    b = dict(zip(qvars + cvars, qs + cs))
+                    if _admit(c, form, (pos,), b)[0] is None:
+                        found.append(
+                            Match(rule_id, direction, (pos,), tuple(sorted(b.items())), form.variant)
+                        )
+                    else:
+                        refused += 1
+    found.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
+    return found, refused
 
 
 def kron_probe_states(n_in: int) -> list[tuple[str, np.ndarray]]:
