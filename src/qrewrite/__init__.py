@@ -20,7 +20,6 @@ from .circuit import (
     prep_plus,
     prep_zero,
     serialize,
-    supports_disjoint,
     validate,
     wires,
 )

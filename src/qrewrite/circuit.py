@@ -128,11 +128,6 @@ def wires(instr: Instruction) -> frozenset[WireRef]:
     )
 
 
-def supports_disjoint(i1: Instruction, i2: Instruction) -> bool:
-    """True iff the two instructions touch disjoint wire sets (then they commute)."""
-    return not (wires(i1) & wires(i2))
-
-
 @dataclass(frozen=True)
 class PrepDecl:
     """Preparation directive: kind "zero"/"plus" on one wire, "bell" on a pair."""

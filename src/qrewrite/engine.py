@@ -13,13 +13,16 @@ wire of a later one, so commuting gathers them at the first index), and
 the positions and injective bindings of an insertion (empty `src`). Both
 read the circuit's wire index (`Circuit.wire_index`) rather than each
 instruction's wires. A rule's condition is a list of tests, each on one
-variable's wire (`rules.WireTest`), so at each insertion position the
-search keeps for every variable only the wires with the prep `src_preps`
-requires and that pass that variable's tests, and only then takes
-injective tuples of them: it never enumerates a binding a test refuses.
-`_admit` is the one admission check of an occurrence: it binds the fresh
-wires a rewrite needs (`dst` variables left unbound), checks the required
-preps and runs the condition's tests, in order, on the complete bindings.
+variable's wire (`rules.WireTest`), so one filter, `_wires_for`, decides
+which wire a variable may take: the declared wires of its kind that carry
+the prep `src_preps` requires and pass its tests at the occurrence. At
+each insertion position the search takes injective tuples of those wires,
+so it never enumerates a binding a test refuses. `_admit` is the one
+admission check of an occurrence: it binds each fresh wire a rewrite needs
+(a `dst` variable left unbound) to the first wire the filter offers that
+the match has not bound (a cbit with none takes a new one), checks the
+required preps and runs the condition's tests, in order, on the complete
+bindings.
 `find_matches` keeps the occurrences `_admit` accepts, so every match it
 finds applies. `rewrite_at` checks every match, found or hand-built, on
 one path: `_check_applicable` (bindings, site shape, then the search
@@ -47,9 +50,7 @@ from .circuit import (
     ClassicalCtrl,
     Instruction,
     Measure,
-    WireRef,
     serialize,
-    touched,
 )
 from .equivalence import channel_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms
@@ -204,29 +205,30 @@ def _occurrences(
         if 0 <= _anchor(c, form, site)[0] <= len(body):
             yield site, bindings or {}
     else:
-        # each variable's wires that `_admit` could accept: of its kind, with
-        # the prep `src_preps` requires, then passing its condition's tests
-        need = {var: p.kind for p in form.src_preps for var in p.wires}
-        size = {"q": c.num_qubits, "c": c.num_cbits}
         qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
         cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
-        typed = {
-            var: [
-                w for w in range(size[form.kinds[var]])
-                if var not in need or getattr(c.prep_of(w), "kind", None) == need[var]
-            ]
-            for var in qvars + cvars
-        }
-        tests = {var: [t for v, t in form.condition if v == var] for var in typed}
         for pos in range(len(body) + 1):
-            admitted = {
-                var: [w for w in ws if all(t(c, pos, (), w) is None for t in tests[var])]
-                if tests[var] else ws
-                for var, ws in typed.items()
-            }
-            for qs in _injective([admitted[v] for v in qvars]):
-                for cs in _injective([admitted[v] for v in cvars]):
+            qs_ok = [_wires_for(c, form, v, pos) for v in qvars]
+            cs_ok = [_wires_for(c, form, v, pos) for v in cvars]
+            for qs in _injective(qs_ok):
+                for cs in _injective(cs_ok):
                     yield (pos,), dict(zip(qvars + cvars, qs + cs))
+
+
+def _wires_for(
+    c: Circuit, form: RuleForm, var: str, pos: int, matched: tuple[int, ...] = ()
+) -> list[int]:
+    """The declared wires `var` may take at an occurrence anchored at `pos`
+    with matched indices `matched`: those of its kind that carry the prep
+    `src_preps` requires of it and pass its condition's tests."""
+    ws = list(range(c.num_qubits if form.kinds[var] == "q" else c.num_cbits))
+    for p in form.src_preps:
+        if var in p.wires:
+            ws = [w for w in ws if getattr(c.prep_of(w), "kind", None) == p.kind]
+    for v, test in form.condition:
+        if v == var:
+            ws = [w for w in ws if test(c, pos, matched, w) is None]
+    return ws
 
 
 def _injective(choices: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -239,39 +241,30 @@ def _injective(choices: list[list[int]]) -> Iterator[tuple[int, ...]]:
 def _admit(
     c: Circuit, form: RuleForm, site: tuple[int, ...], bindings: dict[str, int]
 ) -> tuple[str | None, dict[str, int], int]:
-    """Admit an occurrence: bind each unbound `dst` variable to a fresh wire
-    (the first free qubit; the first untouched cbit, or a new one), check
-    the required preps, then run the rule's condition, which is called
-    nowhere else, on the complete bindings at the occurrence's `_anchor`.
-    Returns the reason it refuses (None if it admits), the complete
-    bindings and the new cbit count."""
-    b, num_cbits = bindings, c.num_cbits
+    """Admit an occurrence: bind each unbound `dst` variable to the first
+    wire `_wires_for` offers it that the match has not bound (a cbit with
+    none takes a new one), check the required preps, then run the rule's
+    condition, which is called nowhere else, on the complete bindings at
+    the occurrence's `_anchor`. Returns the reason it refuses (None if it
+    admits), the complete bindings and the new cbit count."""
+    pos, matched = _anchor(c, form, site)
+    b, num_cbits = dict(bindings), c.num_cbits
     for var in form.dst_vars:
         if var in b:
             continue
-        if b is bindings:
-            b = dict(bindings)
-        kinds = form.kinds
-        taken = {v for k, v in b.items() if kinds[k] == kinds[var]}
-        if kinds[var] == "q":
-            free = [w for w in range(c.num_qubits) if w not in taken]
-            if not free:
-                return f"fresh-wire allocation failure for {var!r}", b, num_cbits
+        kind = form.kinds[var]
+        taken = {w for v, w in b.items() if form.kinds[v] == kind}
+        free = [w for w in _wires_for(c, form, var, pos, matched) if w not in taken]
+        if free:
             b[var] = free[0]
+        elif kind == "q":
+            return f"fresh-wire allocation failure for {var!r}", b, num_cbits
         else:
-            b[var] = next(
-                (
-                    w for w in range(num_cbits)
-                    if w not in taken and not touched(c, WireRef("c", w))
-                ),
-                num_cbits,
-            )
-            num_cbits = max(num_cbits, b[var] + 1)
+            b[var], num_cbits = num_cbits, num_cbits + 1
     if form.src_preps:
         for p in ground_preps(form.src_preps, b):
             if p not in c.preps:
                 return f"required prep {p} not present", b, num_cbits
-    pos, matched = _anchor(c, form, site)
     for var, test in form.condition:
         reason = test(c, pos, matched, b[var])
         if reason is not None:

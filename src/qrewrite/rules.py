@@ -67,12 +67,25 @@ class RewriteRule:
     pattern: TemplateFn
     replacement: TemplateFn
     variants: tuple[str, ...] = ("default",)
-    pure_gate: bool = False
     prep_pattern: PrepFn | None = None
     prep_replacement: PrepFn | None = None
     condition: Condition = ()
     # pairs of quantum variables allowed to bind the same wire
     alias_ok: frozenset[frozenset[str]] = field(default_factory=frozenset)
+
+    @property
+    def pure_gate(self) -> bool:
+        """Sound in any context: no condition, no preps on either side, and
+        only `Gate1` and `Gate2` instructions in every variant."""
+        return (
+            not (self.condition or self.prep_pattern or self.prep_replacement)
+            and all(
+                isinstance(instr, (Gate1, Gate2))
+                for v in self.variants
+                for fn in (self.pattern, self.replacement)
+                for instr in fn(v)
+            )
+        )
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +104,6 @@ R1_INVERSE = RewriteRule(
     pattern=_inverse_pattern,
     replacement=lambda v: [],
     variants=("H", "X", "Z", "CNOT", "CZ"),
-    pure_gate=True,
 )
 
 
@@ -131,14 +143,12 @@ R2_CZ_FLIP = RewriteRule(
     id="R2_CZFlip",
     pattern=lambda v: [Gate2("CZ", "a", "b")],
     replacement=lambda v: [Gate2("CZ", "b", "a")],
-    pure_gate=True,
 )
 
 R2_CNOT_VIA_CZ = RewriteRule(
     id="R2_CNOTviaCZ",
     pattern=lambda v: [Gate2("CNOT", "c", "t")],
     replacement=lambda v: [Gate1("H", "t"), Gate2("CZ", "c", "t"), Gate1("H", "t")],
-    pure_gate=True,
 )
 
 R2_CNOT_REVERSAL = RewriteRule(
@@ -151,14 +161,12 @@ R2_CNOT_REVERSAL = RewriteRule(
         Gate1("H", "t"),
     ],
     replacement=lambda v: [Gate2("CNOT", "t", "c")],
-    pure_gate=True,
 )
 
 R2_H_MIRROR = RewriteRule(
     id="R2_HMirror",
     pattern=lambda v: [Gate1("H", "c"), Gate1("H", "t"), Gate2("CNOT", "c", "t")],
     replacement=lambda v: [Gate2("CNOT", "t", "c"), Gate1("H", "c"), Gate1("H", "t")],
-    pure_gate=True,
 )
 
 # ----------------------------------------------------------------------
@@ -184,9 +192,12 @@ R3_DEFER = RewriteRule(
 
 
 def _cbit_unused(reason: str) -> WireTest:
-    """A test that nothing outside the match touches the classical wire."""
+    """A test that the classical wire is not reported (a new cbit is
+    scratch) and that nothing outside the match touches it."""
 
     def test(c, pos, matched, r) -> str | None:
+        if r < c.num_cbits and c.c_roles[r] == "report":
+            return "classical wire has role report"
         return reason if touched(c, WireRef("c", r), skip=matched) else None
 
     return test
@@ -241,7 +252,6 @@ R5_DISTRIBUTE = RewriteRule(
     pattern=lambda v: [Gate2("CNOT", "c", "t")],
     replacement=_r5_replacement,
     variants=("i", "ii"),
-    pure_gate=True,
 )
 
 # ----------------------------------------------------------------------
@@ -264,7 +274,6 @@ R6_MIRROR = RewriteRule(
     pattern=lambda v: [_AB, _BC] if v[0] == "A" else [_BC, _AB],
     replacement=_r6_replacement,
     variants=("A0", "A1", "A2", "B0", "B1", "B2"),
-    pure_gate=True,
 )
 
 # ----------------------------------------------------------------------
@@ -279,7 +288,6 @@ R7_LAMBDA = RewriteRule(
         Gate2("CNOT", "c", "t1"),
         Gate2("CNOT", "t1", "t2"),
     ],
-    pure_gate=True,
 )
 
 # ----------------------------------------------------------------------
@@ -290,14 +298,12 @@ CONTROLS_COMMUTE = RewriteRule(
     id="ControlsCommute",
     pattern=lambda v: [Gate2("CNOT", "c", "a"), Gate2("CNOT", "c", "b")],
     replacement=lambda v: [Gate2("CNOT", "c", "b"), Gate2("CNOT", "c", "a")],
-    pure_gate=True,
 )
 
 TARGETS_COMMUTE = RewriteRule(
     id="TargetsCommute",
     pattern=lambda v: [Gate2("CNOT", "a", "t"), Gate2("CNOT", "b", "t")],
     replacement=lambda v: [Gate2("CNOT", "b", "t"), Gate2("CNOT", "a", "t")],
-    pure_gate=True,
 )
 
 
@@ -311,7 +317,6 @@ CZ_CONTROL_COMMUTE = RewriteRule(
     pattern=_cz_cnot_pattern,
     replacement=lambda v: _cz_cnot_pattern(v)[::-1],
     variants=("cz_first", "cnot_first"),
-    pure_gate=True,
     # the CZ may share the CNOT's control wire (both preserve its basis),
     # never its target
     alias_ok=frozenset({frozenset({"a", "x"}), frozenset({"a", "y"})}),
@@ -381,7 +386,6 @@ COMMUTE = RewriteRule(
     id="Commute",
     pattern=lambda v: [],
     replacement=lambda v: [],
-    pure_gate=True,
 )
 
 CATALOG = (

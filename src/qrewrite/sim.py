@@ -25,7 +25,6 @@ import numpy as np
 from .circuit import (
     Circuit,
     ClassicalCtrl,
-    ClassicalXor,
     Gate1,
     Gate2,
     Instruction,

@@ -3,8 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qrewrite.circuit import (
     FIELD_KINDS,
@@ -21,10 +19,10 @@ from qrewrite.circuit import (
     circuit,
     parse,
     serialize,
-    supports_disjoint,
     touched,
     wire_state_before,
 )
+from qrewrite.engine import find_matches
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import build_unitary
 
@@ -261,33 +259,6 @@ def test_default_roles():
     assert c.c_roles == ("scratch",)
 
 
-def test_supports_disjoint_examples():
-    assert supports_disjoint(Gate1("H", 0), Gate1("X", 1))
-    assert not supports_disjoint(Gate2("CNOT", 0, 1), Gate2("CZ", 1, 2))
-    assert not supports_disjoint(Measure(0, 0), ClassicalCtrl("CX", 0, 1))
-
-
-_instr = st.one_of(
-    st.builds(Gate1, st.sampled_from(["H", "X", "Z"]), st.integers(0, 3)),
-    st.builds(
-        lambda k, c, t: Gate2(k, c, t if t != c else (c + 1) % 4),
-        st.sampled_from(["CNOT", "CZ"]),
-        st.integers(0, 3),
-        st.integers(0, 3),
-    ),
-    st.builds(Measure, st.integers(0, 3), st.integers(0, 2)),
-    st.builds(
-        ClassicalCtrl, st.sampled_from(["CX", "CZC"]), st.integers(0, 2), st.integers(0, 3)
-    ),
-)
-
-
-@given(_instr, _instr)
-@settings(max_examples=60, deadline=None)
-def test_supports_disjoint_symmetric(i1, i2):
-    assert supports_disjoint(i1, i2) == supports_disjoint(i2, i1)
-
-
 def test_disjoint_gates_commute_exactly():
     # the unitaries built from [i1, i2] and [i2, i1] are bitwise identical
     rng = np.random.default_rng(3)
@@ -302,7 +273,7 @@ def test_disjoint_gates_commute_exactly():
     while pairs < 50:
         i1, i2 = rng.choice(len(gates), size=2)
         g1, g2 = gates[i1], gates[i2]
-        if not supports_disjoint(g1, g2):
+        if not find_matches(circuit(4, 0, [g1, g2]), "Commute"):
             continue
         u12 = build_unitary(circuit(4, 0, [g1, g2]))
         u21 = build_unitary(circuit(4, 0, [g2, g1]))

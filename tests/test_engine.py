@@ -464,15 +464,16 @@ def test_rewrite_rejects_binding_to_an_undeclared_wire():
     "rule, direction, bindings, error",
     [
         ("R1_TargetPlus", "backward", {"c": 0}, None),
-        ("R1_ControlZero", "backward", {"t": 1}, "not provably |0>"),
-        ("DiscardedWireTail", "backward", {}, "role discard"),
-        ("MeasureDiscarded", "forward", {"r": 0}, "role discard"),
+        ("R1_ControlZero", "backward", {"t": 1}, "allocation failure for 'c'"),
+        ("DiscardedWireTail", "backward", {}, "allocation failure for 'w'"),
+        ("MeasureDiscarded", "forward", {"r": 0}, "allocation failure for 'w'"),
     ],
 )
 def test_insertion_leaving_out_a_wire_allocates_it_before_the_condition(
     rule, direction, bindings, error
 ):
-    # the condition reads the left-out wire: it sees the allocated one
+    # a left-out wire is one its variable's tests admit; with none, the
+    # match fails to allocate it
     c = parse("qubits 2\ncbits 1\nINPUT q0\nPREP q1 +\nX q0")
     m = match(rule, direction, (), bindings)
     if error is not None:
@@ -481,6 +482,88 @@ def test_insertion_leaving_out_a_wire_allocates_it_before_the_condition(
         return
     new = rewrite_at(c, m, verify=True)
     assert new.body == c.body + (Gate2("CNOT", 0, 1),)
+
+
+def test_a_left_out_wire_is_the_first_its_tests_admit():
+    # q0 is the first free qubit, but only q1 is provably |0>
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nPREP q1 0\nX q0")
+    new = rewrite_at(c, match("R1_ControlZero", "backward", (), {}, "CNOT"), verify=True)
+    assert new.body == c.body + (Gate2("CNOT", 1, 0),)
+
+
+_DISCARDED_H = "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nDISCARD q1\nREPORT c0\nH q1"
+_R4_HOST = "qubits 3\ncbits {}\nINPUT q0\nINPUT q1\nINPUT q2\nREPORT {}\n"
+_R4_CNOT = "CNOT q0 q1\nMEASURE q0 c0\nMEASURE q1 c1\nCX c1 q2"
+
+
+@pytest.mark.parametrize(
+    "text, rule, direction, bindings",
+    [
+        # writes the unwritten report c0
+        (_DISCARDED_H, "MeasureDiscarded", "forward", {"w": 1, "r": 0}),
+        # erases the write of report c0
+        (_DISCARDED_H + "\nMEASURE q1 c0", "MeasureDiscarded", "backward", {"w": 1, "r": 0}),
+        # changes report r2 = c1 from a xor b to b
+        (_R4_HOST.format(2, "c1") + _R4_CNOT, "R4_XorSubstitute", "forward", {}),
+        # erases report r3 = c2
+        (
+            _R4_HOST.format(3, "c2") + "MEASURE q0 c0\nMEASURE q1 c1\nXOR c0 c1 c2\nCX c2 q2",
+            "R4_XorSubstitute",
+            "backward",
+            {"r3": 2},
+        ),
+    ],
+    ids=["write", "unwrite", "change", "erase"],
+)
+def test_no_rewrite_writes_changes_or_erases_a_report_wire(text, rule, direction, bindings):
+    # `channel_equal` sees only qubits, so step verification would accept
+    # these rewrites; the oracle also compares report distributions
+    c = parse(text)
+    assert find_matches(c, rule, direction) == []
+    if rule == "R4_XorSubstitute":
+        site = (0, 1, 2, 3)
+        bindings = {"a": 0, "b": 1, "r1": 0, "r2": 1, "t": 2} | bindings
+    else:
+        site = (1,)
+    with pytest.raises(RewriteError, match="role report"):
+        rewrite_at(c, match(rule, direction, site, bindings), verify=True)
+
+
+def test_a_fresh_cbit_is_never_a_report_wire():
+    # c2 is the only untouched cbit, but it is reported: r3 takes a new one
+    c = parse(_R4_HOST.format(3, "c2") + _R4_CNOT)
+    (m,) = find_matches(c, "R4_XorSubstitute")
+    new = rewrite_at(c, m, verify=True)
+    assert serialize(new).endswith("MEASURE q0 c0\nMEASURE q1 c1\nXOR c0 c1 c3\nCX c3 q2")
+    assert new.c_roles == c.c_roles + ("scratch",)
+    assert oracle_equal(c, new)
+
+
+def test_classical_forms_are_sound_in_context():
+    # every found match of a form with a classical variable rewrites to a
+    # circuit the oracle, which also compares report distributions, finds
+    # equal; random discard and report roles exercise their conditions
+    rng = np.random.default_rng(5150)
+    rules = ("R3_DeferMeasure", "R4_XorSubstitute", "MeasureDiscarded")
+    checked = {(rule, d): 0 for rule in rules for d in ("forward", "backward")}
+    unequal = []
+    for _ in range(40):
+        c = random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=10)
+        q_roles = tuple(str(r) for r in rng.choice(["output", "discard"], size=c.num_qubits))
+        c_roles = tuple(str(r) for r in rng.choice(["scratch", "report"], size=c.num_cbits))
+        c = dataclasses.replace(c, q_roles=q_roles, c_roles=c_roles)
+        for rule, direction in checked:
+            for m in find_matches(c, rule, direction):
+                checked[rule, direction] += 1
+                if not oracle_equal(c, rewrite_at(c, m)):
+                    unequal.append((m.label(), serialize(c)))
+    assert unequal == []
+    # random circuits never hold R4's pattern; the report cases above do
+    assert sum(checked.values()) >= 40, checked
+    assert [form for form, n in checked.items() if not n] == [
+        ("R4_XorSubstitute", "forward"),
+        ("R4_XorSubstitute", "backward"),
+    ], checked
 
 
 def test_rewrite_rejects_sites_the_matcher_does_not_gather():

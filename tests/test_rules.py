@@ -306,6 +306,24 @@ def test_every_condition_test_reads_a_variable_of_its_form():
     }
 
 
+def test_pure_gate_rules_are_those_with_only_unconditional_gates():
+    # derived from the templates: no condition, no preps, only gates
+    assert {rule_id for rule_id, rule in RULES.items() if rule.pure_gate} == {
+        "R1_InverseCancel",
+        "R2_CZFlip",
+        "R2_CNOTviaCZ",
+        "R2_CNOTReversal",
+        "R2_HMirror",
+        "R5_DistributeCNOT",
+        "R6_CNOTMirror",
+        "R7_ParallelToLambda",
+        "ControlsCommute",
+        "TargetsCommute",
+        "CzControlCommute",
+        "Commute",
+    }
+
+
 def test_only_r4_and_r5_forward_need_fresh_wires():
     # variables a rewrite must allocate: produced side, absent from the
     # matched side, on forms that match instructions (not insertions)
