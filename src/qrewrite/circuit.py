@@ -16,9 +16,10 @@ Conventions:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 class CircuitError(ValueError):
     """Invalid circuit structure; `index` is the body index of the
@@ -182,11 +183,12 @@ class Circuit:
                 positions.setdefault(w, []).append(k)
         return WireIndex(body_wires, positions)
 
+    @cached_property
+    def _prep_by_wire(self) -> dict[int, PrepDecl]:
+        return {w: p for p in self.preps for w in p.wires}
+
     def prep_of(self, w: int) -> PrepDecl | None:
-        for p in self.preps:
-            if w in p.wires:
-                return p
-        return None
+        return self._prep_by_wire.get(w)
 
     @property
     def measured(self) -> frozenset[int]:
@@ -261,11 +263,34 @@ def validate(c: Circuit) -> None:
     """Raise CircuitError on any violated structural invariant; an error in
     an instruction carries its body index.
 
-    `Circuit` runs this on construction, so every Circuit satisfies it.
+    `Circuit` runs this on construction (so `circuit`, `parse` and
+    `dataclasses.replace` do), and every Circuit satisfies it. It runs three
+    checks over the whole circuit: the declarations (`_check_declarations`),
+    each instruction on its own (`_check_instruction`) and the classical
+    order (`_check_order`). A rewrite's output is built by `_splice`
+    instead, which runs the same three over only what the rewrite changes.
     """
-    size = {"q": c.num_qubits, "c": c.num_cbits}
     if c.num_qubits < 0 or c.num_cbits < 0:
         raise CircuitError("negative wire count")
+    _check_declarations(c)
+    size = {"q": c.num_qubits, "c": c.num_cbits}
+    written: set[int] = set()
+    for k, instr in enumerate(c.body):
+        _check_instruction(k, instr, size)
+        _check_order(k, instr, written)
+    if len(c.q_roles) != c.num_qubits or len(c.c_roles) != c.num_cbits:
+        raise CircuitError("role table has wrong length")
+    for r in c.q_roles:
+        if r not in ("output", "discard"):
+            raise CircuitError(f"bad quantum role {r!r}")
+    for r in c.c_roles:
+        if r not in ("report", "scratch"):
+            raise CircuitError(f"bad classical role {r!r}")
+
+
+def _check_declarations(c: Circuit) -> None:
+    """Preps well formed, on declared non-input wires, at most one per
+    wire; inputs declared."""
 
     def declared(message: str, w: int) -> CircuitError:
         return CircuitError(message, wire=WireRef("q", w))
@@ -294,35 +319,88 @@ def validate(c: Circuit) -> None:
     for w in c.inputs:
         check_q(w)
 
-    written: set[int] = set()
-    for k, instr in enumerate(c.body):
-        cls = type(instr)
-        if (cls, getattr(instr, "kind", None)) not in _TEXT:
-            raise CircuitError(f"unknown instruction {instr!r}", k)
-        out = WRITES.get(cls)
-        for name, kind in FIELD_KINDS[cls]:
-            w = getattr(instr, name)
-            if not 0 <= w < size[kind]:
-                raise CircuitError(f"reference to undeclared wire {kind}{w}", k)
-            if kind == "c" and name != out and w not in written:
+
+def _check_instruction(k: int, instr: Instruction, size: dict[str, int]) -> None:
+    """The instruction at body index k is of a known kind, names declared
+    wires (`size`: wire count by kind) and, if a `Gate2`, two distinct ones."""
+    cls = type(instr)
+    if (cls, getattr(instr, "kind", None)) not in _TEXT:
+        raise CircuitError(f"unknown instruction {instr!r}", k)
+    for name, kind in FIELD_KINDS[cls]:
+        w = getattr(instr, name)
+        if not 0 <= w < size[kind]:
+            raise CircuitError(f"reference to undeclared wire {kind}{w}", k)
+    if cls is Gate2 and instr.control == instr.target:
+        raise CircuitError("two-qubit gate control equals target", k)
+
+
+def _check_order(
+    k: int, instr: Instruction, written: set[int], scope: Collection[int] | None = None
+) -> None:
+    """Single assignment and read-after-write at body index k, along the
+    classical wires in `scope` (every one if None). `written` holds the
+    wires written before k, and gains the one the instruction writes."""
+    cls = type(instr)
+    out = WRITES.get(cls)
+    for name, kind in FIELD_KINDS[cls]:
+        w = getattr(instr, name)
+        if kind == "c" and name != out and w not in written:
+            if scope is None or w in scope:
                 raise CircuitError(
                     f"classical wire c{w} is read before it is written", k
                 )
-        if cls is Gate2 and instr.control == instr.target:
-            raise CircuitError("two-qubit gate control equals target", k)
-        if out is not None:
-            w = getattr(instr, out)
+    if out is not None:
+        w = getattr(instr, out)
+        if scope is None or w in scope:
             if w in written:
                 raise CircuitError(f"classical wire c{w} assigned twice", k)
             written.add(w)
-    if len(c.q_roles) != c.num_qubits or len(c.c_roles) != c.num_cbits:
-        raise CircuitError("role table has wrong length")
-    for r in c.q_roles:
-        if r not in ("output", "discard"):
-            raise CircuitError(f"bad quantum role {r!r}")
-    for r in c.c_roles:
-        if r not in ("report", "scratch"):
-            raise CircuitError(f"bad classical role {r!r}")
+
+
+def _splice(
+    c: Circuit,
+    pos: int,
+    end: int,
+    new: Sequence[Instruction],
+    kept: Sequence[Instruction],
+    num_cbits: int,
+    preps: tuple[PrepDecl, ...] | None,
+    cbits: Collection[int],
+) -> Circuit:
+    """A rewrite's output: `c` with body[pos:end] replaced by the
+    instructions `new` followed by `kept` (instructions of body[pos:end]),
+    scratch cbits appended up to `num_cbits`, and the preps replaced by
+    `preps` unless it is None.
+
+    `c` is valid, so only what the splice can change is checked, by the
+    code `validate` runs: each instruction of `new`; the declarations, if
+    the preps change; and the classical order along the wires in `cbits`.
+    The caller names there every classical wire that a removed or a new
+    instruction touches. No other one can change order, because `kept`
+    moves only past removed and new instructions (or, in a swap, past an
+    instruction that shares no wire with it).
+    """
+    body = c.body[:pos] + tuple(new) + tuple(kept) + c.body[end:]
+    # set field by field, in order, as the dataclass `__init__` does: that
+    # keeps the compact attribute storage instances share
+    out, put = object.__new__(Circuit), object.__setattr__
+    put(out, "num_qubits", c.num_qubits)
+    put(out, "num_cbits", num_cbits)
+    put(out, "preps", c.preps if preps is None else preps)
+    put(out, "inputs", c.inputs)
+    put(out, "body", body)
+    put(out, "q_roles", c.q_roles)
+    put(out, "c_roles", c.c_roles + ("scratch",) * (num_cbits - c.num_cbits))
+    if preps is not None:
+        _check_declarations(out)
+    size = {"q": c.num_qubits, "c": num_cbits}
+    for k, instr in enumerate(new, start=pos):
+        _check_instruction(k, instr, size)
+    if cbits:
+        written: set[int] = set()
+        for k, instr in enumerate(body):
+            _check_order(k, instr, written, cbits)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -24,12 +24,17 @@ the match has not bound (a cbit with none takes a new one), checks the
 required preps and runs the condition's tests, in order, on the complete
 bindings.
 `find_matches` keeps the occurrences `_admit` accepts, so every match it
-finds applies. `rewrite_at` checks every match, found or hand-built, on
-one path: `_check_applicable` (bindings, site shape, then the search
-restricted to the site), then `_admit`. So a bad match is a
-`RewriteError`, never a wrong rewrite. One splice puts
-the replacement at the occurrence's position, after gathering the matched
-instructions there (an insertion gathers none); `Commute` swaps.
+finds applies, and each match carries what `_admit` returned for the
+circuit object it was found on. `rewrite_at` applies such a match to that
+very circuit without checking it again; every other match, hand-built or
+found on another circuit, is checked by `_check_applicable` (bindings,
+site shape, then the search restricted to the site), then `_admit`. So a
+bad match is a `RewriteError`, never a wrong rewrite. One splice
+(`circuit._splice`) puts the replacement at the occurrence's position,
+after gathering the matched instructions there (an insertion gathers
+none); `Commute` swaps. The output differs from its valid input only in
+that window, the preps and new scratch cbits, so the splice checks only
+those, with the code `circuit.validate` runs on a whole circuit.
 
 Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one check
 (`_step_check`): the step's circuit is channel-equal to the start.
@@ -39,8 +44,9 @@ matches, so `sim.channel_of_deferred` on its result cross-checks both.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .circuit import (
     FIELD_KINDS,
@@ -50,6 +56,7 @@ from .circuit import (
     ClassicalCtrl,
     Instruction,
     Measure,
+    _splice,
     serialize,
 )
 from .equivalence import channel_equal
@@ -65,16 +72,34 @@ class VerificationError(RuntimeError):
     """A rewrite step failed its channel-equality check."""
 
 
+class _Admitted(NamedTuple):
+    """What `_admit` returned for a found match, and the circuit it was
+    found on."""
+
+    circuit: Circuit
+    form: RuleForm
+    bindings: dict[str, int]  # complete: fresh wires bound
+    num_cbits: int
+
+
 @dataclass(frozen=True)
 class Match:
     """A located rule occurrence: ordered body indices plus variable bindings
-    (an insertion's site is its position, or empty for the end of the body)."""
+    (an insertion's site is its position, or empty for the end of the body).
+
+    A match `find_matches` returns also carries its admission for the
+    circuit it was found on; this takes no part in equality, hashing or
+    repr, and a copy (`dataclasses.replace`) or a hand-built match has none.
+    """
 
     rule: str
     direction: str = "forward"
     site: tuple[int, ...] = ()
     bindings: tuple[tuple[str, int], ...] = ()
     variant: str = "default"
+    _admitted: _Admitted | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def binding_map(self) -> dict[str, int]:
@@ -281,13 +306,15 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
     forms = rule_forms(rule_id, direction)
     # a swap reads the same both ways, so a `Commute` match says forward
     said = "forward" if rule_id == "Commute" else direction
-    out = [
-        Match(rule_id, said, site, tuple(sorted(bindings.items())), form.variant)
-        for form in forms.values()
-        for site, bindings in _occurrences(c, form)
-        # the search checked the rest of what `_check_applicable` checks
-        if _admit(c, form, site, bindings)[0] is None
-    ]
+    out = []
+    for form in forms.values():
+        for site, bindings in _occurrences(c, form):
+            # the search checked the rest of what `_check_applicable` checks
+            reason, complete, num_cbits = _admit(c, form, site, bindings)
+            if reason is None:
+                m = Match(rule_id, said, site, tuple(sorted(bindings.items())), form.variant)
+                object.__setattr__(m, "_admitted", _Admitted(c, form, complete, num_cbits))
+                out.append(m)
     variants = list(forms)
     out.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
     return out
@@ -324,40 +351,40 @@ def _check_applicable(c: Circuit, form: RuleForm, m: Match) -> str | None:
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     """Apply a match: gather the matched instructions at the occurrence's
     position and splice in the instantiated replacement (a `Commute` match
-    swaps its two instructions). Preps and roles carry over. Unknown rule
-    ids raise KeyError, unknown directions ValueError."""
-    form = rule_forms(m.rule, m.direction).get(m.variant)
-    reason = _check_applicable(c, form, m) if form else f"unknown variant {m.variant!r}"
-    if reason is None:
-        reason, bindings, num_cbits = _admit(c, form, m.site, m.binding_map)
-    if reason is not None:
-        raise RewriteError(f"{m.rule}: {reason}")
+    swaps its two instructions). Preps and roles carry over. A match that
+    `find_matches` found on `c` itself applies without a second check;
+    any other is checked first. Unknown rule ids raise KeyError, unknown
+    directions ValueError."""
+    if m._admitted is not None and m._admitted.circuit is c:
+        _, form, bindings, num_cbits = m._admitted
+    else:
+        form = rule_forms(m.rule, m.direction).get(m.variant)
+        reason = _check_applicable(c, form, m) if form else f"unknown variant {m.variant!r}"
+        if reason is None:
+            reason, bindings, num_cbits = _admit(c, form, m.site, m.binding_map)
+        if reason is not None:
+            raise RewriteError(f"{m.rule}: {reason}")
 
-    body = list(c.body)
     if m.rule == "Commute":
+        # the two instructions are disjoint: no wire's order changes
         i = m.site[0]
-        body[i : i + 2] = body[i + 1], body[i]
+        pos, end, dst, skipped = i, i + 2, [], [c.body[i + 1], c.body[i]]
     else:
         pos, matched = _anchor(c, form, m.site)
         end = matched[-1] + 1 if matched else pos
-        skipped = [body[j] for j in range(pos, end) if j not in matched]
-        body[pos:end] = ground(form.dst, bindings) + skipped
+        skipped = [c.body[j] for j in range(pos, end) if j not in matched]
+        dst = ground(form.dst, bindings)
 
-    preps = list(c.preps)
+    preps = None
     if form.src_preps or form.dst_preps:
+        preps = list(c.preps)
         for p in ground_preps(form.src_preps, bindings):
             preps.remove(p)
         preps.extend(ground_preps(form.dst_preps, bindings))
-
-    new = Circuit(
-        c.num_qubits,
-        num_cbits,
-        tuple(sorted(preps, key=lambda p: p.wires)),
-        c.inputs,
-        tuple(body),
-        c.q_roles,
-        c.c_roles + ("scratch",) * (num_cbits - c.num_cbits),
-    )
+        preps = tuple(sorted(preps, key=lambda p: p.wires))
+    # the matched and inserted instructions touch only bound wires
+    cbits = [w for v, w in bindings.items() if form.kinds[v] == "c"]
+    new = _splice(c, pos, end, dst, skipped, num_cbits, preps, cbits)
     if verify:
         _step_check(c, True)(m, new)
     return new

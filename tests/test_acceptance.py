@@ -6,7 +6,6 @@ pass line (run with `pytest tests/test_acceptance.py -v -s` to see them).
 import zlib
 
 import numpy as np
-import pytest
 
 from qrewrite.circuit import Gate1, Gate2, circuit, parse, serialize
 from qrewrite.engine import defer_measurements, simplify

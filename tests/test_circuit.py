@@ -28,8 +28,6 @@ from qrewrite.sim import build_unitary
 
 from util import linear_state_before, linear_touched, random_circuit
 
-from util import random_circuit
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # two input qubits and two written classical wires; the instruction after

@@ -1,12 +1,24 @@
 """Engine: matching modulo commutation, rewriting, simplify, deferral."""
 import dataclasses
 import hashlib
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qrewrite.circuit import Gate2, parse, serialize
+from qrewrite import engine
+from qrewrite.circuit import (
+    Circuit,
+    CircuitError,
+    ClassicalCtrl,
+    Gate2,
+    Measure,
+    PrepDecl,
+    parse,
+    prep_zero,
+    serialize,
+)
 from qrewrite.engine import (
     _SIMPLIFY_PRIORITY,
     Match,
@@ -24,7 +36,7 @@ from qrewrite.rules import FORMS, RULES, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
-from util import exhaustive_insertions, random_circuit
+from util import exhaustive_insertions, full_rewrite, random_circuit
 
 
 def test_find_matches_adjacent_pair():
@@ -608,3 +620,162 @@ def test_a_circuit_never_searched_builds_no_wire_index():
     assert "wire_index" not in vars(new)
     find_matches(new, "R1_InverseCancel")
     assert "wire_index" in vars(new)
+
+
+def _outcome(rewrite, c, m):
+    """The fields of the rewrite's output, or the type and message of the
+    error it raises."""
+    try:
+        out = rewrite(c, m)
+    except (RewriteError, CircuitError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return tuple(getattr(out, f.name) for f in dataclasses.fields(Circuit))
+
+
+def _hand_built(rng, c, found):
+    """A random match on `c`: a found one re-bound, left partly unbound or
+    moved, or one drawn from scratch."""
+    if found and rng.random() < 0.6:
+        m = found[int(rng.integers(len(found)))]
+        form = rule_forms(m.rule, m.direction)[m.variant]
+        site, b = list(m.site), m.binding_map
+        roll = rng.random()
+        if roll < 0.3 and b:
+            var = sorted(b)[int(rng.integers(len(b)))]
+            size = c.num_qubits if form.kinds[var] == "q" else c.num_cbits
+            b[var] = int(rng.integers(size + 1))  # one past the last wire too
+        elif roll < 0.6:
+            b = {v: w for v, w in b.items() if rng.random() < 0.5}
+        elif roll < 0.8 and site:
+            k = int(rng.integers(len(site)))
+            site[k] += int(rng.choice([-1, 1]))
+        return Match(m.rule, m.direction, tuple(site), tuple(sorted(b.items())), m.variant)
+    rule, direction = list(FORMS)[int(rng.integers(len(FORMS)))]
+    forms = FORMS[rule, direction]
+    form = list(forms.values())[int(rng.integers(len(forms)))]
+    b = {}
+    for var in dict.fromkeys(form.src_vars + form.dst_vars):
+        if var in form.src_vars or rng.random() < 0.5:
+            size = c.num_qubits if form.kinds[var] == "q" else c.num_cbits
+            b[var] = int(rng.integers(size + 1))
+    width = len(form.src) or int(rule == "Commute" or rng.random() < 0.8)
+    site = sorted(int(j) for j in rng.integers(len(c.body) + 1, size=width))
+    return Match(rule, direction, tuple(site), tuple(sorted(b.items())), form.variant)
+
+
+def test_the_local_check_builds_what_the_full_check_accepts():
+    # every found match and random hand-built matches, on the digest corpus
+    # and on random circuits with preps, discard and report roles: each
+    # output equals, field by field, the `Circuit(...)` that the full
+    # `validate` accepts, and each refusal is the same
+    rng = np.random.default_rng(1313)
+    corpus = _digest_corpus()
+    for _ in range(200):
+        c = random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=6)
+        q_roles = tuple(str(r) for r in rng.choice(["output", "discard"], size=c.num_qubits))
+        c_roles = tuple(str(r) for r in rng.choice(["scratch", "report"], size=c.num_cbits))
+        corpus.append(dataclasses.replace(c, q_roles=q_roles, c_roles=c_roles))
+    n_found, admitted, refused = 0, 0, 0
+    for c in corpus:
+        found = [m for rule, direction in FORMS for m in find_matches(c, rule, direction)]
+        for m in found:
+            assert _outcome(rewrite_at, c, m) == _outcome(full_rewrite, c, m), m.label()
+        n_found += len(found)
+        for _ in range(12):
+            m = _hand_built(rng, c, found)
+            outcome = _outcome(rewrite_at, c, m)
+            assert outcome == _outcome(full_rewrite, c, m), (m, serialize(c))
+            if outcome[0] is RewriteError:
+                refused += 1
+            else:
+                admitted += 1
+    assert n_found >= 30_000 and admitted >= 1_000 and refused >= 1_000, (
+        n_found, admitted, refused
+    )
+
+
+# (rule, direction, variant, replaced field and its value, circuit text):
+# each replacement makes a rule produce an invalid circuit
+_DEFECTS = {
+    "written twice": (
+        "MeasureDiscarded", "forward", "default",
+        {"dst": (Measure("w", "r"), Measure("w", "r"))},
+        "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nDISCARD q1\nH q0",
+    ),
+    "read before written": (
+        "R3_DeferMeasure", "backward", "cX",
+        {"dst": (ClassicalCtrl("CX", "r", "t"), Measure("m", "r"))},
+        "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nCNOT q0 q1\nMEASURE q0 c0",
+    ),
+    "control equals target": (
+        # the CZ may share the CNOT's control, so `a` and `x` may alias
+        "CzControlCommute", "forward", "cz_first",
+        {"dst": (Gate2("CNOT", "a", "x"), Gate2("CZ", "x", "y"))},
+        "qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nCZ q0 q1\nCNOT q0 q2",
+    ),
+    "prep clash": (
+        "BellPrepFold", "forward", "hcnot",
+        {"dst_preps": (PrepDecl("bell", ("a", "b")), prep_zero("a"))},
+        "qubits 2\ncbits 0\nPREP q0 0\nPREP q1 0\nH q0\nCNOT q0 q1",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_the_local_check_refuses_what_the_full_check_refuses(monkeypatch, defect):
+    rule, direction, variant, change, text = _DEFECTS[defect]
+    forms = FORMS[rule, direction]
+    monkeypatch.setitem(forms, variant, dataclasses.replace(forms[variant], **change))
+    c = parse(text)
+    m = next(m for m in find_matches(c, rule, direction) if m.variant == variant)
+    with pytest.raises(CircuitError) as full:
+        full_rewrite(c, m)
+    # found on `c` (no second check) or hand-built (checked again)
+    for applied in (m, dataclasses.replace(m)):
+        with pytest.raises(CircuitError) as local:
+            rewrite_at(c, applied)
+        assert (str(local.value), local.value.index) == (str(full.value), full.value.index)
+
+
+def test_found_matches_apply_without_a_second_check(monkeypatch):
+    # the package's `circuit` is the builder function, not the module
+    circuit_module = importlib.import_module("qrewrite.circuit")
+    calls = {"check": 0, "validate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    corpus = _digest_corpus()[:6]
+    found = [
+        (c, m) for c in corpus for rule, direction in FORMS for m in find_matches(c, rule, direction)
+    ]
+    monkeypatch.setattr(engine, "_check_applicable", counting("check", engine._check_applicable))
+    monkeypatch.setattr(circuit_module, "validate", counting("validate", circuit_module.validate))
+    outs = [rewrite_at(c, m) for c, m in found]
+    assert len(found) > 1000 and calls == {"check": 0, "validate": 0}
+    # an equal copy of the circuit is another object: its matches are
+    # checked again, and give the same outputs
+    copies = {id(c): dataclasses.replace(c) for c in corpus}
+    calls["validate"] = 0
+    assert [rewrite_at(copies[id(c)], m) for c, m in found] == outs
+    assert calls == {"check": len(found), "validate": 0}
+
+
+def test_a_stale_found_match_is_checked_again():
+    # a found match applied to another circuit fares as its hand-built copy
+    applied = refused = 0
+    for c in _digest_corpus()[:8]:
+        found = [m for rule, direction in FORMS for m in find_matches(c, rule, direction)]
+        rewritten = [rewrite_at(c, m) for m in found[:: 1 + len(found) // 5]]
+        for new in rewritten:
+            for m in found[:: 1 + len(found) // 50]:
+                got = _outcome(rewrite_at, new, m)
+                assert got == _outcome(rewrite_at, new, dataclasses.replace(m))
+                assert got == _outcome(full_rewrite, new, m)
+                refused += got[0] is RewriteError
+                applied += got[0] is not RewriteError
+    assert applied > 1000 and refused > 100, (applied, refused)

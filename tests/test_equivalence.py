@@ -16,7 +16,7 @@ from qrewrite.equivalence import (
     probe_states,
     unitary_equal,
 )
-from qrewrite.rules import RULES
+from qrewrite.rules import CATALOG_IDS, RULES
 from qrewrite.scenarios import make
 from qrewrite.sim import build_unitary, channel_of_deferred, extract_channel, unitary_channel
 
@@ -140,8 +140,6 @@ def test_rule4_cz_counterexample():
 
 def test_channel_and_oracle_agree_on_rule_samples():
     rng = np.random.default_rng(91)
-    from qrewrite.rules import CATALOG_IDS, RULES
-
     for rule_id in CATALOG_IDS:
         for _ in range(3):
             variant = str(rng.choice(RULES[rule_id].variants))

@@ -5,7 +5,6 @@ name, so a renamed or deleted function would only fail a traced benchmark
 run. This loads that table (without writing bytecode next to it) and
 checks every name here.
 """
-import importlib
 import importlib.util
 import inspect
 import sys

@@ -8,6 +8,7 @@ import numpy as np
 
 from qrewrite.circuit import (
     _STATE_TABLE,
+    Circuit,
     ClassicalCtrl,
     ClassicalXor,
     Gate1,
@@ -20,7 +21,7 @@ from qrewrite.circuit import (
     prep_zero,
     wires,
 )
-from qrewrite.engine import Match, _admit
+from qrewrite.engine import Match, RewriteError, _admit, _check_applicable
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
 from qrewrite.rules import ground, ground_preps, rule_forms
 from qrewrite.sim import ATOL, SQRT_HALF, run
@@ -247,6 +248,44 @@ def exhaustive_insertions(c, rule_id: str, direction: str) -> tuple[list, int]:
                         refused += 1
     found.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
     return found, refused
+
+
+def full_rewrite(c, m) -> Circuit:
+    """`engine.rewrite_at(c, m)` with every match checked by
+    `_check_applicable` and `_admit`, spliced by a copy of the body and
+    built by `Circuit(...)`, so that the full `validate` checks the output:
+    the reference for the engine's reuse of found admissions and for its
+    local check."""
+    form = rule_forms(m.rule, m.direction).get(m.variant)
+    reason = _check_applicable(c, form, m) if form else f"unknown variant {m.variant!r}"
+    if reason is None:
+        reason, bindings, num_cbits = _admit(c, form, m.site, m.binding_map)
+    if reason is not None:
+        raise RewriteError(f"{m.rule}: {reason}")
+    body = list(c.body)
+    if m.rule == "Commute":
+        i = m.site[0]
+        body[i : i + 2] = body[i + 1], body[i]
+    elif form.src:
+        pos, end = m.site[0], m.site[-1] + 1
+        skipped = [body[j] for j in range(pos, end) if j not in m.site]
+        body[pos:end] = ground(form.dst, bindings) + skipped
+    else:
+        pos = m.site[0] if m.site else len(body)
+        body[pos:pos] = ground(form.dst, bindings)
+    preps = list(c.preps)
+    for p in ground_preps(form.src_preps, bindings):
+        preps.remove(p)
+    preps.extend(ground_preps(form.dst_preps, bindings))
+    return Circuit(
+        c.num_qubits,
+        num_cbits,
+        tuple(sorted(preps, key=lambda p: p.wires)),
+        c.inputs,
+        tuple(body),
+        c.q_roles,
+        c.c_roles + ("scratch",) * (num_cbits - c.num_cbits),
+    )
 
 
 def kron_probe_states(n_in: int) -> list[tuple[str, np.ndarray]]:
