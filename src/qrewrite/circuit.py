@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -407,12 +407,40 @@ def _splice(
 # Text format
 # ----------------------------------------------------------------------
 
-def _ref(tok: str, kind: str, line: int) -> int:
+def _ref(tok: str, kind: str) -> int:
     """Index of wire token `tok` ("q3", "c0"), which must be of `kind`."""
     if tok[:1] != kind or not tok[1:].isdecimal():
         name = "quantum" if kind == "q" else "classical"
-        raise ParseError(f"expected {name} wire, got {tok!r}", line)
+        raise ParseError(f"expected {name} wire, got {tok!r}")
     return int(tok[1:])
+
+
+# state token of a PREP statement -> prep kind
+_PREP_STATES = {"0": "zero", "+": "plus"}
+
+
+def read_statement(
+    toks: Sequence[str], ref: Callable[[str, str], object]
+) -> Instruction | PrepDecl:
+    """The instruction (a `MNEMONICS` entry) or prep (`PREP`, `BELL`) that
+    a statement's tokens state, each operand read by `ref(token, kind)`
+    with kind "q" or "c": wire indices in a circuit file (`_ref`), variable
+    names in a rule template. A malformed statement is a ParseError with
+    no line."""
+    op = toks[0]
+    if op == "PREP" and len(toks) == 3:
+        w = ref(toks[1], "q")
+        if toks[2] not in _PREP_STATES:
+            raise ParseError(f"unknown prep state {toks[2]!r}")
+        return PrepDecl(_PREP_STATES[toks[2]], (w,))
+    if op == "BELL" and len(toks) == 3:
+        return prep_bell(ref(toks[1], "q"), ref(toks[2], "q"))
+    cls, kind = MNEMONICS.get(op, (None, None))
+    slots = FIELD_KINDS.get(cls)
+    if slots is None or len(toks) != len(slots) + 1:
+        raise ParseError(f"syntax error: {' '.join(toks)!r}")
+    operands = [ref(tok, wire) for tok, (_, wire) in zip(toks[1:], slots)]
+    return cls(*operands) if kind is None else cls(kind, *operands)
 
 
 def parse(text: str) -> Circuit:
@@ -459,51 +487,37 @@ def parse(text: str) -> Circuit:
         op = toks[0]
         if op in ("OUTPUT", "DISCARD", "REPORT", "SCRATCH") and len(toks) == 2:
             kind = "q" if op in ("OUTPUT", "DISCARD") else "c"
-            w = _ref(toks[1], kind, ln)
+            w = _ref(toks[1], kind)
             roles = q_roles if kind == "q" else c_roles
             if w in roles:
-                raise ParseError(f"role of {kind}{w} declared twice", ln)
+                raise ParseError(f"role of {kind}{w} declared twice")
             roles[w] = op.lower()
             decl_line.setdefault(WireRef(kind, w), ln)
             return
         if op == "INPUT" and len(toks) == 2:
-            named = [_ref(toks[1], "q", ln)]
+            named = (_ref(toks[1], "q"),)
             inputs.update(named)
-        elif op == "PREP" and len(toks) == 3:
-            w = _ref(toks[1], "q", ln)
-            if toks[2] == "0":
-                preps.append(prep_zero(w))
-            elif toks[2] == "+":
-                preps.append(prep_plus(w))
-            else:
-                raise ParseError(f"unknown prep state {toks[2]!r}", ln)
-            named = [w]
-        elif op == "BELL" and len(toks) == 3:
-            named = [_ref(toks[1], "q", ln), _ref(toks[2], "q", ln)]
-            preps.append(prep_bell(*named))
         else:
-            raise ParseError(f"syntax error: {' '.join(toks)!r}", ln)
+            # a PREP or BELL, else a syntax error
+            prep = read_statement(toks, _ref)
+            preps.append(prep)
+            named = prep.wires
         for w in named:
             decl_line[WireRef("q", w)] = ln
-
-    def instruction(ln: int, toks: list[str]) -> Instruction:
-        cls, kind = MNEMONICS.get(toks[0], (None, None))
-        slots = FIELD_KINDS.get(cls)
-        if slots is None or len(toks) != len(slots) + 1:
-            raise ParseError(f"syntax error: {' '.join(toks)!r}", ln)
-        operands = [_ref(tok, wire, ln) for tok, (_, wire) in zip(toks[1:], slots)]
-        return cls(*operands) if kind is None else cls(kind, *operands)
 
     DECL_OPS = {"INPUT", "PREP", "BELL", "OUTPUT", "DISCARD", "REPORT", "SCRATCH"}
     in_body = False
     for ln, toks in lines[2:]:
-        if toks[0] in DECL_OPS:
-            if in_body:
-                raise ParseError("declaration after first body instruction", ln)
-            declaration(ln, toks)
-        else:
-            in_body = True
-            body.append((ln, instruction(ln, toks)))
+        try:
+            if toks[0] not in DECL_OPS:
+                in_body = True
+                body.append((ln, read_statement(toks, _ref)))
+            elif in_body:
+                raise ParseError("declaration after first body instruction")
+            else:
+                declaration(ln, toks)
+        except ParseError as exc:
+            raise ParseError(str(exc), ln) from None
 
     try:
         return circuit(

@@ -38,8 +38,8 @@ those, with the code `circuit.validate` runs on a whole circuit.
 
 Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one check
 (`_step_check`): the step's circuit is channel-equal to the start.
-`defer_measurements` only applies `Commute` and `R3_DeferMeasure` forward
-matches, so `sim.channel_of_deferred` on its result cross-checks both.
+`defer_measurements` only applies found `Commute` and `R3_DeferMeasure`
+forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
 from __future__ import annotations
 
@@ -494,24 +494,26 @@ def simplify(c: Circuit, verify: bool = True) -> tuple[Circuit, DerivationTrace]
 
 def defer_measurements(c: Circuit) -> Circuit:
     """Rule III canonical form: move measurements right, leftmost movable
-    one first, by engine rewrites only, until none moves.
+    one first, by found matches only, until none moves.
 
-    A measurement becomes the quantum control of a classically controlled
-    gate reading its result (`R3_DeferMeasure` forward) and passes any other
-    disjoint instruction (`Commute`). It stops at another measurement, at a
-    reuse of its wire, at an XOR reading its result, or at a reader that
-    targets the measured wire. Only if every measurement reaches the end is
-    the result the gates-then-measurements form `channel_of_deferred` reads.
+    A measurement at i takes the `R3_DeferMeasure` forward match at
+    (i, i + 1) if there is one, becoming the quantum control of the
+    classically controlled gate that reads its result, else the `Commute`
+    match at i, passing a disjoint instruction. It stops at another
+    measurement, at a reuse of its wire, at an XOR reading its result, or
+    at a reader that targets the measured wire. Only if every measurement
+    reaches the end is the result the gates-then-measurements form
+    `channel_of_deferred` reads.
     """
     while True:
-        r3 = {m.site: m for m in find_matches(c, "R3_DeferMeasure")}
+        found = {
+            m.site: m for rule in ("Commute", "R3_DeferMeasure") for m in find_matches(c, rule)
+        }
         for i in range(len(c.body) - 1):
-            if not isinstance(c.body[i], Measure) or isinstance(c.body[i + 1], Measure):
-                continue
-            try:
-                c = rewrite_at(c, r3.get((i, i + 1), Match("Commute", site=(i,))))
-            except RewriteError:
-                continue
-            break
+            if isinstance(c.body[i], Measure) and not isinstance(c.body[i + 1], Measure):
+                m = found.get((i, i + 1)) or found.get((i,))
+                if m is not None:
+                    c = rewrite_at(c, m)
+                    break
         else:
             return c

@@ -8,12 +8,17 @@ parallel-to-lambda) plus structural engine rules (adjacent commutations,
 discarded-wire cleanup, measurement insertion on discarded wires, Bell
 preparation folding) that the derivation scripts rely on.
 
-Each rule is stated once, as data: its pattern and replacement are
-template functions of the variant alone, whose wire slots hold variable
-names (`lambda v: [Gate1(v, "w"), Gate1(v, "w")]`), and its `condition`
-is a static, syntactic check of the circuit around an occurrence, stated
-as ordered `(variable, test)` pairs that must all pass. Each test looks at
-one variable's wire (for example "this wire is provably in |+> here", or
+Each rule is stated once, as data. Its `templates` table maps each variant
+to a pattern and a replacement, each a small circuit in the text format
+of circuit files with variable names for wires and ";" between
+statements: `"H w; H w"`, or `"PREP a +; PREP b 0; CNOT a b"` for a side
+that needs preps. Each template is read once, by the statement reader
+that `circuit.parse` uses (`circuit.read_statement`), so the circuit
+language is one table, `circuit.MNEMONICS`; a malformed template is a
+`ParseError` naming its rule. A rule's `condition` is a static, syntactic
+check of the circuit around an occurrence, stated as ordered
+`(variable, test)` pairs that must all pass. Each test looks at one
+variable's wire (for example "this wire is provably in |+> here", or
 "nothing outside the match touches this classical wire"). A test sees
 where the occurrence sits and which body indices it matched, never the
 direction, the variant or another variable's wire, so one condition serves
@@ -30,28 +35,27 @@ template with a binding map gives concrete instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .circuit import (
     FIELD_KINDS,
     Circuit,
-    ClassicalCtrl,
-    ClassicalXor,
     Gate1,
     Gate2,
     Instruction,
     Measure,
+    ParseError,
     PrepDecl,
     WireRef,
-    prep_plus,
-    prep_zero,
+    read_statement,
     touched,
     wire_state_before,
 )
 
 Bindings = Mapping[str, object]
-TemplateFn = Callable[[str], list[Instruction]]
-PrepFn = Callable[[str], list[PrepDecl]]
+# a parsed template: its instructions and its preps, in order
+Side = tuple[tuple[Instruction, ...], tuple[PrepDecl, ...]]
 # test(c, pos, matched, wire) -> reason or None: `pos` is the first matched
 # index or the insertion position, `matched` the matched body indices (empty
 # for an insertion), `wire` the wire its variable binds; it reads no other
@@ -61,134 +65,62 @@ WireTest = Callable[[Circuit, int, tuple[int, ...], int], "str | None"]
 Condition = tuple[tuple[str, WireTest], ...]
 
 
+def _parse_template(rule_id: str, text: str) -> Side:
+    """A template's instructions and preps; its operands stay variable names."""
+    instrs: list[Instruction] = []
+    preps: list[PrepDecl] = []
+    for stmt in text.split(";"):
+        toks = stmt.split()
+        if not toks:
+            continue
+        try:
+            item = read_statement(toks, lambda tok, kind: tok)
+        except ParseError as exc:
+            raise ParseError(f"rule {rule_id}: {exc}") from None
+        (preps if isinstance(item, PrepDecl) else instrs).append(item)
+    return tuple(instrs), tuple(preps)
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     id: str
-    pattern: TemplateFn
-    replacement: TemplateFn
-    variants: tuple[str, ...] = ("default",)
-    prep_pattern: PrepFn | None = None
-    prep_replacement: PrepFn | None = None
+    # variant -> (pattern, replacement), each circuit text over variable names
+    templates: Mapping[str, tuple[str, str]]
     condition: Condition = ()
     # pairs of quantum variables allowed to bind the same wire
     alias_ok: frozenset[frozenset[str]] = field(default_factory=frozenset)
 
     @property
+    def variants(self) -> tuple[str, ...]:
+        return tuple(self.templates)
+
+    @cached_property
+    def sides(self) -> dict[str, tuple[Side, Side]]:
+        """Each variant's parsed pattern and replacement, read once."""
+        return {
+            variant: (_parse_template(self.id, p), _parse_template(self.id, r))
+            for variant, (p, r) in self.templates.items()
+        }
+
+    @property
     def pure_gate(self) -> bool:
         """Sound in any context: no condition, no preps on either side, and
         only `Gate1` and `Gate2` instructions in every variant."""
-        return (
-            not (self.condition or self.prep_pattern or self.prep_replacement)
-            and all(
-                isinstance(instr, (Gate1, Gate2))
-                for v in self.variants
-                for fn in (self.pattern, self.replacement)
-                for instr in fn(v)
-            )
+        return not self.condition and all(
+            not preps and all(isinstance(instr, (Gate1, Gate2)) for instr in instrs)
+            for pair in self.sides.values()
+            for instrs, preps in pair
         )
 
 
-# ----------------------------------------------------------------------
-# Rule I: null gates
-# ----------------------------------------------------------------------
+def _provably(state: str, reason: str) -> WireTest:
+    """A test that the quantum wire is provably in `state` ("zero" or
+    "plus") just before the occurrence."""
 
+    def test(c, pos, matched, w) -> str | None:
+        return None if wire_state_before(c, w, pos) == state else reason
 
-def _inverse_pattern(v: str) -> list[Instruction]:
-    if v in ("H", "X", "Z"):
-        return [Gate1(v, "w"), Gate1(v, "w")]
-    return [Gate2(v, "c", "t"), Gate2(v, "c", "t")]
-
-
-R1_INVERSE = RewriteRule(
-    id="R1_InverseCancel",
-    pattern=_inverse_pattern,
-    replacement=lambda v: [],
-    variants=("H", "X", "Z", "CNOT", "CZ"),
-)
-
-
-def _plus_target(c, pos, matched, t) -> str | None:
-    if wire_state_before(c, t, pos) != "plus":
-        return "target wire is not provably |+> at this point"
-    return None
-
-
-R1_TARGET_PLUS = RewriteRule(
-    id="R1_TargetPlus",
-    pattern=lambda v: [Gate2("CNOT", "c", "t")],
-    replacement=lambda v: [],
-    condition=(("t", _plus_target),),
-)
-
-
-def _zero_control(c, pos, matched, w) -> str | None:
-    if wire_state_before(c, w, pos) != "zero":
-        return "control wire is not provably |0> at this point"
-    return None
-
-
-R1_CONTROL_ZERO = RewriteRule(
-    id="R1_ControlZero",
-    pattern=lambda v: [Gate2(v, "c", "t")],
-    replacement=lambda v: [],
-    variants=("CNOT", "CZ"),
-    condition=(("c", _zero_control),),
-)
-
-# ----------------------------------------------------------------------
-# Rule II: control reversal and corollaries
-# ----------------------------------------------------------------------
-
-R2_CZ_FLIP = RewriteRule(
-    id="R2_CZFlip",
-    pattern=lambda v: [Gate2("CZ", "a", "b")],
-    replacement=lambda v: [Gate2("CZ", "b", "a")],
-)
-
-R2_CNOT_VIA_CZ = RewriteRule(
-    id="R2_CNOTviaCZ",
-    pattern=lambda v: [Gate2("CNOT", "c", "t")],
-    replacement=lambda v: [Gate1("H", "t"), Gate2("CZ", "c", "t"), Gate1("H", "t")],
-)
-
-R2_CNOT_REVERSAL = RewriteRule(
-    id="R2_CNOTReversal",
-    pattern=lambda v: [
-        Gate1("H", "c"),
-        Gate1("H", "t"),
-        Gate2("CNOT", "c", "t"),
-        Gate1("H", "c"),
-        Gate1("H", "t"),
-    ],
-    replacement=lambda v: [Gate2("CNOT", "t", "c")],
-)
-
-R2_H_MIRROR = RewriteRule(
-    id="R2_HMirror",
-    pattern=lambda v: [Gate1("H", "c"), Gate1("H", "t"), Gate2("CNOT", "c", "t")],
-    replacement=lambda v: [Gate2("CNOT", "t", "c"), Gate1("H", "c"), Gate1("H", "t")],
-)
-
-# ----------------------------------------------------------------------
-# Rule III: deferred measurement
-# ----------------------------------------------------------------------
-
-R3_DEFER = RewriteRule(
-    id="R3_DeferMeasure",
-    pattern=lambda v: [
-        Measure("m", "r"),
-        ClassicalCtrl("CX" if v == "cX" else "CZC", "r", "t"),
-    ],
-    replacement=lambda v: [
-        Gate2("CNOT" if v == "cX" else "CZ", "m", "t"),
-        Measure("m", "r"),
-    ],
-    variants=("cX", "cZ"),
-)
-
-# ----------------------------------------------------------------------
-# Rule IV: quantum-classical substitution (CNOT -> XOR)
-# ----------------------------------------------------------------------
+    return test
 
 
 def _cbit_unused(reason: str) -> WireTest:
@@ -215,114 +147,6 @@ def _r4_measured_operand(c, pos, matched, bw) -> str | None:
     return None
 
 
-R4_XOR_SUBST = RewriteRule(
-    id="R4_XorSubstitute",
-    pattern=lambda v: [
-        Gate2("CNOT", "a", "b"),
-        Measure("a", "r1"),
-        Measure("b", "r2"),
-        ClassicalCtrl("CX" if v == "cX" else "CZC", "r2", "t"),
-    ],
-    replacement=lambda v: [
-        Measure("a", "r1"),
-        Measure("b", "r2"),
-        ClassicalXor("r1", "r2", "r3"),
-        ClassicalCtrl("CX" if v == "cX" else "CZC", "r3", "t"),
-    ],
-    variants=("cX", "cZ"),
-    condition=(
-        ("b", _r4_measured_operand),
-        ("r2", _cbit_unused("classical wire r2 has readers outside the match")),
-        ("r3", _cbit_unused("classical wire r3 is not fresh")),
-    ),
-)
-
-# ----------------------------------------------------------------------
-# Rule V: distributed CNOT
-# ----------------------------------------------------------------------
-
-
-def _r5_replacement(v: str) -> list[Instruction]:
-    ca, at = Gate2("CNOT", "c", "a"), Gate2("CNOT", "a", "t")
-    return [ca, at, ca, at] if v == "i" else [at, ca, at, ca]
-
-
-R5_DISTRIBUTE = RewriteRule(
-    id="R5_DistributeCNOT",
-    pattern=lambda v: [Gate2("CNOT", "c", "t")],
-    replacement=_r5_replacement,
-    variants=("i", "ii"),
-)
-
-# ----------------------------------------------------------------------
-# Rule VI: CNOT mirror (chained CNOTs reflect off a long CNOT)
-# ----------------------------------------------------------------------
-
-_AB = Gate2("CNOT", "a", "b")
-_BC = Gate2("CNOT", "b", "c")
-_AC = Gate2("CNOT", "a", "c")  # the long CNOT
-
-
-def _r6_replacement(v: str) -> list[Instruction]:
-    base = [_BC, _AB] if v[0] == "A" else [_AB, _BC]
-    base.insert(int(v[1]), _AC)
-    return base
-
-
-R6_MIRROR = RewriteRule(
-    id="R6_CNOTMirror",
-    pattern=lambda v: [_AB, _BC] if v[0] == "A" else [_BC, _AB],
-    replacement=_r6_replacement,
-    variants=("A0", "A1", "A2", "B0", "B1", "B2"),
-)
-
-# ----------------------------------------------------------------------
-# Rule VII: parallel to lambda
-# ----------------------------------------------------------------------
-
-R7_LAMBDA = RewriteRule(
-    id="R7_ParallelToLambda",
-    pattern=lambda v: [Gate2("CNOT", "c", "t1"), Gate2("CNOT", "c", "t2")],
-    replacement=lambda v: [
-        Gate2("CNOT", "t1", "t2"),
-        Gate2("CNOT", "c", "t1"),
-        Gate2("CNOT", "t1", "t2"),
-    ],
-)
-
-# ----------------------------------------------------------------------
-# Structural engine rules
-# ----------------------------------------------------------------------
-
-CONTROLS_COMMUTE = RewriteRule(
-    id="ControlsCommute",
-    pattern=lambda v: [Gate2("CNOT", "c", "a"), Gate2("CNOT", "c", "b")],
-    replacement=lambda v: [Gate2("CNOT", "c", "b"), Gate2("CNOT", "c", "a")],
-)
-
-TARGETS_COMMUTE = RewriteRule(
-    id="TargetsCommute",
-    pattern=lambda v: [Gate2("CNOT", "a", "t"), Gate2("CNOT", "b", "t")],
-    replacement=lambda v: [Gate2("CNOT", "b", "t"), Gate2("CNOT", "a", "t")],
-)
-
-
-def _cz_cnot_pattern(v: str) -> list[Instruction]:
-    cz, cnot = Gate2("CZ", "x", "y"), Gate2("CNOT", "a", "t")
-    return [cz, cnot] if v == "cz_first" else [cnot, cz]
-
-
-CZ_CONTROL_COMMUTE = RewriteRule(
-    id="CzControlCommute",
-    pattern=_cz_cnot_pattern,
-    replacement=lambda v: _cz_cnot_pattern(v)[::-1],
-    variants=("cz_first", "cnot_first"),
-    # the CZ may share the CNOT's control wire (both preserve its basis),
-    # never its target
-    alias_ok=frozenset({frozenset({"a", "x"}), frozenset({"a", "y"})}),
-)
-
-
 def _discarded_from_here(used: str) -> WireTest:
     """A test that the quantum wire is discarded and that nothing outside
     the match touches it from the occurrence on (`used` if something does)."""
@@ -337,56 +161,133 @@ def _discarded_from_here(used: str) -> WireTest:
     return test
 
 
-DISCARDED_TAIL = RewriteRule(
-    id="DiscardedWireTail",
-    pattern=lambda v: [Gate1(v, "w")],
-    replacement=lambda v: [],
-    variants=("H", "X", "Z"),
-    condition=(("w", _discarded_from_here("wire is used again later")),),
-)
-
-
-MEASURE_DISCARDED = RewriteRule(
-    id="MeasureDiscarded",
-    pattern=lambda v: [],
-    replacement=lambda v: [Measure("w", "r")],
-    condition=(
-        ("w", _discarded_from_here("wire is used again after the measurement point")),
-        ("r", _cbit_unused("classical result wire is read or assigned elsewhere")),
-    ),
-)
-
-
 def _untouched_before(c, pos, matched, w) -> str | None:
     if touched(c, WireRef("q", w), stop=pos):
         return "pair wires are touched before the fold point"
     return None
 
 
-BELL_PREP_FOLD = RewriteRule(
-    id="BellPrepFold",
-    pattern=lambda v: (
-        [Gate1("H", "a"), Gate2("CNOT", "a", "b")]
-        if v == "hcnot"
-        else [Gate2("CNOT", "a", "b")]
-    ),
-    replacement=lambda v: [],
-    variants=("hcnot", "plus"),
-    prep_pattern=lambda v: [
-        prep_zero("a") if v == "hcnot" else prep_plus("a"),
-        prep_zero("b"),
-    ],
-    prep_replacement=lambda v: [PrepDecl("bell", ("a", "b"))],
-    condition=(("a", _untouched_before), ("b", _untouched_before)),
+# Rule I: null gates
+R1_INVERSE = RewriteRule("R1_InverseCancel", {
+    "H": ("H w; H w", ""),
+    "X": ("X w; X w", ""),
+    "Z": ("Z w; Z w", ""),
+    "CNOT": ("CNOT c t; CNOT c t", ""),
+    "CZ": ("CZ c t; CZ c t", ""),
+})
+R1_TARGET_PLUS = RewriteRule(
+    "R1_TargetPlus",
+    {"default": ("CNOT c t", "")},
+    condition=(("t", _provably("plus", "target wire is not provably |+> at this point")),),
+)
+R1_CONTROL_ZERO = RewriteRule(
+    "R1_ControlZero",
+    {"CNOT": ("CNOT c t", ""), "CZ": ("CZ c t", "")},
+    condition=(("c", _provably("zero", "control wire is not provably |0> at this point")),),
 )
 
+# Rule II: control reversal and corollaries
+R2_CZ_FLIP = RewriteRule("R2_CZFlip", {"default": ("CZ a b", "CZ b a")})
+R2_CNOT_VIA_CZ = RewriteRule(
+    "R2_CNOTviaCZ", {"default": ("CNOT c t", "H t; CZ c t; H t")}
+)
+R2_CNOT_REVERSAL = RewriteRule(
+    "R2_CNOTReversal", {"default": ("H c; H t; CNOT c t; H c; H t", "CNOT t c")}
+)
+R2_H_MIRROR = RewriteRule(
+    "R2_HMirror", {"default": ("H c; H t; CNOT c t", "CNOT t c; H c; H t")}
+)
+
+# Rule III: deferred measurement
+R3_DEFER = RewriteRule("R3_DeferMeasure", {
+    "cX": ("MEASURE m r; CX r t", "CNOT m t; MEASURE m r"),
+    "cZ": ("MEASURE m r; CZC r t", "CZ m t; MEASURE m r"),
+})
+
+# Rule IV: quantum-classical substitution (CNOT -> XOR)
+R4_XOR_SUBST = RewriteRule(
+    "R4_XorSubstitute",
+    {
+        "cX": (
+            "CNOT a b; MEASURE a r1; MEASURE b r2; CX r2 t",
+            "MEASURE a r1; MEASURE b r2; XOR r1 r2 r3; CX r3 t",
+        ),
+        "cZ": (
+            "CNOT a b; MEASURE a r1; MEASURE b r2; CZC r2 t",
+            "MEASURE a r1; MEASURE b r2; XOR r1 r2 r3; CZC r3 t",
+        ),
+    },
+    condition=(
+        ("b", _r4_measured_operand),
+        ("r2", _cbit_unused("classical wire r2 has readers outside the match")),
+        ("r3", _cbit_unused("classical wire r3 is not fresh")),
+    ),
+)
+
+# Rule V: distributed CNOT
+R5_DISTRIBUTE = RewriteRule("R5_DistributeCNOT", {
+    "i": ("CNOT c t", "CNOT c a; CNOT a t; CNOT c a; CNOT a t"),
+    "ii": ("CNOT c t", "CNOT a t; CNOT c a; CNOT a t; CNOT c a"),
+})
+
+# Rule VI: CNOT mirror (chained CNOTs reflect off the long CNOT a c, which
+# the variant's digit places)
+R6_MIRROR = RewriteRule("R6_CNOTMirror", {
+    "A0": ("CNOT a b; CNOT b c", "CNOT a c; CNOT b c; CNOT a b"),
+    "A1": ("CNOT a b; CNOT b c", "CNOT b c; CNOT a c; CNOT a b"),
+    "A2": ("CNOT a b; CNOT b c", "CNOT b c; CNOT a b; CNOT a c"),
+    "B0": ("CNOT b c; CNOT a b", "CNOT a c; CNOT a b; CNOT b c"),
+    "B1": ("CNOT b c; CNOT a b", "CNOT a b; CNOT a c; CNOT b c"),
+    "B2": ("CNOT b c; CNOT a b", "CNOT a b; CNOT b c; CNOT a c"),
+})
+
+# Rule VII: parallel to lambda
+R7_LAMBDA = RewriteRule(
+    "R7_ParallelToLambda",
+    {"default": ("CNOT c t1; CNOT c t2", "CNOT t1 t2; CNOT c t1; CNOT t1 t2")},
+)
+
+# Structural engine rules
+CONTROLS_COMMUTE = RewriteRule(
+    "ControlsCommute", {"default": ("CNOT c a; CNOT c b", "CNOT c b; CNOT c a")}
+)
+TARGETS_COMMUTE = RewriteRule(
+    "TargetsCommute", {"default": ("CNOT a t; CNOT b t", "CNOT b t; CNOT a t")}
+)
+CZ_CONTROL_COMMUTE = RewriteRule(
+    "CzControlCommute",
+    {
+        "cz_first": ("CZ x y; CNOT a t", "CNOT a t; CZ x y"),
+        "cnot_first": ("CNOT a t; CZ x y", "CZ x y; CNOT a t"),
+    },
+    # the CZ may share the CNOT's control wire (both preserve its basis),
+    # never its target
+    alias_ok=frozenset({frozenset({"a", "x"}), frozenset({"a", "y"})}),
+)
+DISCARDED_TAIL = RewriteRule(
+    "DiscardedWireTail",
+    {"H": ("H w", ""), "X": ("X w", ""), "Z": ("Z w", "")},
+    condition=(("w", _discarded_from_here("wire is used again later")),),
+)
+MEASURE_DISCARDED = RewriteRule(
+    "MeasureDiscarded",
+    {"default": ("", "MEASURE w r")},
+    condition=(
+        ("w", _discarded_from_here("wire is used again after the measurement point")),
+        ("r", _cbit_unused("classical result wire is read or assigned elsewhere")),
+    ),
+)
+BELL_PREP_FOLD = RewriteRule(
+    "BellPrepFold",
+    {
+        "hcnot": ("PREP a 0; PREP b 0; H a; CNOT a b", "BELL a b"),
+        "plus": ("PREP a +; PREP b 0; CNOT a b", "BELL a b"),
+    },
+    condition=(("a", _untouched_before), ("b", _untouched_before)),
+)
 # "Commute" (adjacent disjoint-support swap) is handled specially by the
 # engine; it is listed here so rule ids are uniform and CLI-visible.
-COMMUTE = RewriteRule(
-    id="Commute",
-    pattern=lambda v: [],
-    replacement=lambda v: [],
-)
+COMMUTE = RewriteRule("Commute", {"default": ("", "")})
 
 CATALOG = (
     R1_INVERSE,
@@ -416,42 +317,29 @@ STRUCTURAL_IDS = tuple(r.id for r in STRUCTURAL)
 RULES: dict[str, RewriteRule] = {r.id: r for r in CATALOG + STRUCTURAL}
 
 
-def template_side(
-    rule: RewriteRule, direction: str, which: str
-) -> tuple[TemplateFn, PrepFn | None]:
-    """Template functions for the matched ("src") or produced ("dst") side."""
-    forward = direction == "forward"
-    take_pattern = (which == "src") == forward
-    if take_pattern:
-        return rule.pattern, rule.prep_pattern
-    return rule.replacement, rule.prep_replacement
+def template_side(rule: RewriteRule, direction: str, which: str, variant: str) -> Side:
+    """A variant's parsed matched ("src") or produced ("dst") side."""
+    pattern, replacement = rule.sides[variant]
+    return pattern if (which == "src") == (direction == "forward") else replacement
 
 
-def template_variables(instrs: list[Instruction]) -> tuple[str, ...]:
-    """Variable names (the wire slots) of a template, in order."""
-    seen: list[str] = []
-    for instr in instrs:
-        for name, _ in FIELD_KINDS[type(instr)]:
-            val = getattr(instr, name)
-            if val not in seen:
-                seen.append(val)
-    return tuple(seen)
+def template_variables(side: Side) -> tuple[str, ...]:
+    """Variable names of a template: its instructions' wire slots in order,
+    then its prep wires."""
+    instrs, preps = side
+    slots = [getattr(i, name) for i in instrs for name, _ in FIELD_KINDS[type(i)]]
+    return tuple(dict.fromkeys(slots + [w for p in preps for w in p.wires]))
 
 
 def variable_kinds(rule: RewriteRule) -> dict[str, str]:
     """Map each variable of a rule to its wire kind ("q" or "c")."""
     kinds: dict[str, str] = {}
-    for variant in rule.variants:
-        for fn in (rule.pattern, rule.replacement):
-            for instr in fn(variant):
-                for name, kind in FIELD_KINDS[type(instr)]:
-                    kinds[getattr(instr, name)] = kind
-        for prep_fn in (rule.prep_pattern, rule.prep_replacement):
-            if prep_fn is None:
-                continue
-            for p in prep_fn(variant):
-                for w in p.wires:
-                    kinds[w] = "q"
+    for pair in rule.sides.values():
+        for instrs, preps in pair:
+            kinds.update((w, "q") for p in preps for w in p.wires)
+            kinds.update(
+                (getattr(i, name), kind) for i in instrs for name, kind in FIELD_KINDS[type(i)]
+            )
     return kinds
 
 
@@ -544,25 +432,16 @@ class RuleForm:
         return None
 
 
-def _side(
-    rule: RewriteRule, direction: str, which: str, variant: str
-) -> tuple[tuple[Instruction, ...], tuple[PrepDecl, ...], tuple[str, ...]]:
-    fn, prep_fn = template_side(rule, direction, which)
-    tpl = tuple(fn(variant))
-    preps = tuple(prep_fn(variant)) if prep_fn is not None else ()
-    prep_vars = tuple(w for p in preps for w in p.wires)
-    return tpl, preps, tuple(dict.fromkeys(template_variables(tpl) + prep_vars))
-
-
 def _compile(rule: RewriteRule, direction: str) -> dict[str, RuleForm]:
     kinds = variable_kinds(rule)
     forms = {}
-    for variant in rule.variants:
-        src, src_preps, src_vars = _side(rule, direction, "src", variant)
-        dst, dst_preps, dst_vars = _side(rule, direction, "dst", variant)
+    for variant in rule.templates:
+        src = template_side(rule, direction, "src", variant)
+        dst = template_side(rule, direction, "dst", variant)
         forms[variant] = RuleForm(
-            rule.id, direction, variant, src, dst, src_preps, dst_preps,
-            src_vars, dst_vars, kinds, rule.alias_ok, rule.condition,
+            rule.id, direction, variant, src[0], dst[0], src[1], dst[1],
+            template_variables(src), template_variables(dst), kinds,
+            rule.alias_ok, rule.condition,
         )
     return forms
 

@@ -23,6 +23,7 @@ from qrewrite.circuit import (
     wire_state_before,
 )
 from qrewrite.engine import find_matches
+from qrewrite.rules import RULES
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import build_unitary
 
@@ -183,6 +184,18 @@ def test_readme_format_example_parses():
     example = section.split("```\n", 2)[1]
     c = parse(example)
     assert {type(instr) for instr in c.body} == set(FIELD_KINDS)
+
+
+def test_readme_rules_list_every_rule_form():
+    # one line per rule and variant: "<id> [<variant>]: <pattern> => <replacement>"
+    lines = []
+    for rule in RULES.values():
+        for variant, (pattern, replacement) in rule.templates.items():
+            label = rule.id if variant == "default" else f"{rule.id} [{variant}]"
+            lines.append(f"{label}: {pattern or '(empty)'} => {replacement or '(empty)'}")
+    section = README.read_text(encoding="utf-8").split("## Rules\n", 1)[1]
+    listing = section.split("```\n", 2)[1]
+    assert listing == "\n".join(lines) + "\n"
 
 
 def test_readme_library_sketch_runs(capsys):

@@ -12,9 +12,11 @@ from qrewrite.circuit import (
     Circuit,
     CircuitError,
     ClassicalCtrl,
+    Gate1,
     Gate2,
     Measure,
     PrepDecl,
+    circuit,
     parse,
     prep_zero,
     serialize,
@@ -32,7 +34,7 @@ from qrewrite.engine import (
     simplify,
 )
 from qrewrite.equivalence import channel_equal, oracle_equal
-from qrewrite.rules import FORMS, RULES, rule_forms
+from qrewrite.rules import DIRECTIONS, FORMS, RULES, ground, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
@@ -576,6 +578,82 @@ def test_classical_forms_are_sound_in_context():
         ("R4_XorSubstitute", "forward"),
         ("R4_XorSubstitute", "backward"),
     ], checked
+
+
+def _planted_r4(rng, direction, variant):
+    """A random context with the `src` of one R4 form planted at a random
+    position, grounded with random bindings, and its site. The planted cbits
+    are new, so only a random tail reads one again; a tail may instead touch
+    `b` after its measurement. Roles are random: `b` and every other qubit
+    discarded with probability 3/4, each cbit reported with 1/5."""
+    form = rule_forms("R4_XorSubstitute", direction)[variant]
+    c = random_circuit(rng, max_qubits=4, max_cbits=2, max_instructions=6)
+    n = c.num_qubits + 1  # a spare qubit keeps three distinct operands
+    cvars = [v for v in form.src_vars if form.kinds[v] == "c"]
+    bindings = dict(zip("abt", (int(w) for w in rng.choice(n, size=3, replace=False))))
+    bindings.update({v: c.num_cbits + k for k, v in enumerate(cvars)})
+    m = c.num_cbits + len(cvars)
+    tail = {
+        0: [Gate1("H", bindings["b"])],
+        1: [ClassicalCtrl("CZC", bindings[str(rng.choice(cvars))], int(rng.integers(n)))],
+    }.get(int(rng.integers(6)), [])
+    k = int(rng.integers(len(c.body) + 1))
+    body = c.body[:k] + tuple(ground(form.src, bindings)) + c.body[k:] + tuple(tail)
+    q_roles = rng.choice(["output", "discard"], size=n, p=[0.25, 0.75])
+    c_roles = rng.choice(["scratch", "report"], size=m, p=[0.8, 0.2])
+    planted = circuit(
+        n, m, body, preps=c.preps, inputs=c.inputs,
+        q_roles={w: str(r) for w, r in enumerate(q_roles)},
+        c_roles={w: str(r) for w, r in enumerate(c_roles)},
+    )
+    return planted, tuple(range(k, k + len(form.src)))
+
+
+def _r4_sweep():
+    """Plant each R4 form in seeded random contexts: per direction, how many
+    planted occurrences `find_matches` admits and refuses, and every found
+    match whose rewrite is invalid or not oracle-equal in context."""
+    rng = np.random.default_rng(4404)
+    counts = {d: {"admitted": 0, "refused": 0} for d in DIRECTIONS}
+    unsound = []
+    for direction in DIRECTIONS:
+        for variant in RULES["R4_XorSubstitute"].variants:
+            for _ in range(24):
+                c, site = _planted_r4(rng, direction, variant)
+                found = find_matches(c, "R4_XorSubstitute", direction)
+                admitted = any(m.site == site and m.variant == variant for m in found)
+                counts[direction]["admitted" if admitted else "refused"] += 1
+                for m in found:
+                    try:
+                        ok = oracle_equal(c, rewrite_at(c, m))
+                    except CircuitError:
+                        ok = False
+                    if not ok:
+                        unsound.append((direction, m.label(), serialize(c)))
+    return counts, unsound
+
+
+def test_rule_iv_is_sound_in_context():
+    # random circuits never hold R4's pattern, so it is planted: every
+    # found match is oracle-equal in context, and the condition both
+    # admits and refuses planted occurrences in each direction
+    counts, unsound = _r4_sweep()
+    assert unsound == []
+    for direction in DIRECTIONS:
+        assert counts[direction]["admitted"] and counts[direction]["refused"], counts
+
+
+def test_rule_iv_sweep_finds_an_unsound_rewrite_without_the_condition(monkeypatch):
+    # with every test of R4's condition admitting everything, the same
+    # sweep finds, in each direction, rewrites that change the channel or
+    # the reports, or that build an invalid circuit
+    for direction in DIRECTIONS:
+        forms = FORMS["R4_XorSubstitute", direction]
+        for variant, form in list(forms.items()):
+            admit_all = tuple((var, lambda *args: None) for var, _ in form.condition)
+            monkeypatch.setitem(forms, variant, dataclasses.replace(form, condition=admit_all))
+    _, unsound = _r4_sweep()
+    assert {direction for direction, _, _ in unsound} == set(DIRECTIONS)
 
 
 def test_rewrite_rejects_sites_the_matcher_does_not_gather():

@@ -1,11 +1,13 @@
 """Rule catalog soundness: channel preservation, exact unitary identities,
 XOR-arithmetic oracles, invertibility, and static conditions."""
+import hashlib
+import re
 import zlib
 
 import numpy as np
 import pytest
 
-from qrewrite.circuit import FIELD_KINDS, Gate1, Gate2, circuit, parse
+from qrewrite.circuit import FIELD_KINDS, Gate1, Gate2, ParseError, circuit, parse
 from qrewrite.engine import RewriteError, find_matches, match, rewrite_at
 from qrewrite.equivalence import channel_equal, oracle_equal, unitary_equal
 from qrewrite.rules import (
@@ -14,6 +16,8 @@ from qrewrite.rules import (
     FORMS,
     RULES,
     STRUCTURAL_IDS,
+    RewriteRule,
+    _compile,
     rule_forms,
 )
 from qrewrite.sim import build_unitary, extract_channel
@@ -346,3 +350,39 @@ def test_instantiate_rejects_unknown_direction_and_missing_pattern_binding():
         instantiate("R2_CZFlip", {"a": 0, "b": 1}, direction="sideways")
     with pytest.raises(ValueError, match="missing binding for 'b'"):
         instantiate("R2_CZFlip", {"a": 0})
+
+
+FORMS_DIGEST = "c8bee896c59b705e4d411215d59703f490c342dca9ec4be7bf2356ff48a215aa"
+
+
+def test_compiled_forms_are_pinned():
+    # every field of every compiled form, conditions by variable only: a
+    # change in how rules are stated must compile to the same records
+    h = hashlib.sha256()
+    for key in sorted(FORMS):
+        for variant, f in FORMS[key].items():
+            h.update(repr((
+                f.rule, f.direction, f.variant, f.src, f.dst, f.src_preps,
+                f.dst_preps, f.src_vars, f.dst_vars, sorted(f.kinds.items()),
+                sorted(sorted(p) for p in f.alias_ok), [v for v, _ in f.condition],
+            )).encode())
+    assert h.hexdigest() == FORMS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "template, error",
+    [
+        ("H w; HH w", "syntax error: 'HH w'"),
+        ("CNOT c", "syntax error: 'CNOT c'"),
+        ("PREP a 1; CNOT a b", "unknown prep state '1'"),
+        ("BELL a", "syntax error: 'BELL a'"),
+    ],
+)
+@pytest.mark.parametrize("side", [0, 1])
+def test_malformed_templates_fail_at_compile_time(template, error, side):
+    # an unknown mnemonic, a wrong operand count, an unknown prep state and
+    # a one-wire BELL, as pattern or as replacement
+    pair = (template, "") if side == 0 else ("", template)
+    rule = RewriteRule("Malformed", {"default": pair})
+    with pytest.raises(ParseError, match=f"^rule Malformed: {re.escape(error)}$"):
+        _compile(rule, "forward")
