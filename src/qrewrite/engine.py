@@ -36,8 +36,17 @@ none); `Commute` swaps. The output differs from its valid input only in
 that window, the preps and new scratch cbits, so the splice checks only
 those, with the code `circuit.validate` runs on a whole circuit.
 
-Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one check
-(`_step_check`): the step's circuit is channel-equal to the start.
+Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one
+check (`_step_check`) in two tiers, decided from the circuits before and
+after the step alone, not from the match. The window tier
+(`_window_equal`) diffs the two bodies; where the declarations agree and
+the window is empty, a swap of disjoint instructions, or gates on both
+sides, it compares the window's two small isometries, with the qubits
+that are provably in a product state before it fixed to that state. That
+is exact in any context, report distributions included. Any other step
+(one that measures, prepares, discards or adds a cbit in its window) is
+checked by channel equality of the whole circuit with the start, whose
+channel is extracted at the first step that needs it.
 `defer_measurements` only applies found `Commute` and `R3_DeferMeasure`
 forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
@@ -56,12 +65,16 @@ from .circuit import (
     ClassicalCtrl,
     Instruction,
     Measure,
+    PrepDecl,
+    WireRef,
     _splice,
+    circuit,
     serialize,
+    wires,
 )
-from .equivalence import channel_equal
+from .equivalence import channel_equal, unitary_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms
-from .sim import extract_channel
+from .sim import _apply_gates, _prepare, extract_channel
 
 
 class RewriteError(ValueError):
@@ -400,6 +413,8 @@ class TraceStep:
     label: str
     circuit: Circuit
     verified: bool | None  # None when verification was off; never False
+    # the check that accepted the step: "window" or "channel" (None if off)
+    tier: str | None = None
 
 
 @dataclass
@@ -424,17 +439,85 @@ def _indent(text: str) -> str:
     return "\n".join("    " + line for line in text.splitlines())
 
 
+def _window_equal(a: Circuit, b: Circuit) -> bool:
+    """True if the window where the bodies of `a` and `b` differ shows
+    them equal in any context they share: same channel, same report
+    distribution. False if it cannot tell, not a proof that they differ.
+
+    The window is what is left of the two bodies after their longest common
+    prefix and then their longest common suffix; the declarations must be
+    identical. An empty window, or a swap of two instructions with disjoint
+    wires, is equal. So is a window of gates on both sides whose two
+    isometries agree up to one global phase: on its qubits S, a wire is
+    fixed if it carries a |0> or |+> prep and only `Gate1`s touch it before
+    the window, so the state there is a product of the fixed wires' states
+    (the prep run through those gates) and a state of everything else, on
+    every branch and input column. Each isometry is the window's gates
+    applied to the fixed states tensored with the identity on the other
+    wires of S.
+    """
+    if (a.num_qubits, a.num_cbits, a.preps, a.inputs, a.q_roles, a.c_roles) != (
+        b.num_qubits, b.num_cbits, b.preps, b.inputs, b.q_roles, b.c_roles
+    ):
+        return False
+    x, y = a.body, b.body
+    n = min(len(x), len(y))
+    p = 0
+    while p < n and x[p] == y[p]:
+        p += 1
+    s = 0
+    while s < n - p and x[-1 - s] == y[-1 - s]:
+        s += 1
+    old, new = x[p : len(x) - s], y[p : len(y) - s]
+    if not old and not new:
+        return True
+    if len(old) == 2 and new == old[::-1]:
+        return not (wires(old[0]) & wires(old[1]))
+    if not all(isinstance(i, (Gate1, Gate2)) for i in old + new):
+        return False
+    qubits = sorted({w.index for i in old + new for w in wires(i)})
+    local = {w: k for k, w in enumerate(qubits)}
+    preps, before = [], []
+    for w in qubits:
+        prep = a.prep_of(w)
+        if prep is None or prep.kind == "bell":
+            continue
+        gates = [x[j] for j in a.wire_index.positions.get(WireRef("q", w), ()) if j < p]
+        if all(isinstance(i, Gate1) for i in gates):
+            preps.append(PrepDecl(prep.kind, (local[w],)))
+            before += gates
+    frame = circuit(len(qubits), 0, (), preps=preps)  # the other wires are inputs
+    fixed = _apply_gates(_prepare(frame), ground(before, local))
+    return unitary_equal(
+        _apply_gates(fixed, ground(old, local)),
+        _apply_gates(fixed, ground(new, local)),
+        up_to_phase=True,
+    )
+
+
 def _step_check(start: Circuit, verify: bool) -> Callable[[Match, Circuit], TraceStep]:
-    """A recorder of steps from `start` as `TraceStep`s; with `verify`, a step
-    whose circuit is not channel-equal to `start` raises `VerificationError`."""
-    start_channel = extract_channel(start) if verify else None
+    """A recorder of steps from `start` as `TraceStep`s. With `verify`, each
+    step's circuit is checked against the step before it by `_window_equal`,
+    and, where that cannot tell, its channel against the start's, which is
+    extracted at the first step that needs it; a step that fails both raises
+    `VerificationError`. Every earlier step was accepted, so either check
+    shows the step equal to `start`."""
+    if not verify:
+        return lambda m, new: TraceStep(m.label(), new, None)
+    prev, start_channel = start, None
 
     def step(m: Match, new: Circuit) -> TraceStep:
-        if start_channel is None:
-            return TraceStep(m.label(), new, None)
-        if not channel_equal(start_channel, extract_channel(new)):
-            raise VerificationError(f"step {m.label()} broke channel equality")
-        return TraceStep(m.label(), new, True)
+        nonlocal prev, start_channel
+        if _window_equal(prev, new):
+            tier = "window"
+        else:
+            if start_channel is None:
+                start_channel = extract_channel(start)
+            if not channel_equal(start_channel, extract_channel(new)):
+                raise VerificationError(f"step {m.label()} broke channel equality")
+            tier = "channel"
+        prev = new
+        return TraceStep(m.label(), new, True, tier)
 
     return step
 

@@ -332,14 +332,20 @@ def template_variables(side: Side) -> tuple[str, ...]:
 
 
 def variable_kinds(rule: RewriteRule) -> dict[str, str]:
-    """Map each variable of a rule to its wire kind ("q" or "c")."""
+    """Map each variable of a rule to its wire kind ("q" or "c"); a variable
+    in slots of both kinds is a ParseError naming the rule."""
     kinds: dict[str, str] = {}
     for pair in rule.sides.values():
         for instrs, preps in pair:
-            kinds.update((w, "q") for p in preps for w in p.wires)
-            kinds.update(
+            slots = [(w, "q") for p in preps for w in p.wires] + [
                 (getattr(i, name), kind) for i in instrs for name, kind in FIELD_KINDS[type(i)]
-            )
+            ]
+            for var, kind in slots:
+                if kinds.setdefault(var, kind) != kind:
+                    raise ParseError(
+                        f"rule {rule.id}: variable {var!r} names both a quantum"
+                        " and a classical wire"
+                    )
     return kinds
 
 

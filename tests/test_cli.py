@@ -217,6 +217,9 @@ def test_simplify_prints_trace(files, capsys):
 
 
 def test_failed_verification_exit_code(files, capsys, monkeypatch):
+    # fail both tiers of step verification: the window check and the
+    # whole-circuit channel check
+    monkeypatch.setattr("qrewrite.engine._window_equal", lambda a, b: False)
     monkeypatch.setattr("qrewrite.engine.channel_equal", lambda a, b: False)
     path = files("hh.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0\n")
     for argv in (

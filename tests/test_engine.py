@@ -277,6 +277,9 @@ def test_defer_measurements_defers_the_recorded_corpus():
 
 
 def test_failed_verification_raises(monkeypatch):
+    # fail both tiers of step verification: the window check and the
+    # whole-circuit channel check
+    monkeypatch.setattr("qrewrite.engine._window_equal", lambda a, b: False)
     monkeypatch.setattr("qrewrite.engine.channel_equal", lambda a, b: False)
     with pytest.raises(VerificationError, match="R1_ControlZero"):
         derive("TeleportFromTransfer")

@@ -376,12 +376,14 @@ def test_compiled_forms_are_pinned():
         ("CNOT c", "syntax error: 'CNOT c'"),
         ("PREP a 1; CNOT a b", "unknown prep state '1'"),
         ("BELL a", "syntax error: 'BELL a'"),
+        ("MEASURE a a", "variable 'a' names both a quantum and a classical wire"),
     ],
 )
 @pytest.mark.parametrize("side", [0, 1])
 def test_malformed_templates_fail_at_compile_time(template, error, side):
-    # an unknown mnemonic, a wrong operand count, an unknown prep state and
-    # a one-wire BELL, as pattern or as replacement
+    # an unknown mnemonic, a wrong operand count, an unknown prep state, a
+    # one-wire BELL and a variable in slots of both kinds, as pattern or as
+    # replacement
     pair = (template, "") if side == 0 else ("", template)
     rule = RewriteRule("Malformed", {"default": pair})
     with pytest.raises(ParseError, match=f"^rule Malformed: {re.escape(error)}$"):

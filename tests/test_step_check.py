@@ -1,0 +1,186 @@
+"""Step verification's two tiers: the window check (`engine._window_equal`)
+and the whole-circuit channel check behind it."""
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from qrewrite import engine
+from qrewrite.circuit import Gate1, Gate2, parse
+from qrewrite.engine import (
+    VerificationError,
+    _window_equal,
+    apply_steps,
+    find_matches,
+    rewrite_at,
+    simplify,
+)
+from qrewrite.equivalence import channel_equal, oracle_equal
+from qrewrite.rules import DIRECTIONS, FORMS
+from qrewrite.scenarios import derive
+from qrewrite.sim import extract_channel
+
+from util import random_circuit
+
+
+# derivation -> steps accepted by the window check and by the channel check
+TIERS = {
+    "TeleportFromTransfer": {"window": 9, "channel": 6},
+    "DenseFromCopy": {"window": 5, "channel": 6},
+    "GateTeleportFromTeleport": {"window": 21, "channel": 14},
+}
+
+
+def _with_random_roles(rng, c):
+    q_roles = tuple(str(r) for r in rng.choice(["output", "discard"], size=c.num_qubits))
+    c_roles = tuple(str(r) for r in rng.choice(["scratch", "report"], size=c.num_cbits))
+    return dataclasses.replace(c, q_roles=q_roles, c_roles=c_roles)
+
+
+def _sweep_corpus():
+    rng = np.random.default_rng(777)
+    return [
+        _with_random_roles(rng, random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=10))
+        for _ in range(40)
+    ]
+
+
+def _steps():
+    """(before, after, label) for every step of the three derivations and
+    of unverified `simplify` on seeded random circuits, then every found
+    match of every rule and direction on the sweep corpus."""
+    for name in TIERS:
+        trace = derive(name, verify=False)
+        before = [trace.start] + [s.circuit for s in trace.steps]
+        for prev, step in zip(before, trace.steps):
+            yield prev, step.circuit, f"{name}: {step.label}"
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        c = random_circuit(rng, max_qubits=4, max_cbits=2, max_instructions=12)
+        _, trace = simplify(c, verify=False)
+        before = [c] + [s.circuit for s in trace.steps]
+        for prev, step in zip(before, trace.steps):
+            yield prev, step.circuit, f"simplify: {step.label}"
+    for c in _sweep_corpus():
+        for rule, direction in FORMS:
+            for m in find_matches(c, rule, direction):
+                yield c, rewrite_at(c, m), m.label()
+
+
+def test_the_window_check_accepts_only_channel_equal_steps():
+    # whenever the window check accepts a step, the whole-circuit channel
+    # check accepts it too; a sample of accepted steps on circuits with
+    # report roles is also oracle-equal, report distributions included
+    accepted, fell_through, unequal = 0, 0, []
+    for prev, new, label in _steps():
+        if not _window_equal(prev, new):
+            fell_through += 1
+            continue
+        accepted += 1
+        if not channel_equal(extract_channel(prev), extract_channel(new)):
+            unequal.append(label)
+        elif accepted % 25 == 0 and prev.report_cbits and not oracle_equal(prev, new):
+            unequal.append(label)
+    assert unequal == []
+    assert accepted >= 6_000 and fell_through >= 400, (accepted, fell_through)
+
+
+@pytest.fixture
+def null_controls_admit_everything(monkeypatch):
+    """R1_ControlZero and R1_TargetPlus with every test of their conditions
+    admitting everything, in both directions."""
+    for rule in ("R1_ControlZero", "R1_TargetPlus"):
+        for direction in DIRECTIONS:
+            forms = FORMS[rule, direction]
+            for variant, form in list(forms.items()):
+                admit_all = tuple((var, lambda *args: None) for var, _ in form.condition)
+                monkeypatch.setitem(forms, variant, dataclasses.replace(form, condition=admit_all))
+
+
+def test_the_window_check_refuses_unsound_null_controls(null_controls_admit_everything):
+    # without their conditions, the two rules rewrite unsoundly in context;
+    # the window check accepts only sound rewrites, and every unsound one
+    # fails verification
+    accepted = unsound = 0
+    for c in _sweep_corpus():
+        channel = extract_channel(c)
+        for rule in ("R1_ControlZero", "R1_TargetPlus"):
+            for direction in DIRECTIONS:
+                for m in find_matches(c, rule, direction):
+                    new = rewrite_at(c, m)
+                    window = _window_equal(c, new)
+                    if channel_equal(channel, extract_channel(new)):
+                        accepted += window
+                        continue
+                    unsound += 1
+                    assert not window, m.label()
+                    with pytest.raises(VerificationError):
+                        rewrite_at(c, m, verify=True)
+    assert accepted >= 900 and unsound >= 1_500, (accepted, unsound)
+
+
+# (rule, direction, variant, unsound `dst`, circuit text): each replacement
+# changes what a pure-gate form computes in this context
+_UNSOUND_DST = {
+    "H H is not X": (
+        "R1_InverseCancel", "forward", "H", (Gate1("X", "w"),),
+        "qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0",
+    ),
+    "CZ on |++> is not the identity": (
+        "R2_CZFlip", "forward", "default", (),
+        "qubits 2\ncbits 0\nPREP q0 +\nPREP q1 +\nCZ q0 q1",
+    ),
+    "CNOT is not CZ between Hs on one side": (
+        "R2_CNOTviaCZ", "forward", "default", (Gate1("H", "t"), Gate2("CZ", "c", "t")),
+        "qubits 3\ncbits 0\nINPUT q0\nPREP q1 0\nINPUT q2\nH q1\nCNOT q0 q1\nCNOT q1 q2",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(_UNSOUND_DST))
+def test_an_unsound_pure_gate_form_fails_verification(monkeypatch, defect):
+    rule, direction, variant, dst, text = _UNSOUND_DST[defect]
+    forms = FORMS[rule, direction]
+    monkeypatch.setitem(forms, variant, dataclasses.replace(forms[variant], dst=dst))
+    c = parse(text)
+    m = next(m for m in find_matches(c, rule, direction) if m.variant == variant)
+    assert not _window_equal(c, rewrite_at(c, m))
+    with pytest.raises(VerificationError, match=rule):
+        rewrite_at(c, m, verify=True)
+    with pytest.raises(VerificationError, match=rule):
+        apply_steps(c, [m])
+
+
+@pytest.mark.parametrize("name", list(TIERS))
+def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
+    # the start's channel is extracted once, at the first step that needs
+    # it; a window-checked step extracts none
+    calls = Counter()
+
+    def counting(c):
+        calls[c] += 1
+        return extract_channel(c)
+
+    monkeypatch.setattr(engine, "extract_channel", counting)
+    trace = derive(name)
+    assert Counter(s.tier for s in trace.steps) == TIERS[name]
+    assert all(s.verified for s in trace.steps)
+    channel_steps = [s.circuit for s in trace.steps if s.tier == "channel"]
+    assert calls == Counter([trace.start] + channel_steps)
+    assert {s.tier for s in derive(name, verify=False).steps} == {None}
+
+
+def test_simplify_by_window_checks_alone_extracts_no_channel(monkeypatch):
+    c = parse(
+        "qubits 3\ncbits 0\nPREP q0 0\nINPUT q1\nPREP q2 +\n"
+        "H q1\nH q1\nX q0\nX q0\nCNOT q0 q1\nCNOT q1 q2\nCZ q1 q2\nCZ q1 q2"
+    )
+
+    def refuse(c):
+        raise AssertionError("channel extracted")
+
+    monkeypatch.setattr(engine, "extract_channel", refuse)
+    final, trace = simplify(c)
+    assert final.body == ()
+    assert [s.tier for s in trace.steps] == ["window"] * 5
