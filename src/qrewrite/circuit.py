@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 class CircuitError(ValueError):
@@ -122,8 +122,11 @@ _TEXT = {
 }
 
 
+@lru_cache(maxsize=1 << 12)
 def wires(instr: Instruction) -> frozenset[WireRef]:
-    """All quantum and classical wires touched by an instruction."""
+    """All quantum and classical wires touched by an instruction. Equal
+    instructions share one set (instructions are frozen, so hashable), so
+    a circuit's wire index holds one set per distinct instruction."""
     return frozenset(
         WireRef(kind, getattr(instr, name)) for name, kind in FIELD_KINDS[type(instr)]
     )

@@ -10,18 +10,21 @@ the labeled distribution on report-role classical wires. The probes are
 the columns of one matrix and run through the simulator's branch loop
 (`sim._prepare`, `sim._branches`) as batches: probe 0 alone, so a pair
 that differs there costs one column (and, with no input wires, decides),
-then passes of at most 2^n_in columns, narrowed (down to one column) when
-the branch states could exceed `sim.BYTE_BUDGET`. That loop is all the
-oracle shares with the channel path: it reads densities from the branch
-states itself and never touches Kraus operators, `make_channel`,
-`extract_channel` or `channel_equal`.
+then the rest in passes as wide as `sim.BYTE_BUDGET` allows. A
+measurement splits the branch state into half-size blocks and never
+grows it, so a pass is sized from the state alone, doubled only for
+each gate that brings a measured wire back and each measured output
+wire (`sim._entries_per_column`); it narrows down to one column. The
+loop and its row readout (`sim._kraus_rows`) are all the oracle shares
+with the channel path: it forms densities from the rows itself and never
+touches `make_channel`, `extract_channel` or `channel_equal`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import sim
-from .circuit import Circuit, Measure
+from .circuit import Circuit
 from .sim import Channel, SQRT_HALF
 
 UNITARY_ATOL = 1e-9
@@ -94,12 +97,11 @@ def probe_states(n_in: int) -> tuple[list[str], np.ndarray]:
     return names, np.hstack([np.eye(dim, dtype=complex), single, random])
 
 
-def _pass_width(c: Circuit, n_in: int) -> int:
-    """Probe columns per pass: at most 2^n_in, and few enough that the
-    branch states fit `sim.BYTE_BUDGET` even if every measurement splits
-    every branch (at worst one column, as a single-input run)."""
-    splits = sum(isinstance(instr, Measure) for instr in c.body)
-    return max(1, min(1 << n_in, sim.BYTE_BUDGET // (16 << (c.num_qubits + splits))))
+def _pass_width(c: Circuit) -> int:
+    """Probe columns per pass: as many as fit `sim.BYTE_BUDGET` in the worst
+    case of `c`'s branch states and Kraus rows (at worst one column, as a
+    single-input run)."""
+    return max(1, sim.BYTE_BUDGET // (16 * sim._entries_per_column(c)))
 
 
 def _probe_outputs(c: Circuit, columns: np.ndarray):
@@ -107,25 +109,19 @@ def _probe_outputs(c: Circuit, columns: np.ndarray):
 
     Returns the rows R, a (k, 2^n_out, m) array whose slice j gives probe
     j's outcome-marginalized output density R_j R_j^dag (one row block per
-    branch and nonzero basis state of the discarded wires), and the labeled
-    distribution on report-role classical wires (sorted order) as a dict
-    from outcome to a (k,) array of probabilities.
+    branch and basis state of its live discarded wires, read by
+    `sim._kraus_rows`), and the labeled distribution on report-role
+    classical wires (sorted order) as a dict from outcome to a (k,) array
+    of probabilities.
     """
-    n, outs = c.num_qubits, c.output_wires
-    # index[o, d]: basis index with output bits o and discard bits d
-    index = np.arange(1 << n).reshape([2] * n).transpose(outs + c.discard_wires)
-    index = index.reshape(1 << len(outs), -1)
-    reports = c.report_cbits
-    rows, dist = [], {}
-    for outcome, s in sim._branches(c, sim._prepare(c, columns)):
-        v = s.view(float)  # real and imaginary parts side by side
-        weight = np.einsum("ij,ij->i", v, v)[index].sum(axis=0)
-        # a measured discard wire leaves most discard slices zero: skip them
-        r = s.T[:, index[:, weight > sim.PRUNE_EPS**2]]
-        rows.append(r)
-        key = tuple(outcome.get(w, -1) for w in reports)
-        dist[key] = dist.get(key, 0.0) + (r.real**2 + r.imag**2).sum(axis=(1, 2))
-    return np.concatenate(rows, axis=2), dist
+    branches = sim._branches(c, sim._prepare(c, columns))
+    rows = sim._kraus_rows(c, branches)
+    r = rows.transpose(3, 0, 2, 1).reshape(rows.shape[3], len(rows), -1)
+    dist = {}
+    reported = branches.outcomes[:, list(c.report_cbits)].tolist()
+    for key, p in zip(map(tuple, reported), branches.probabilities()):
+        dist[key] = dist.get(key, 0.0) + p
+    return r, dist
 
 
 def _first_difference(out1, out2) -> int | None:
@@ -171,7 +167,7 @@ def distinguishing_probe(c1: Circuit, c2: Circuit) -> str | None:
     """
     n_in = _require_matching_roles(c1, c2)
     names, probes = probe_states(n_in)
-    width = min(_pass_width(c1, n_in), _pass_width(c2, n_in))
+    width = min(_pass_width(c1), _pass_width(c2))
     count = len(names) if n_in else 1
     bounds = (0, *range(1, count, width), count)
     for start, stop in zip(bounds, bounds[1:]):

@@ -3,20 +3,34 @@ full-unitary construction, and Kraus channel extraction.
 
 Every gate acts along axis 0 of a `(2^n,)` statevector or of a `(2^n, k)`
 batch of statevector columns, so one pass over the circuit evolves a whole
-input isometry. Two independent channel paths are provided:
-`extract_channel` enumerates measurement branches once on the isometry,
-while `channel_of_deferred` evolves the isometry through the gates of a
-circuit whose measurements all sit at the end of the body. Cross checking
-the two is part of the verification story. The Choi matrix is computed
-only on request (`Channel.choi`); channel equality never forms it.
+input isometry.
+
+Measurement branching (`_branches`) keeps every branch in one array. A
+measured wire leaves the state: each branch records its value, and the
+live (unmeasured) wires, the same on every branch, index the rows of one
+`(2^L, B*k)` array whose column blocks are the B branches. A measurement
+splits the rows into two half-size blocks, so the array never grows
+there. A later gate on a measured wire acts on its recorded value (X flips
+it, Z is a sign, a measured control picks the branches a gate acts on).
+Only H on a measured wire, or a CNOT onto it from a live control, brings
+the wire back and doubles the array.
+
+Two independent channel paths are provided: `extract_channel` enumerates
+measurement branches once on the isometry, while `channel_of_deferred`
+evolves the isometry through the gates of a circuit whose measurements all
+sit at the end of the body. Cross checking the two is part of the
+verification story. The Choi matrix is computed only on request
+(`Channel.choi`); channel equality never forms it.
 
 Every dense array the simulator allocates is checked against
-`BYTE_BUDGET` first; a request over it raises `SimulationError` and
-allocates nothing.
+`BYTE_BUDGET` first (the branch array before each split and each
+re-expansion); a request over it raises `SimulationError` and allocates
+nothing.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,10 +39,12 @@ import numpy as np
 from .circuit import (
     Circuit,
     ClassicalCtrl,
+    ClassicalXor,
     Gate1,
     Gate2,
     Instruction,
     Measure,
+    WRITES,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -147,6 +163,12 @@ def _scatter_index(n: int, wires) -> np.ndarray:
     return full
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Each row of a (B, m) array of 0/1 values as a basis index over m
+    wires, the first most significant."""
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
 def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
     """Joint state over all wires, input register tensored with the
     preparations, for each column of `columns` (shape (2^n_in, k)).
@@ -178,39 +200,167 @@ def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
     return amp[:, None] * columns[in_index]
 
 
-def _branches(c: Circuit, state: np.ndarray) -> list[tuple[dict[int, int], np.ndarray]]:
-    """The branch-enumeration loop: run the body on a prepared (2^n, k)
-    state, splitting at every measurement.
+class _Branches:
+    """Every branch of a run, as column blocks of one array over the live
+    wires (see the module docstring).
 
-    Branches stay unnormalized, so a branch's squared norm is its total
-    probability over the k columns; branches under PRUNE_EPS are dropped.
-    Classical outcomes are shared by all columns of a branch.
+    `state` is (2^L, B*k) over the L wires of `live` (ascending, first
+    most significant); branch b is its columns b*k .. b*k + k - 1,
+    unnormalized, so a block's squared norm is the branch's probability
+    summed over the k input columns. `fixed[b, w]` is branch b's value of
+    measured wire w (0 while w is live) and `outcomes[b, j]` its value of
+    classical wire j (-1 while unassigned). The loop owns `state` and may
+    change it in place.
     """
-    branches = [({}, state)]
-    for instr in c.body:
-        if isinstance(instr, (Gate1, Gate2)):
-            branches = [(o, apply_gate(s, instr)) for o, s in branches]
-        elif isinstance(instr, Measure):
-            _require_budget(2 * len(branches) * state.size, "measurement branches")
-            new_branches = []
-            for outcome, s in branches:
-                zero = _wire_axes(s, instr.target)  # the loop owns s: project in place
-                one = zero.copy()
-                one[:, 0] = 0
-                zero[:, 1] = 0
-                for value, proj in ((0, zero.reshape(s.shape)), (1, one.reshape(s.shape))):
-                    if float(np.vdot(proj, proj).real) >= PRUNE_EPS:
-                        new_branches.append(({**outcome, instr.result: value}, proj))
-            branches = new_branches
-        elif isinstance(instr, ClassicalCtrl):
+
+    __slots__ = ("live", "at", "state", "k", "fixed", "outcomes")
+
+    def __init__(self, c: Circuit, state: np.ndarray):
+        self.state, self.k = np.ascontiguousarray(state), state.shape[1]
+        self.fixed = np.zeros((1, c.num_qubits), dtype=np.int64)
+        self.outcomes = np.full((1, c.num_cbits), -1, dtype=np.int64)
+        self._relive(list(range(c.num_qubits)))
+
+    def _relive(self, live: list[int]) -> None:
+        self.live = live
+        self.at = {w: p for p, w in enumerate(live)}  # wire -> row axis
+
+    def _blocks(self) -> np.ndarray:
+        """`state` as (2^L, B, k)."""
+        return self.state.reshape(len(self.state), len(self.fixed), self.k)
+
+    def gate(self, instr: Gate1 | Gate2, on: np.ndarray | None = None) -> None:
+        """Apply a pure gate on the branches in the (B,) mask `on` (all if
+        None). A measured control makes it a gate on the branches where
+        the control is 1; on a measured wire, X flips the value, Z is a
+        sign, and H brings the wire back, as does a CNOT onto it from a
+        live control."""
+        at, kind, t = self.at, instr.kind, instr.target
+        if type(instr) is Gate2:
+            c = instr.control
+            if kind == "CZ" and t not in at:
+                c, t = t, c  # CZ is symmetric: let a measured wire control
+            if c in at:
+                if t not in at:
+                    self._expand(t, hadamard=False)
+                local = Gate2(kind, self.at[c], self.at[t])
+                return self._on_branches(on, lambda s: apply_gate(s, local))
+            one = self.fixed[:, c] == 1
+            on = one if on is None else on & one
+            kind = "X" if kind == "CNOT" else "Z"
+        if t in at:
+            local = Gate1(kind, at[t])
+            self._on_branches(on, lambda s: apply_gate(s, local))
+        elif kind == "H":  # never masked: H is not classically controlled
+            self._expand(t, hadamard=True)
+        elif kind == "X":
+            self.fixed[slice(None) if on is None else on, t] ^= 1
+        else:
+            one = self.fixed[:, t] == 1
+            self._on_branches(one if on is None else on & one, np.negative)
+
+    def _on_branches(self, on: np.ndarray | None, fn) -> None:
+        """Replace the blocks of the branches in mask `on` (all if None) by
+        `fn` of them, a function of a (2^L, j) array."""
+        sel = None if on is None else np.flatnonzero(on)
+        if sel is None or len(sel) == len(on):
+            self.state = fn(self.state)
+        elif len(sel):
+            blocks = self._blocks()
+            rows = len(blocks)
+            part = fn(blocks[:, sel].reshape(rows, -1))
+            blocks[:, sel] = part.reshape(rows, len(sel), self.k)
+            self.state = blocks.reshape(rows, -1)
+
+    def _expand(self, w: int, hadamard: bool) -> None:
+        """Bring measured wire w back into the state: as H of its value on
+        each branch, or (not `hadamard`) as its value."""
+        _require_budget(2 * self.state.size, "re-expanded branch state")
+        p = bisect_left(self.live, w)
+        rows, f = len(self.state), self.fixed[:, w]
+        old = self.state.reshape(1 << p, rows >> p, len(f), self.k)
+        new = np.empty((1 << p, 2, rows >> p, len(f), self.k), dtype=complex)
+        if hadamard:
+            np.multiply(old, SQRT_HALF, out=new[:, 0])
+            np.multiply(new[:, 0], (1 - 2 * f)[:, None], out=new[:, 1])
+        else:
+            np.multiply(old, (f == 0)[:, None], out=new[:, 0])
+            np.multiply(old, (f == 1)[:, None], out=new[:, 1])
+        self.fixed[:, w] = 0
+        self.state = new.reshape(2 * rows, -1)
+        self._relive(self.live[:p] + [w] + self.live[p:])
+
+    def measure(self, w: int, result: int) -> None:
+        """Measure wire w into classical wire `result`: a live wire splits
+        every branch in two half-size blocks (value 0 first), dropping
+        blocks under PRUNE_EPS; a measured one reads its value."""
+        if w not in self.at:
+            self.outcomes[:, result] = self.fixed[:, w]
+            return
+        _require_budget(self.state.size, "measurement branches")
+        p, rows, count, k = self.at[w], len(self.state), len(self.fixed), self.k
+        shape = (1 << p, 2, rows >> (p + 1), count, 2 * k)
+        parts = self.state.view(float).reshape(shape)  # real and imaginary side by side
+        weight = np.einsum("abcde,abcde->db", parts, parts)  # (branch, value)
+        kb, kv = np.nonzero(weight >= PRUNE_EPS)
+        halves = self.state.reshape(shape[:-1] + (k,)).transpose(0, 2, 3, 1, 4)
+        if len(kb) < 2 * count:
+            halves = halves[:, :, kb, kv]
+        self.state = np.ascontiguousarray(halves).reshape(rows >> 1, -1)
+        self.fixed, self.outcomes = self.fixed[kb], self.outcomes[kb]
+        self.fixed[:, w] = self.outcomes[:, result] = kv
+        self._relive(self.live[:p] + self.live[p + 1 :])
+
+    def probabilities(self) -> np.ndarray:
+        """(B, k): each branch's probability for each input column."""
+        parts = self.state.view(float)
+        sq = np.einsum("ij,ij->j", parts, parts)
+        return sq.reshape(len(self.fixed), self.k, 2).sum(axis=2)
+
+
+def _branches(c: Circuit, state: np.ndarray) -> _Branches:
+    """The branch-enumeration loop: run the body on a prepared (2^n, k)
+    state, splitting at every measurement, with every branch a column
+    block of one array over the live wires (`_Branches`).
+
+    Up to the first measurement the body runs as plain gates on the whole
+    state, at the cost of a circuit with no measurement; from there on,
+    each instruction acts on all branches at once. The byte budget is
+    checked before every split and every re-expansion.
+    """
+    body = c.body
+    first = next((i for i, ins in enumerate(body) if type(ins) is Measure), len(body))
+    branches = _Branches(c, _apply_gates(state, body[:first]))
+    for instr in body[first:]:
+        cls = type(instr)
+        if cls is Measure:
+            branches.measure(instr.target, instr.result)
+        elif cls is ClassicalCtrl:
             gate = Gate1("X" if instr.kind == "CX" else "Z", instr.target)
-            for i, (outcome, s) in enumerate(branches):
-                if outcome[instr.control]:
-                    branches[i] = (outcome, apply_gate(s, gate))
-        else:  # ClassicalXor
-            for outcome, _ in branches:
-                outcome[instr.out] = outcome[instr.a] ^ outcome[instr.b]
+            branches.gate(gate, branches.outcomes[:, instr.control] == 1)
+        elif cls is ClassicalXor:
+            out = branches.outcomes
+            out[:, instr.out] = out[:, instr.a] ^ out[:, instr.b]
+        else:
+            branches.gate(instr)
     return branches
+
+
+def _entries_per_column(c: Circuit) -> int:
+    """Most complex entries per input column that `_branches` and
+    `_kraus_rows` hold for `c`: 2^n, doubled by each H or CNOT target on a
+    wire measured before it (it may come back into the state) and by each
+    measured output wire (its rows are placed, with zeros, in the Kraus
+    rows), but at most 2^n for each of the 2^m branches of m measurements."""
+    measured, grow, splits = set(), 0, 0
+    for instr in c.body:
+        if type(instr) is Measure:
+            measured.add(instr.target)
+            splits += 1
+        elif getattr(instr, "kind", None) in ("H", "CNOT"):
+            grow += instr.target in measured
+    grow += len(measured.intersection(c.output_wires))
+    return 1 << (c.num_qubits + min(grow, splits))
 
 
 def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
@@ -229,11 +379,21 @@ def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
         raise SimulationError(f"input has dimension {vec.shape[0]}, expected {dim_in}")
     if abs(np.linalg.norm(vec) - 1.0) > ATOL:
         raise SimulationError("input state is not normalized")
+    n = c.num_qubits
+    branches = _branches(c, _prepare(c, vec[:, None]))
+    rows = _scatter_index(n, branches.live) if len(branches.live) < n else None
+    bases = _pack(branches.fixed)
+    cbits = [getattr(i, WRITES[type(i)]) for i in c.body if type(i) in WRITES]
     out = []
-    for outcome, s in _branches(c, _prepare(c, vec[:, None])):
-        s = s[:, 0]
+    for s, base, outcome in zip(branches.state.T, bases, branches.outcomes.tolist()):
+        if rows is None:
+            s = np.ascontiguousarray(s)  # so vdot sums it as it sums a lone column
+        else:  # the live amplitudes, placed at the branch's measured bits
+            full = np.zeros(1 << n, dtype=complex)
+            full[rows | base] = s
+            s = full
         p = float(np.vdot(s, s).real)
-        out.append(Branch(outcome, p, s / math.sqrt(p)))
+        out.append(Branch({j: outcome[j] for j in cbits}, p, s / math.sqrt(p)))
     return out
 
 
@@ -283,24 +443,46 @@ def _restriction_indices(n: int, outs: tuple[int, ...], rest: tuple[int, ...]) -
     return _scatter_index(n, outs)[:, None] | _scatter_index(n, rest)[None, :]
 
 
+def _kraus_rows(c: Circuit, branches: _Branches) -> np.ndarray:
+    """Rows of every Kraus operator of a finished run, as a (2^n_out, 2^D,
+    B, k) array: entry [o, d, b] is row o of branch b's operator for basis
+    state d of the D live discarded wires.
+
+    One index table over the live wires serves every branch. A measured
+    discarded wire has one value per branch, so it needs no slice. A
+    measured output wire makes every row zero whose bit there differs from
+    the branch's value: each branch's rows are placed at its own bits.
+    """
+    outs, at = c.output_wires, branches.at
+    live = [i for i, w in enumerate(outs) if w in at]
+    table = _restriction_indices(
+        len(at),
+        tuple(at[outs[i]] for i in live),
+        tuple(at[w] for w in c.discard_wires if w in at),
+    )
+    rows = branches._blocks()[table]  # (2^len(live), 2^D, B, k)
+    if len(live) == len(outs):
+        return rows
+    _require_budget(rows.size << (len(outs) - len(live)), "Kraus rows")
+    own = _pack(branches.fixed[:, list(outs)])  # a live wire's value reads 0
+    placed = np.zeros((1 << len(outs),) + rows.shape[1:], dtype=complex)
+    at_rows = _scatter_index(len(outs), live)[:, None] | own[None, :]
+    placed[at_rows, :, np.arange(len(own))] = rows.transpose(0, 2, 1, 3)
+    return placed
+
+
 def extract_channel(c: Circuit) -> Channel:
     """Channel from input wires to output wires by branch enumeration.
 
     The circuit runs once on its input isometry. Each surviving branch,
-    restricted to one basis index d of the discarded wires, is one Kraus
-    operator: its rows with discard bits d. Channel equality compares the
-    span these operators generate, so it does not depend on the Kraus
+    restricted to one basis state d of its live discarded wires, is one
+    Kraus operator (`_kraus_rows`). Channel equality compares the span
+    these operators generate, so it does not depend on the Kraus
     decomposition.
     """
-    outs = c.output_wires
-    branches = _branches(c, _prepare(c))
-    fi = _restriction_indices(c.num_qubits, outs, c.discard_wires)
-    kraus = []
-    for _, s in branches:
-        # a measured discard wire leaves most d-slices zero: skip them unread
-        weight = (np.linalg.norm(s, axis=1) ** 2)[fi].sum(axis=0)
-        kraus.append(s[fi[:, weight > PRUNE_EPS**2]].transpose(1, 0, 2))
-    return make_channel(np.concatenate(kraus), len(c.effective_inputs), len(outs))
+    rows = _kraus_rows(c, _branches(c, _prepare(c)))
+    kraus = rows.transpose(2, 1, 0, 3).reshape(-1, len(rows), rows.shape[3])
+    return make_channel(kraus, len(c.effective_inputs), len(c.output_wires))
 
 
 def channel_of_deferred(c: Circuit) -> Channel:

@@ -303,12 +303,45 @@ def test_input_free_pairs_are_decided_on_probe_zero(monkeypatch):
 def test_oracle_narrows_passes_to_fit_the_byte_budget(monkeypatch):
     a, equal_b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=True)
     _, b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=False)
-    # worst case for one column: every one of the 3 measurements splits
-    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (6 + 3))
+    # worst case for one column: the 6-qubit state, since the 3 measurements
+    # split it into half-size blocks and nothing brings a measured wire back
+    assert sim._entries_per_column(a) == 1 << 6
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 6)
     _, probes = probe_states(3)
-    with pytest.raises(sim.SimulationError):
-        sim._branches(a, sim._prepare(a, probes[:, :8]))
+    with pytest.raises(sim.SimulationError, match="budget"):
+        sim._branches(a, sim._prepare(a, probes[:, :2]))
+    widths = []
+    branches = sim._branches
+    monkeypatch.setattr(
+        sim, "_branches", lambda c, s: widths.append(s.shape[1]) or branches(c, s)
+    )
     for other in (b, equal_b):
         assert distinguishing_probe(a, other) == per_probe_oracle(a, other)
+    assert set(widths) == {1}
     assert oracle_equal(a, equal_b)
     assert not oracle_equal(a, b)
+
+
+def test_oracle_runs_one_pass_after_probe_zero(monkeypatch):
+    # the passes are sized by the byte budget alone, not by 2^n_in: a
+    # one-input pair runs probe 0 and then its other 24 probes together
+    widths = []
+    branches = sim._branches
+    monkeypatch.setattr(
+        sim, "_branches", lambda c, s: widths.append(s.shape[1]) or branches(c, s)
+    )
+    a = parse("qubits 2\ncbits 1\nINPUT q0\nPREP q1 0\nCNOT q0 q1\nMEASURE q1 c0")
+    b = dataclasses.replace(a, body=a.body[:1] + (Gate1("Z", 0),) + a.body[1:])
+    assert oracle_equal(a, b)
+    assert widths == [1, 1, 24, 24]
+
+
+def test_half10_pairs_decided_by_channel_oracle_and_deferred_paths():
+    # the largest measured rung the benchmark runs: 5 input wires and 5
+    # measured ancillas, so 32 branches per input column
+    rng = np.random.default_rng(10)
+    for equal in (True, False):
+        a, b = _measured_ancilla_pair(rng, 10, equal)
+        assert channel_equal(extract_channel(a), extract_channel(b)) == equal
+        assert channel_equal(channel_of_deferred(a), channel_of_deferred(b)) == equal
+        assert oracle_equal(a, b) == equal

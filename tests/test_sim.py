@@ -1,8 +1,21 @@
 """Simulator: gate semantics, branch enumeration, unitaries, channels."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qrewrite.circuit import Gate1, Gate2, ParseError, circuit, parse, prep_zero
+from qrewrite import sim
+from qrewrite.circuit import (
+    ClassicalCtrl,
+    Gate1,
+    Gate2,
+    Measure,
+    ParseError,
+    circuit,
+    parse,
+    prep_zero,
+)
+from qrewrite.equivalence import channel_equal
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import (
     SQRT_HALF,
@@ -18,6 +31,8 @@ from qrewrite.sim import (
 from util import (
     basis_state,
     fidelity,
+    full_channel,
+    full_run,
     is_unitary,
     random_circuit,
     random_state,
@@ -174,6 +189,90 @@ def test_oversized_requests_are_refused_before_allocation():
     ch = extract_channel(circuit(8, 0, [], inputs=range(8)))
     with pytest.raises(SimulationError, match="budget"):
         ch.choi
+
+
+def test_re_expansion_is_refused_over_budget(monkeypatch):
+    # each H on the measured wire brings it back into the branch state, and
+    # each measurement then doubles the branches: round r holds 2^(r+2) entries
+    rounds = 6
+    body = [g for r in range(rounds) for g in (Gate1("H", 0), Measure(0, r))]
+    c = circuit(3, rounds, body, preps=[prep_zero(w) for w in range(3)])
+    assert sim._entries_per_column(c) == 1 << (3 + rounds - 1)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (3 + rounds - 1))
+    branches = run(c)
+    assert len(branches) == 1 << rounds
+    assert all(b.probability == pytest.approx(1 / (1 << rounds), abs=1e-12) for b in branches)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (3 + rounds - 2))
+    with pytest.raises(SimulationError, match="re-expanded branch state needs"):
+        run(c)
+
+
+def _measured_wire_cases(c) -> set[str]:
+    """What `c`'s body does to measured wires, tracked by the branch loop's
+    rule: a measurement takes a wire out of the state, and H on it or a
+    CNOT onto it from a live control brings it back."""
+    cases, out = set(), set()
+    for instr in c.body:
+        if isinstance(instr, Measure):
+            if instr.target in out:
+                cases.add("re-measurement")
+            out.add(instr.target)
+        elif isinstance(instr, ClassicalCtrl):
+            if instr.target in out:
+                cases.add("classical control on measured target")
+        elif isinstance(instr, Gate1):
+            if instr.target in out:
+                cases.add(f"{instr.kind} on measured wire")
+                if instr.kind == "H":
+                    out.discard(instr.target)
+        elif isinstance(instr, Gate2):
+            control, target = instr.control in out, instr.target in out
+            if control and target:
+                cases.add(f"{instr.kind} with both measured")
+            elif control:
+                cases.add(f"{instr.kind} with measured control")
+            elif target:
+                cases.add(f"{instr.kind} with measured target")
+                if instr.kind == "CNOT":
+                    out.discard(instr.target)
+    if any(c.q_roles[w] == "output" for w in out):
+        cases.add("measured output wire")
+    return cases
+
+
+def test_branch_loop_agrees_with_full_dimension_reference():
+    rng = np.random.default_rng(1616)
+    seen: dict[str, int] = {}
+    for k in range(300):
+        c = random_circuit(rng, max_qubits=4, max_cbits=4, max_instructions=16, p_input=0.3)
+        if k % 2:  # measured wires default to discard: let some be outputs
+            roles = rng.choice(["output", "discard"], size=c.num_qubits)
+            c = dataclasses.replace(c, q_roles=tuple(str(r) for r in roles))
+        for case in _measured_wire_cases(c):
+            seen[case] = seen.get(case, 0) + 1
+        assert channel_equal(extract_channel(c), full_channel(c)), c
+        vec = random_state(rng, len(c.effective_inputs))
+        got, want = run(c, vec), full_run(c, vec)
+        assert len(got) == len(want), c
+        for a, b in zip(got, want):
+            assert a.outcome == b.outcome, c
+            assert a.probability == b.probability, c
+            assert np.array_equal(a.state, b.state), c
+    cases = [
+        "X on measured wire",
+        "Z on measured wire",
+        "H on measured wire",
+        "CNOT with measured control",
+        "CNOT with measured target",
+        "CNOT with both measured",
+        "CZ with measured control",
+        "CZ with measured target",
+        "CZ with both measured",
+        "classical control on measured target",
+        "re-measurement",
+        "measured output wire",
+    ]
+    assert all(seen.get(case, 0) >= 3 for case in cases), seen
 
 
 def test_restriction_indices_match_bitwise_loop():

@@ -24,7 +24,18 @@ from qrewrite.circuit import (
 from qrewrite.engine import Match, RewriteError, _admit, _check_applicable
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
 from qrewrite.rules import ground, ground_preps, rule_forms
-from qrewrite.sim import ATOL, SQRT_HALF, run
+from qrewrite.sim import (
+    ATOL,
+    PRUNE_EPS,
+    SQRT_HALF,
+    Branch,
+    _prepare,
+    _restriction_indices,
+    _wire_axes,
+    apply_gate,
+    make_channel,
+    run,
+)
 
 
 def basis_state(n_wires: int, index: int) -> np.ndarray:
@@ -334,3 +345,46 @@ def per_probe_oracle(c1, c2, atol: float = ORACLE_ATOL) -> str | None:
         ):
             return name
     return None
+
+
+def full_branches(c, state: np.ndarray) -> list[tuple[dict[int, int], np.ndarray]]:
+    """The branch loop on full-dimension states: every branch keeps all n
+    wires, and a measurement projects a copy of its state on each value.
+    The reference for `sim._branches`."""
+    branches = [({}, state)]
+    for instr in c.body:
+        if isinstance(instr, (Gate1, Gate2)):
+            branches = [(o, apply_gate(s, instr)) for o, s in branches]
+        elif isinstance(instr, Measure):
+            split = []
+            for outcome, s in branches:
+                for value in (0, 1):
+                    proj = _wire_axes(s, instr.target).copy()
+                    proj[:, 1 - value] = 0
+                    proj = proj.reshape(s.shape)
+                    if float(np.vdot(proj, proj).real) >= PRUNE_EPS:
+                        split.append(({**outcome, instr.result: value}, proj))
+            branches = split
+        elif isinstance(instr, ClassicalCtrl):
+            gate = Gate1("X" if instr.kind == "CX" else "Z", instr.target)
+            branches = [(o, apply_gate(s, gate) if o[instr.control] else s) for o, s in branches]
+        else:  # ClassicalXor
+            branches = [({**o, instr.out: o[instr.a] ^ o[instr.b]}, s) for o, s in branches]
+    return branches
+
+
+def full_channel(c):
+    """`sim.extract_channel` from `full_branches`: each branch restricted to
+    each basis state of the discarded wires is one Kraus operator."""
+    index = _restriction_indices(c.num_qubits, c.output_wires, c.discard_wires)
+    kraus = [s[index].transpose(1, 0, 2) for _, s in full_branches(c, _prepare(c))]
+    return make_channel(np.concatenate(kraus), len(c.effective_inputs), len(c.output_wires))
+
+
+def full_run(c, vec: np.ndarray) -> list[Branch]:
+    """`sim.run` from `full_branches`."""
+    out = []
+    for outcome, s in full_branches(c, _prepare(c, vec[:, None])):
+        p = float(np.vdot(s, s).real)
+        out.append(Branch(outcome, p, s[:, 0] / np.sqrt(p)))
+    return out
