@@ -601,7 +601,9 @@ def wire_state_before(c: Circuit, w: int, pos: int) -> str | None:
 
     Tracks the prep state through single-qubit gates only (up to global
     phase); any multi-qubit interaction, measurement or classical control
-    on the wire makes the state unknown (None).
+    on the wire makes the state unknown (None). The one query for a wire's
+    known state: the R1 conditions and the engine's window tier read it,
+    and its names key the vectors in `sim.STATE_VECTORS`.
     """
     p = c.prep_of(w)
     if p is None or p.kind == "bell":

@@ -41,12 +41,13 @@ check (`_step_check`) in two tiers, decided from the circuits before and
 after the step alone, not from the match. The window tier
 (`_window_equal`) diffs the two bodies; where the declarations agree and
 the window is empty, a swap of disjoint instructions, or gates on both
-sides, it compares the window's two small isometries, with the qubits
-that are provably in a product state before it fixed to that state. That
-is exact in any context, report distributions included. Any other step
-(one that measures, prepares, discards or adds a cbit in its window) is
-checked by channel equality of the whole circuit with the start, whose
-channel is extracted at the first step that needs it.
+sides, it compares the window's two small isometries, with each qubit
+whose state before it `circuit.wire_state_before` knows fixed to that
+state (the query the R1 conditions read). That is exact in any context,
+report distributions included. Any other step (one that measures,
+prepares, discards or adds a cbit in its window) is checked by channel
+equality of the whole circuit with the start, whose channel is extracted
+at the first step that needs it.
 `defer_measurements` only applies found `Commute` and `R3_DeferMeasure`
 forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
@@ -57,6 +58,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
+import numpy as np
+
 from .circuit import (
     FIELD_KINDS,
     Circuit,
@@ -65,16 +68,14 @@ from .circuit import (
     ClassicalCtrl,
     Instruction,
     Measure,
-    PrepDecl,
-    WireRef,
     _splice,
-    circuit,
     serialize,
+    wire_state_before,
     wires,
 )
 from .equivalence import channel_equal, unitary_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms
-from .sim import _apply_gates, _prepare, extract_channel
+from .sim import STATE_VECTORS, _apply_gates, _require_budget, extract_channel
 
 
 class RewriteError(ValueError):
@@ -449,12 +450,14 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
     identical. An empty window, or a swap of two instructions with disjoint
     wires, is equal. So is a window of gates on both sides whose two
     isometries agree up to one global phase: on its qubits S, a wire is
-    fixed if it carries a |0> or |+> prep and only `Gate1`s touch it before
-    the window, so the state there is a product of the fixed wires' states
-    (the prep run through those gates) and a state of everything else, on
-    every branch and input column. Each isometry is the window's gates
-    applied to the fixed states tensored with the identity on the other
-    wires of S.
+    fixed if `wire_state_before` knows its state at the window (|0>, |1>,
+    |+> or |->, up to a global phase), so the state there is a product of
+    the fixed wires' states and a state of everything else, on every
+    branch and input column. Each isometry is the window's gates applied
+    to the Kronecker product over S, in ascending order, of the fixed
+    wires' `sim.STATE_VECTORS` columns and the 2x2 identity on the other
+    wires. A wire's phase is a scalar shared by both sides. An isometry
+    over `sim.BYTE_BUDGET` raises `SimulationError` before it is built.
     """
     if (a.num_qubits, a.num_cbits, a.preps, a.inputs, a.q_roles, a.c_roles) != (
         b.num_qubits, b.num_cbits, b.preps, b.inputs, b.q_roles, b.c_roles
@@ -477,17 +480,11 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
         return False
     qubits = sorted({w.index for i in old + new for w in wires(i)})
     local = {w: k for k, w in enumerate(qubits)}
-    preps, before = [], []
-    for w in qubits:
-        prep = a.prep_of(w)
-        if prep is None or prep.kind == "bell":
-            continue
-        gates = [x[j] for j in a.wire_index.positions.get(WireRef("q", w), ()) if j < p]
-        if all(isinstance(i, Gate1) for i in gates):
-            preps.append(PrepDecl(prep.kind, (local[w],)))
-            before += gates
-    frame = circuit(len(qubits), 0, (), preps=preps)  # the other wires are inputs
-    fixed = _apply_gates(_prepare(frame), ground(before, local))
+    states = [wire_state_before(a, w, p) for w in qubits]
+    _require_budget((1 << len(qubits)) << states.count(None), "prepared state")
+    fixed = np.ones((1, 1), dtype=complex)
+    for state in states:
+        fixed = np.kron(fixed, np.eye(2) if state is None else STATE_VECTORS[state][:, None])
     return unitary_equal(
         _apply_gates(fixed, ground(old, local)),
         _apply_gates(fixed, ground(new, local)),

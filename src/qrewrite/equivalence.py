@@ -8,9 +8,10 @@ The oracle runs both circuits on a fixed probe set (every basis state,
 compares, probe by probe, the outcome-marginalized output density and
 the labeled distribution on report-role classical wires. The probes are
 the columns of one matrix and run through the simulator's branch loop
-(`sim._prepare`, `sim._branches`) as batches: probe 0 alone, so a pair
-that differs there costs one column (and, with no input wires, decides),
-then the rest in passes as wide as `sim.BYTE_BUDGET` allows. A
+(`sim._prepare`, `sim._branches`) as batches: probe 0 alone, before
+the probe set is built, so a pair that differs there costs one column
+and no random draws (and, with no input wires, probe 0 decides), then
+the rest in passes as wide as `sim.BYTE_BUDGET` allows. A
 measurement splits the branch state into half-size blocks and never
 grows it, so a pass is sized from the state alone, doubled only for
 each gate that brings a measured wire back and each measured output
@@ -76,12 +77,16 @@ def channel_equal(a: Channel, b: Channel) -> bool:
     return bool(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T) <= CHANNEL_ATOL)
 
 
+def _basis_name(j: int, n_in: int) -> str:
+    return f"basis |{j:0{n_in}b}>" if n_in else "scalar input"
+
+
 def probe_states(n_in: int) -> tuple[list[str], np.ndarray]:
     """Probe names and the (2^n_in, k) matrix whose columns are the probes,
     in order: the computational basis, |+>/|->/|+i> on one input wire with
     the others |0>, and 20 seeded random states."""
     dim = 1 << n_in
-    names = [f"basis |{j:0{n_in}b}>" if n_in else "scalar input" for j in range(dim)]
+    names = [_basis_name(j, n_in) for j in range(dim)]
     single = np.zeros((dim, 3 * n_in), dtype=complex)
     single[0] = SQRT_HALF
     for w in range(n_in):
@@ -161,17 +166,23 @@ def oracle_equal(c1: Circuit, c2: Circuit) -> bool:
 def distinguishing_probe(c1: Circuit, c2: Circuit) -> str | None:
     """Name of the first probe on which the circuits differ, or None.
 
-    Probe 0 runs alone, so a pair that differs there costs one column; the
-    rest run in passes of `_pass_width` columns. With no input wires every
-    probe is a global phase of probe 0, so probe 0 alone decides.
+    Probe 0, the basis state |0...0>, runs alone before the probe set is
+    built, so a pair that differs there costs one column and draws no
+    random probe. With no input wires every probe is a global phase of
+    probe 0, so probe 0 alone decides; otherwise the rest of
+    `probe_states` runs in passes of `_pass_width` columns.
     """
     n_in = _require_matching_roles(c1, c2)
+    sim._require_budget(1 << n_in, "probe state")
+    first = np.eye(1 << n_in, 1, dtype=complex)
+    if _first_difference(_probe_outputs(c1, first), _probe_outputs(c2, first)) is not None:
+        return _basis_name(0, n_in)
+    if not n_in:
+        return None
     names, probes = probe_states(n_in)
     width = min(_pass_width(c1), _pass_width(c2))
-    count = len(names) if n_in else 1
-    bounds = (0, *range(1, count, width), count)
-    for start, stop in zip(bounds, bounds[1:]):
-        cols = probes[:, start:stop]
+    for start in range(1, len(names), width):
+        cols = probes[:, start : start + width]
         j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols))
         if j is not None:
             return names[start + j]

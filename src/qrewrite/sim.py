@@ -51,6 +51,13 @@ SQRT_HALF = math.sqrt(0.5)
 PRUNE_EPS = 1e-12  # zero-probability branch threshold
 ATOL = 1e-9  # entrywise numerical tolerance
 BYTE_BUDGET = 512 * 2**20  # largest complex array the simulator allocates
+# |0>, |1>, |+> and |->, keyed by the names `circuit.wire_state_before` returns
+STATE_VECTORS = {
+    "zero": np.array([1, 0], dtype=complex),
+    "one": np.array([0, 1], dtype=complex),
+    "plus": np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
+    "minus": np.array([SQRT_HALF, -SQRT_HALF], dtype=complex),
+}
 
 
 class SimulationError(ValueError):

@@ -146,10 +146,11 @@ def test_check_oracle_builds_the_probe_set_once(files, capsys, monkeypatch):
     assert capsys.readouterr().out == (
         "not equivalent (oracle)\ndistinguishing probe: basis |0>\n"
     )
-    assert calls == [1]
+    # probe 0 decides the unequal pair, so no probe set is built for it
+    assert calls == []
     assert main(["check", ident, ident, "--mode", "oracle"]) == 0
     assert capsys.readouterr().out == "equivalent (oracle)\n"
-    assert calls == [1, 1]
+    assert calls == [1]
 
 
 def test_check_channel_oversized_is_a_usage_error(files, capsys):
@@ -158,6 +159,14 @@ def test_check_channel_oversized_is_a_usage_error(files, capsys):
     b = files("b.qc", wide + "X q0\n")
     assert main(["check", a, b, "--mode", "channel"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_check_oracle_oversized_is_refused_before_probe_zero(files, capsys):
+    wide = "qubits 30\ncbits 0\n" + "".join(f"INPUT q{w}\n" for w in range(30))
+    a = files("a.qc", wide + "H q0\n")
+    b = files("b.qc", wide + "X q0\n")
+    assert main(["check", a, b, "--mode", "oracle"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: probe state needs")
 
 
 def test_run_input_over_the_budget_is_a_usage_error(files, capsys):

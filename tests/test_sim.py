@@ -6,6 +6,7 @@ import pytest
 
 from qrewrite import sim
 from qrewrite.circuit import (
+    _STATE_TABLE,
     ClassicalCtrl,
     Gate1,
     Gate2,
@@ -13,12 +14,15 @@ from qrewrite.circuit import (
     ParseError,
     circuit,
     parse,
+    prep_plus,
     prep_zero,
 )
-from qrewrite.equivalence import channel_equal
+from qrewrite.equivalence import channel_equal, unitary_equal
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import (
+    ATOL,
     SQRT_HALF,
+    STATE_VECTORS,
     SimulationError,
     _restriction_indices,
     apply_gate,
@@ -158,6 +162,44 @@ def test_norm_preserved_on_random_states():
         state = random_state(rng, 4)
         g = gates[int(rng.integers(len(gates)))]
         assert abs(np.linalg.norm(apply_gate(state, g)) - 1.0) <= 1e-9
+
+
+def _state_table_faults() -> list:
+    """Where `circuit._STATE_TABLE` or `sim.STATE_VECTORS` disagrees with the
+    simulator: a gate whose image of a state's vector is not, up to global
+    phase, the vector the table names, or a prep whose vector is not what
+    `_prepare` makes of a one-wire circuit with that prep."""
+    faults = []
+    for kind, images in _STATE_TABLE.items():
+        for state, image in images.items():
+            out = apply_gate(STATE_VECTORS[state], Gate1(kind, 0))
+            if not unitary_equal(out, STATE_VECTORS[image], up_to_phase=True):
+                faults.append((kind, state))
+    for prep in (prep_zero(0), prep_plus(0)):
+        prepared = sim._prepare(circuit(1, 0, (), preps=[prep]))[:, 0]
+        if not np.allclose(prepared, STATE_VECTORS[prep.kind], rtol=0, atol=ATOL):
+            faults.append(prep)
+    return faults
+
+
+def test_state_table_matches_the_simulator(monkeypatch):
+    assert set(_STATE_TABLE) == {"X", "Z", "H"}
+    assert all(set(images) == set(STATE_VECTORS) for images in _STATE_TABLE.values())
+    assert _state_table_faults() == []
+    # any single wrong entry or vector is found
+    plus_i = np.array([SQRT_HALF, 1j * SQRT_HALF])
+    for kind, images in _STATE_TABLE.items():
+        for state, image in images.items():
+            for wrong in set(STATE_VECTORS) - {image}:
+                with monkeypatch.context() as m:
+                    m.setitem(images, state, wrong)
+                    assert _state_table_faults(), (kind, state, wrong)
+    for state in list(STATE_VECTORS):
+        others = [v for name, v in STATE_VECTORS.items() if name != state]
+        for wrong in others + [plus_i]:
+            with monkeypatch.context() as m:
+                m.setitem(STATE_VECTORS, state, wrong)
+                assert _state_table_faults(), (state, wrong)
 
 
 def test_apply_gate_on_columns_matches_column_by_column():

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qrewrite import engine
+from qrewrite import engine, sim
 from qrewrite.circuit import Gate1, Gate2, parse
 from qrewrite.engine import (
     VerificationError,
@@ -19,7 +19,7 @@ from qrewrite.engine import (
 from qrewrite.equivalence import channel_equal, oracle_equal
 from qrewrite.rules import DIRECTIONS, FORMS
 from qrewrite.scenarios import derive
-from qrewrite.sim import extract_channel
+from qrewrite.sim import SimulationError, extract_channel
 
 from util import random_circuit
 
@@ -184,3 +184,65 @@ def test_simplify_by_window_checks_alone_extracts_no_channel(monkeypatch):
     final, trace = simplify(c)
     assert final.body == ()
     assert [s.tier for s in trace.steps] == ["window"] * 5
+
+
+# (gates that take q0 from |0> to its state, old window, new window): the
+# two sides agree only because q0 is |1> (CNOT onto q1 is X q1) or |->
+# (CNOT onto q0 kicks back Z onto q1) there
+_FIXED = {
+    "|1>": ("X q0", "CNOT q0 q1", "X q1"),
+    "|->": ("X q0\nH q0", "CNOT q1 q0", "Z q1"),
+}
+# (how q0 starts, what runs on it first): each leaves q0's state unknown
+# to `circuit.wire_state_before`
+_UNKNOWN = {
+    "after a CNOT from an input": ("PREP q0 0\nINPUT q2", "CNOT q2 q0"),
+    "on a Bell wire": ("BELL q0 q2", ""),
+    "after a measurement": ("PREP q0 0\nINPUT q2", "MEASURE q0 c0"),
+}
+
+
+def _window_pair(state: str, start: str = "PREP q0 0\nINPUT q2", first: str = ""):
+    gates, old, new = _FIXED[state]
+    head = f"qubits 3\ncbits 1\n{start}\nINPUT q1\n{first}\n{gates}\n"
+    return parse(head + old), parse(head + new)
+
+
+@pytest.mark.parametrize("state", list(_FIXED))
+def test_the_window_check_reads_a_fixed_one_or_minus_wire(state):
+    a, b = _window_pair(state)
+    assert _window_equal(a, b) and _window_equal(b, a)
+    assert channel_equal(extract_channel(a), extract_channel(b))
+
+
+@pytest.mark.parametrize("unknown", list(_UNKNOWN))
+@pytest.mark.parametrize("state", list(_FIXED))
+def test_the_window_check_refuses_a_wire_of_unknown_state(state, unknown):
+    a, b = _window_pair(state, *_UNKNOWN[unknown])
+    assert not _window_equal(a, b) and not _window_equal(b, a)
+
+
+def _cancel_across(n: int) -> str:
+    """`H q0`, a CNOT chain on the other n - 1 inputs, `H q0` again: one
+    R1_InverseCancel window over all n qubits, none of known state."""
+    chain = "\n".join(f"CNOT q{i} q{i + 1}" for i in range(1, n - 1))
+    inputs = "\n".join(f"INPUT q{i}" for i in range(n))
+    return f"qubits {n}\ncbits 0\n{inputs}\nH q0\n{chain}\nH q0\n"
+
+
+def test_the_window_check_is_refused_over_the_byte_budget(monkeypatch):
+    # 14 qubits of unknown state: a (2^14, 2^14) isometry, 4 GiB
+    a = parse(_cancel_across(14))
+    b = dataclasses.replace(a, body=a.body[1:-1])
+    with pytest.raises(SimulationError, match="prepared state needs 4294967296 bytes"):
+        _window_equal(a, b)
+    with pytest.raises(SimulationError, match="prepared state needs"):
+        simplify(a)
+    # 3 qubits: 2^3 x 2^3 entries of 16 bytes, at and just over the budget
+    a = parse(_cancel_across(3))
+    b = dataclasses.replace(a, body=a.body[1:-1])
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 1024)
+    assert _window_equal(a, b)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 1023)
+    with pytest.raises(SimulationError, match="prepared state needs 1024 bytes"):
+        _window_equal(a, b)
