@@ -44,10 +44,13 @@ the window is empty, a swap of disjoint instructions, or gates on both
 sides, it compares the window's two small isometries, with each qubit
 whose state before it `circuit.wire_state_before` knows fixed to that
 state (the query the R1 conditions read). That is exact in any context,
-report distributions included. Any other step (one that measures,
-prepares, discards or adds a cbit in its window) is checked by channel
-equality of the whole circuit with the start, whose channel is extracted
-at the first step that needs it.
+report distributions included. A gate window's verdict is a function of
+its local form alone (its gates on local qubits and each one's state), so
+it is memoized by that form (`_gates_equal_on`), exactly; the byte-budget
+check on its isometry runs before the lookup, on every call. Any other
+step (one that measures, prepares, discards or adds a cbit in its
+window) is checked by channel equality of the whole circuit with the
+start, whose channel is extracted at the first step that needs it.
 `defer_measurements` only applies found `Commute` and `R3_DeferMeasure`
 forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -453,11 +457,17 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
     fixed if `wire_state_before` knows its state at the window (|0>, |1>,
     |+> or |->, up to a global phase), so the state there is a product of
     the fixed wires' states and a state of everything else, on every
-    branch and input column. Each isometry is the window's gates applied
-    to the Kronecker product over S, in ascending order, of the fixed
-    wires' `sim.STATE_VECTORS` columns and the 2x2 identity on the other
-    wires. A wire's phase is a scalar shared by both sides. An isometry
-    over `sim.BYTE_BUDGET` raises `SimulationError` before it is built.
+    branch and input column. A wire's phase is a scalar shared by both
+    sides. An isometry over `sim.BYTE_BUDGET` raises `SimulationError`
+    before it is built.
+
+    A gate window is decided by `_gates_equal_on` from its local form: its
+    gates on local qubits numbered in order of first appearance, and each
+    local qubit's state. The verdict depends on nothing else, and both
+    sides and the fixed part share one numbering, so the same form on other
+    wires or at another step has the same verdict; it is memoized, exactly.
+    The budget check runs here, before the lookup, on every call, so a hit
+    is refused over budget just as a miss is.
     """
     if (a.num_qubits, a.num_cbits, a.preps, a.inputs, a.q_roles, a.c_roles) != (
         b.num_qubits, b.num_cbits, b.preps, b.inputs, b.q_roles, b.c_roles
@@ -478,17 +488,35 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
         return not (wires(old[0]) & wires(old[1]))
     if not all(isinstance(i, (Gate1, Gate2)) for i in old + new):
         return False
-    qubits = sorted({w.index for i in old + new for w in wires(i)})
-    local = {w: k for k, w in enumerate(qubits)}
-    states = [wire_state_before(a, w, p) for w in qubits]
-    _require_budget((1 << len(qubits)) << states.count(None), "prepared state")
+    local: dict[int, int] = {}
+    for i in old + new:
+        for f, _ in FIELD_KINDS[type(i)]:
+            local.setdefault(getattr(i, f), len(local))
+    states = tuple(wire_state_before(a, w, p) for w in local)
+    _require_budget((1 << len(states)) << states.count(None), "prepared state")
+    return _gates_equal_on(tuple(ground(old, local)), tuple(ground(new, local)), states)
+
+
+_WINDOW_MEMO_SIZE = 4096  # distinct gate-window forms whose verdicts are kept
+_IDENTITY = np.eye(2, dtype=complex)
+
+
+@lru_cache(maxsize=_WINDOW_MEMO_SIZE)
+def _gates_equal_on(old: tuple, new: tuple, states: tuple) -> bool:
+    """Whether gates `old` and `new` on local qubits 0..k-1 agree up to one
+    global phase on the fixed part: qubit j in `sim.STATE_VECTORS[states[j]]`,
+    or arbitrary where `states[j]` is None. The fixed part is the Kronecker
+    product, qubit 0 most significant, of those 2x1 columns and 2x2
+    identities, built by broadcasting; the caller checks its size."""
     fixed = np.ones((1, 1), dtype=complex)
     for state in states:
-        fixed = np.kron(fixed, np.eye(2) if state is None else STATE_VECTORS[state][:, None])
+        factor = _IDENTITY if state is None else STATE_VECTORS[state][:, None]
+        rows, cols = fixed.shape
+        fixed = (fixed[:, None, :, None] * factor[None, :, None, :]).reshape(
+            2 * rows, cols * factor.shape[1]
+        )
     return unitary_equal(
-        _apply_gates(fixed, ground(old, local)),
-        _apply_gates(fixed, ground(new, local)),
-        up_to_phase=True,
+        _apply_gates(fixed, old), _apply_gates(fixed, new), up_to_phase=True
     )
 
 

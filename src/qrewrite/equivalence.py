@@ -7,11 +7,12 @@ The oracle runs both circuits on a fixed probe set (every basis state,
 |+>, |-> and |+i> on each input wire, 20 seeded random states) and
 compares, probe by probe, the outcome-marginalized output density and
 the labeled distribution on report-role classical wires. The probes are
-the columns of one matrix and run through the simulator's branch loop
-(`sim._prepare`, `sim._branches`) as batches: probe 0 alone, before
-the probe set is built, so a pair that differs there costs one column
-and no random draws (and, with no input wires, probe 0 decides), then
-the rest in passes as wide as `sim.BYTE_BUDGET` allows. A
+the columns of one matrix (`ProbeSet`) and run through the simulator's
+branch loop (`sim._prepare`, `sim._branches`) as batches: probe 0 alone,
+so a pair that differs there costs one column and no random draws (and,
+with no input wires, probe 0 decides), then the rest in passes as wide
+as `sim.BYTE_BUDGET` allows. Each pass builds only its own columns, so
+the whole probe set, 2^n_in + 3 n_in + 20 columns, is never held. A
 measurement splits the branch state into half-size blocks and never
 grows it, so a pass is sized from the state alone, doubled only for
 each gate that brings a measured wire back and each measured output
@@ -81,25 +82,53 @@ def _basis_name(j: int, n_in: int) -> str:
     return f"basis |{j:0{n_in}b}>" if n_in else "scalar input"
 
 
-def probe_states(n_in: int) -> tuple[list[str], np.ndarray]:
-    """Probe names and the (2^n_in, k) matrix whose columns are the probes,
-    in order: the computational basis, |+>/|->/|+i> on one input wire with
+_SINGLE_AMPS = (("+", 1), ("-", -1), ("+i", 1j))
+
+
+class ProbeSet:
+    """The (2^n_in, k) matrix whose columns are the oracle's probes, built a
+    block of columns at a time: `probes[:, a:b]` allocates only columns a to
+    b - 1, checked against `sim.BYTE_BUDGET` first, and `probes[:, j]` is
+    column j. So a pass of the oracle holds its own columns, never the set."""
+
+    def __init__(self, n_in: int):
+        self.n_in = n_in
+        self.shape = (1 << n_in, (1 << n_in) + 3 * n_in + _N_RANDOM_PROBES)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        if not isinstance(cols, slice):
+            return self[:, cols : cols + 1][:, 0]
+        start, stop, step = cols.indices(self.shape[1])
+        if rows != slice(None) or step != 1:
+            raise IndexError("probes are taken as whole columns, one contiguous block")
+        dim, n_in = self.shape[0], self.n_in
+        stop = max(start, stop)
+        sim._require_budget(dim * (stop - start), "probe set")
+        out = np.zeros((dim, stop - start), dtype=complex)
+        basis = np.arange(start, min(stop, dim))
+        out[basis, basis - start] = 1
+        for j in range(max(start, dim), min(stop, dim + 3 * n_in)):
+            w, i = divmod(j - dim, 3)
+            out[0, j - start] = SQRT_HALF
+            out[1 << (n_in - 1 - w), j - start] = _SINGLE_AMPS[i][1] * SQRT_HALF
+        first = dim + 3 * n_in
+        rng = np.random.default_rng(_ORACLE_SEED) if stop > first else None
+        for j in range(first, stop):
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            if j >= start:
+                out[:, j - start] = vec / np.linalg.norm(vec)
+        return out
+
+
+def probe_states(n_in: int) -> tuple[list[str], ProbeSet]:
+    """Probe names and the `ProbeSet` whose columns are the probes, in
+    order: the computational basis, |+>/|->/|+i> on one input wire with
     the others |0>, and 20 seeded random states."""
-    dim = 1 << n_in
-    names = [_basis_name(j, n_in) for j in range(dim)]
-    single = np.zeros((dim, 3 * n_in), dtype=complex)
-    single[0] = SQRT_HALF
-    for w in range(n_in):
-        for i, (label, amp) in enumerate((("+", 1), ("-", -1), ("+i", 1j))):
-            single[1 << (n_in - 1 - w), 3 * w + i] = amp * SQRT_HALF
-            names.append(f"{label} on input wire {w}")
-    rng = np.random.default_rng(_ORACLE_SEED)
-    random = np.empty((dim, _N_RANDOM_PROBES), dtype=complex)
-    for k in range(_N_RANDOM_PROBES):
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        random[:, k] = vec / np.linalg.norm(vec)
-        names.append(f"random state #{k}")
-    return names, np.hstack([np.eye(dim, dtype=complex), single, random])
+    names = [_basis_name(j, n_in) for j in range(1 << n_in)]
+    names += [f"{label} on input wire {w}" for w in range(n_in) for label, _ in _SINGLE_AMPS]
+    names += [f"random state #{k}" for k in range(_N_RANDOM_PROBES)]
+    return names, ProbeSet(n_in)
 
 
 def _pass_width(c: Circuit) -> int:
@@ -166,11 +195,11 @@ def oracle_equal(c1: Circuit, c2: Circuit) -> bool:
 def distinguishing_probe(c1: Circuit, c2: Circuit) -> str | None:
     """Name of the first probe on which the circuits differ, or None.
 
-    Probe 0, the basis state |0...0>, runs alone before the probe set is
-    built, so a pair that differs there costs one column and draws no
-    random probe. With no input wires every probe is a global phase of
-    probe 0, so probe 0 alone decides; otherwise the rest of
-    `probe_states` runs in passes of `_pass_width` columns.
+    Probe 0, the basis state |0...0>, runs alone first, so a pair that
+    differs there costs one column and draws no random probe. With no
+    input wires every probe is a global phase of probe 0, so probe 0 alone
+    decides; otherwise the rest of `probe_states` runs in passes of
+    `_pass_width` columns, each built when its pass runs.
     """
     n_in = _require_matching_roles(c1, c2)
     sim._require_budget(1 << n_in, "probe state")

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrewrite import sim
+from qrewrite import equivalence, sim
 from qrewrite.circuit import Gate1, Gate2, Measure, circuit, parse, prep_zero
 from qrewrite.engine import RewriteError, find_matches, rewrite_at
 from qrewrite.equivalence import (
@@ -320,6 +320,25 @@ def test_oracle_narrows_passes_to_fit_the_byte_budget(monkeypatch):
     assert set(widths) == {1}
     assert oracle_equal(a, equal_b)
     assert not oracle_equal(a, b)
+
+
+def test_the_probe_set_is_built_one_pass_at_a_time(monkeypatch):
+    # an equal 3-input pair that probe 0 does not separate, at a budget that
+    # holds one 6-qubit column but not the whole 8 x 37 probe set
+    a, b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=True)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 6)
+    names, probes = probe_states(3)
+    assert probes.shape == (8, len(names)) == (8, 37)
+    with pytest.raises(sim.SimulationError, match="probe set needs 4736 bytes"):
+        probes[:, :]
+    blocks = []
+    outputs = equivalence._probe_outputs
+    monkeypatch.setattr(
+        equivalence, "_probe_outputs", lambda c, cols: blocks.append(cols.nbytes) or outputs(c, cols)
+    )
+    assert oracle_equal(a, b)
+    # probe 0, then every other probe once per circuit, one column a pass
+    assert blocks == [16 * 8] * (2 * 37)
 
 
 def test_oracle_runs_one_pass_after_probe_zero(monkeypatch):

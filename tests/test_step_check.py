@@ -86,6 +86,33 @@ def test_the_window_check_accepts_only_channel_equal_steps():
     assert accepted >= 6_000 and fell_through >= 400, (accepted, fell_through)
 
 
+def test_memoized_window_verdicts_equal_the_uncached_decision(monkeypatch):
+    # on every step, from an empty memo and again with it warm
+    steps = [(prev, new) for prev, new, _ in _steps()]
+    memo = engine._gates_equal_on
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_gates_equal_on", memo.__wrapped__)
+        uncached = [_window_equal(prev, new) for prev, new in steps]
+    assert memo.cache_info().currsize == 0
+    assert [_window_equal(prev, new) for prev, new in steps] == uncached
+    cold = memo.cache_info()
+    assert 0 < cold.misses < cold.hits, cold
+    assert [_window_equal(prev, new) for prev, new in steps] == uncached
+    assert memo.cache_info().misses == cold.misses
+
+
+def test_one_local_form_on_other_wires_shares_one_memo_entry():
+    # CNOT from an input onto a |0> wire, twice, on (q0, q1) and on (q2, q1):
+    # numbered in order of first appearance, both are CNOT 0 1 on (None, zero)
+    head = "qubits 3\ncbits 0\nINPUT q0\nPREP q1 0\nINPUT q2\n"
+    memo = engine._gates_equal_on
+    for pair in ("CNOT q0 q1\nCNOT q0 q1", "CNOT q2 q1\nCNOT q2 q1"):
+        a = parse(head + pair)
+        assert _window_equal(a, dataclasses.replace(a, body=()))
+    info = memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
+
+
 @pytest.fixture
 def null_controls_admit_everything(monkeypatch):
     """R1_ControlZero and R1_TargetPlus with every test of their conditions
