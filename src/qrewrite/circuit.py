@@ -420,6 +420,7 @@ def _ref(tok: str, kind: str) -> int:
 
 # state token of a PREP statement -> prep kind
 _PREP_STATES = {"0": "zero", "+": "plus"}
+_PREP_TOKENS = {kind: token for token, kind in _PREP_STATES.items()}
 
 
 def read_statement(
@@ -549,12 +550,10 @@ def serialize(c: Circuit) -> str:
     for w in sorted(c.inputs):
         out.append(f"INPUT q{w}")
     for p in c.preps:
-        if p.kind == "zero":
-            out.append(f"PREP q{p.wires[0]} 0")
-        elif p.kind == "plus":
-            out.append(f"PREP q{p.wires[0]} +")
-        else:
+        if p.kind == "bell":
             out.append(f"BELL q{p.wires[0]} q{p.wires[1]}")
+        else:
+            out.append(f"PREP q{p.wires[0]} {_PREP_TOKENS[p.kind]}")
     for w, default in enumerate(_default_q_roles(c.num_qubits, c.measured)):
         if c.q_roles[w] != default:
             out.append(f"{c.q_roles[w].upper()} q{w}")

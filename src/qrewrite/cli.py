@@ -131,7 +131,7 @@ def _cmd_check(args) -> int:
     if mode != "oracle":
         try:
             probe = distinguishing_probe(a, b)
-        except EquivalenceError:
+        except (EquivalenceError, SimulationError):
             pass
     print(f"not equivalent ({mode})")
     if probe is not None:

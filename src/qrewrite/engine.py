@@ -78,7 +78,7 @@ from .circuit import (
     wires,
 )
 from .equivalence import channel_equal, unitary_equal
-from .rules import RuleForm, ground, ground_preps, rule_forms
+from .rules import RuleForm, ground, ground_preps, rule_forms, template_variables
 from .sim import STATE_VECTORS, _apply_gates, _require_budget, extract_channel
 
 
@@ -488,10 +488,7 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
         return not (wires(old[0]) & wires(old[1]))
     if not all(isinstance(i, (Gate1, Gate2)) for i in old + new):
         return False
-    local: dict[int, int] = {}
-    for i in old + new:
-        for f, _ in FIELD_KINDS[type(i)]:
-            local.setdefault(getattr(i, f), len(local))
+    local = {w: j for j, w in enumerate(template_variables((old + new, ())))}
     states = tuple(wire_state_before(a, w, p) for w in local)
     _require_budget((1 << len(states)) << states.count(None), "prepared state")
     return _gates_equal_on(tuple(ground(old, local)), tuple(ground(new, local)), states)

@@ -6,20 +6,22 @@ brute-force oracle over probe inputs.
 The oracle runs both circuits on a fixed probe set (every basis state,
 |+>, |-> and |+i> on each input wire, 20 seeded random states) and
 compares, probe by probe, the outcome-marginalized output density and
-the labeled distribution on report-role classical wires. The probes are
-the columns of one matrix (`ProbeSet`) and run through the simulator's
-branch loop (`sim._prepare`, `sim._branches`) as batches: probe 0 alone,
-so a pair that differs there costs one column and no random draws (and,
-with no input wires, probe 0 decides), then the rest in passes as wide
-as `sim.BYTE_BUDGET` allows. Each pass builds only its own columns, so
-the whole probe set, 2^n_in + 3 n_in + 20 columns, is never held. A
-measurement splits the branch state into half-size blocks and never
-grows it, so a pass is sized from the state alone, doubled only for
-each gate that brings a measured wire back and each measured output
-wire (`sim._entries_per_column`); it narrows down to one column. The
-loop and its row readout (`sim._kraus_rows`) are all the oracle shares
-with the channel path: it forms densities from the rows itself and never
-touches `make_channel`, `extract_channel` or `channel_equal`.
+the labeled distribution on report-role classical wires. The probes run
+through the simulator's branch loop (`sim._prepare`, `sim._branches`)
+in one loop of passes, each a block of probe columns built when it runs
+(`probe_columns`), so the whole probe set, 2^n_in + 3 n_in + 20
+columns, is never held. Probe 0 is the first pass, alone, so a pair
+that differs there costs one column and no random draws; with no input
+wires it is the only probe. The later passes are as wide as
+`sim.BYTE_BUDGET` allows. A measurement splits the branch state into
+half-size blocks and never grows it, so a pass is sized from the state
+alone, doubled only for each gate that brings a measured wire back and
+each measured output wire (`sim._entries_per_column`); it narrows down
+to one column. Output densities are formed a few at a time, and one
+density over the budget is refused. The loop and its row readout
+(`sim._kraus_rows`) are all the oracle shares with the channel path: it
+forms densities from the rows itself and never touches `make_channel`,
+`extract_channel` or `channel_equal`.
 """
 from __future__ import annotations
 
@@ -78,57 +80,42 @@ def channel_equal(a: Channel, b: Channel) -> bool:
     return bool(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T) <= CHANNEL_ATOL)
 
 
-def _basis_name(j: int, n_in: int) -> str:
-    return f"basis |{j:0{n_in}b}>" if n_in else "scalar input"
-
-
 _SINGLE_AMPS = (("+", 1), ("-", -1), ("+i", 1j))
 
 
-class ProbeSet:
-    """The (2^n_in, k) matrix whose columns are the oracle's probes, built a
-    block of columns at a time: `probes[:, a:b]` allocates only columns a to
-    b - 1, checked against `sim.BYTE_BUDGET` first, and `probes[:, j]` is
-    column j. So a pass of the oracle holds its own columns, never the set."""
-
-    def __init__(self, n_in: int):
-        self.n_in = n_in
-        self.shape = (1 << n_in, (1 << n_in) + 3 * n_in + _N_RANDOM_PROBES)
-
-    def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key
-        if not isinstance(cols, slice):
-            return self[:, cols : cols + 1][:, 0]
-        start, stop, step = cols.indices(self.shape[1])
-        if rows != slice(None) or step != 1:
-            raise IndexError("probes are taken as whole columns, one contiguous block")
-        dim, n_in = self.shape[0], self.n_in
-        stop = max(start, stop)
-        sim._require_budget(dim * (stop - start), "probe set")
-        out = np.zeros((dim, stop - start), dtype=complex)
-        basis = np.arange(start, min(stop, dim))
-        out[basis, basis - start] = 1
-        for j in range(max(start, dim), min(stop, dim + 3 * n_in)):
-            w, i = divmod(j - dim, 3)
-            out[0, j - start] = SQRT_HALF
-            out[1 << (n_in - 1 - w), j - start] = _SINGLE_AMPS[i][1] * SQRT_HALF
-        first = dim + 3 * n_in
-        rng = np.random.default_rng(_ORACLE_SEED) if stop > first else None
-        for j in range(first, stop):
-            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            if j >= start:
-                out[:, j - start] = vec / np.linalg.norm(vec)
-        return out
+def probe_columns(n_in: int, start: int, stop: int) -> np.ndarray:
+    """Columns `start` to `stop - 1` of the oracle's probe set, as a
+    (2^n_in, stop - start) array checked against `sim.BYTE_BUDGET` first.
+    In order, the probes are the computational basis, |+>/|->/|+i> on one
+    input wire with the others |0>, and 20 seeded random states (drawn in
+    order from the start, so a block holds the same states as the set)."""
+    dim = 1 << n_in
+    sim._require_budget(dim * (stop - start), "probe set")
+    out = np.zeros((dim, stop - start), dtype=complex)
+    basis = np.arange(start, min(stop, dim))
+    out[basis, basis - start] = 1
+    for j in range(max(start, dim), min(stop, dim + 3 * n_in)):
+        w, i = divmod(j - dim, 3)
+        out[0, j - start] = SQRT_HALF
+        out[1 << (n_in - 1 - w), j - start] = _SINGLE_AMPS[i][1] * SQRT_HALF
+    first = dim + 3 * n_in
+    rng = np.random.default_rng(_ORACLE_SEED) if stop > first else None
+    for j in range(first, stop):
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if j >= start:
+            out[:, j - start] = vec / np.linalg.norm(vec)
+    return out
 
 
-def probe_states(n_in: int) -> tuple[list[str], ProbeSet]:
-    """Probe names and the `ProbeSet` whose columns are the probes, in
-    order: the computational basis, |+>/|->/|+i> on one input wire with
-    the others |0>, and 20 seeded random states."""
-    names = [_basis_name(j, n_in) for j in range(1 << n_in)]
-    names += [f"{label} on input wire {w}" for w in range(n_in) for label, _ in _SINGLE_AMPS]
-    names += [f"random state #{k}" for k in range(_N_RANDOM_PROBES)]
-    return names, ProbeSet(n_in)
+def probe_name(n_in: int, j: int) -> str:
+    """Name of column j of the probe set (see `probe_columns`)."""
+    dim = 1 << n_in
+    if j < dim:
+        return f"basis |{j:0{n_in}b}>" if n_in else "scalar input"
+    w, i = divmod(j - dim, 3)
+    if w < n_in:
+        return f"{_SINGLE_AMPS[i][0]} on input wire {w}"
+    return f"random state #{j - dim - 3 * n_in}"
 
 
 def _pass_width(c: Circuit) -> int:
@@ -149,7 +136,7 @@ def _probe_outputs(c: Circuit, columns: np.ndarray):
     of probabilities.
     """
     branches = sim._branches(c, sim._prepare(c, columns))
-    rows = sim._kraus_rows(c, branches)
+    rows = sim._kraus_rows(branches, c.output_wires, c.discard_wires)
     r = rows.transpose(3, 0, 2, 1).reshape(rows.shape[3], len(rows), -1)
     dist = {}
     reported = branches.outcomes[:, list(c.report_cbits)].tolist()
@@ -160,13 +147,17 @@ def _probe_outputs(c: Circuit, columns: np.ndarray):
 
 def _first_difference(out1, out2) -> int | None:
     """First probe column whose output densities or report distributions
-    differ by more than ORACLE_ATOL in some entry, or None."""
+    differ by more than ORACLE_ATOL in some entry, or None. The densities
+    are formed as many at a time as fit `_DENSITY_CHUNK` and the byte
+    budget; one density over the budget raises `SimulationError`."""
     (r1, d1), (r2, d2) = out1, out2
     k = len(r1)
     bad = np.zeros(k, dtype=bool)
     for key in d1.keys() | d2.keys():
         bad |= np.abs(d1.get(key, 0.0) - d2.get(key, 0.0)) > ORACLE_ATOL
-    step = max(1, _DENSITY_CHUNK // r1.shape[1] ** 2)
+    size = r1.shape[1] ** 2
+    sim._require_budget(size, "output density")
+    step = max(1, min(_DENSITY_CHUNK, sim.BYTE_BUDGET // 16) // size)
     for j in range(0, k, step):
         a, b = r1[j : j + step], r2[j : j + step]
         diff = a @ a.conj().transpose(0, 2, 1) - b @ b.conj().transpose(0, 2, 1)
@@ -188,31 +179,28 @@ def _require_matching_roles(c1: Circuit, c2: Circuit) -> int:
 
 def oracle_equal(c1: Circuit, c2: Circuit) -> bool:
     """Brute-force equivalence check, independent of the Choi machinery:
-    no probe in `probe_states` tells the circuits apart."""
+    no probe of `probe_columns` tells the circuits apart."""
     return distinguishing_probe(c1, c2) is None
 
 
 def distinguishing_probe(c1: Circuit, c2: Circuit) -> str | None:
     """Name of the first probe on which the circuits differ, or None.
 
-    Probe 0, the basis state |0...0>, runs alone first, so a pair that
-    differs there costs one column and draws no random probe. With no
-    input wires every probe is a global phase of probe 0, so probe 0 alone
-    decides; otherwise the rest of `probe_states` runs in passes of
-    `_pass_width` columns, each built when its pass runs.
+    The probes run in blocks of columns, each built when its pass runs:
+    probe 0, the basis state |0...0>, alone, so a pair that differs there
+    costs one column and draws no random probe, then passes of
+    `_pass_width` columns. With no input wires every probe is a global
+    phase of probe 0, so probe 0 is the only probe.
     """
     n_in = _require_matching_roles(c1, c2)
     sim._require_budget(1 << n_in, "probe state")
-    first = np.eye(1 << n_in, 1, dtype=complex)
-    if _first_difference(_probe_outputs(c1, first), _probe_outputs(c2, first)) is not None:
-        return _basis_name(0, n_in)
-    if not n_in:
-        return None
-    names, probes = probe_states(n_in)
+    count = (1 << n_in) + 3 * n_in + _N_RANDOM_PROBES if n_in else 1
     width = min(_pass_width(c1), _pass_width(c2))
-    for start in range(1, len(names), width):
-        cols = probes[:, start : start + width]
+    start, stop = 0, 1
+    while start < count:
+        cols = probe_columns(n_in, start, stop)
         j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols))
         if j is not None:
-            return names[start + j]
+            return probe_name(n_in, start + j)
+        start, stop = stop, min(stop + width, count)
     return None

@@ -23,9 +23,11 @@ verification story. The Choi matrix is computed only on request
 (`Channel.choi`); channel equality never forms it.
 
 Every dense array the simulator allocates is checked against
-`BYTE_BUDGET` first (the branch array before each split and each
-re-expansion); a request over it raises `SimulationError` and allocates
-nothing.
+`BYTE_BUDGET` first: the branch array before each split and each
+re-expansion, the rows `_kraus_rows` places at measured output wires
+(for `run`, every branch's state, taken together) and the Kraus
+operators of `channel_of_deferred`. A request over it raises
+`SimulationError` and allocates nothing.
 """
 from __future__ import annotations
 
@@ -66,7 +68,8 @@ class SimulationError(ValueError):
 
 def _require_budget(entries: int, what: str) -> None:
     """Refuse, before allocating, an array of `entries` complex128 values
-    (or a set of branch states totalling that many) over `BYTE_BUDGET`."""
+    over `BYTE_BUDGET`; arrays that are returned or held together, such as
+    `run`'s branch states, count as one."""
     nbytes = entries * 16
     if nbytes > BYTE_BUDGET:
         raise SimulationError(
@@ -161,12 +164,11 @@ def _mask(n: int, wires) -> int:
 
 def _scatter_index(n: int, wires) -> np.ndarray:
     """Full n-wire basis index of each assignment to `wires` (first wire most
-    significant), with every other wire 0."""
-    k = len(wires)
-    sub = np.arange(1 << k)
-    full = np.zeros(1 << k, dtype=np.int64)
-    for pos, w in enumerate(wires):
-        full |= ((sub >> (k - 1 - pos)) & 1) << (n - 1 - w)
+    significant), with every other wire 0. Each wire doubles the table, so
+    building it costs O(2^len(wires))."""
+    full = np.zeros(1, dtype=np.int64)
+    for w in wires:
+        full = (full[:, None] | np.array([0, 1 << (n - 1 - w)], dtype=np.int64)).reshape(-1)
     return full
 
 
@@ -374,7 +376,9 @@ def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
     """Execute the circuit, splitting a branch at every measurement.
 
     Returns all surviving branches (probability >= 1e-12); their
-    probabilities sum to 1 and each state is renormalized.
+    probabilities sum to 1 and each state is renormalized. The states are
+    the rows `_kraus_rows` reads with every wire an output, so together
+    they are checked against `BYTE_BUDGET` before they are allocated.
     """
     dim_in = 1 << len(c.effective_inputs)
     if input_state is None:
@@ -386,19 +390,12 @@ def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
         raise SimulationError(f"input has dimension {vec.shape[0]}, expected {dim_in}")
     if abs(np.linalg.norm(vec) - 1.0) > ATOL:
         raise SimulationError("input state is not normalized")
-    n = c.num_qubits
     branches = _branches(c, _prepare(c, vec[:, None]))
-    rows = _scatter_index(n, branches.live) if len(branches.live) < n else None
-    bases = _pack(branches.fixed)
+    states = _kraus_rows(branches, range(c.num_qubits), ())[:, 0, :, 0]
     cbits = [getattr(i, WRITES[type(i)]) for i in c.body if type(i) in WRITES]
     out = []
-    for s, base, outcome in zip(branches.state.T, bases, branches.outcomes.tolist()):
-        if rows is None:
-            s = np.ascontiguousarray(s)  # so vdot sums it as it sums a lone column
-        else:  # the live amplitudes, placed at the branch's measured bits
-            full = np.zeros(1 << n, dtype=complex)
-            full[rows | base] = s
-            s = full
+    for s, outcome in zip(states.T, branches.outcomes.tolist()):
+        s = np.ascontiguousarray(s)  # so vdot sums it as it sums a lone column
         p = float(np.vdot(s, s).real)
         out.append(Branch({j: outcome[j] for j in cbits}, p, s / math.sqrt(p)))
     return out
@@ -450,27 +447,29 @@ def _restriction_indices(n: int, outs: tuple[int, ...], rest: tuple[int, ...]) -
     return _scatter_index(n, outs)[:, None] | _scatter_index(n, rest)[None, :]
 
 
-def _kraus_rows(c: Circuit, branches: _Branches) -> np.ndarray:
-    """Rows of every Kraus operator of a finished run, as a (2^n_out, 2^D,
+def _kraus_rows(branches: _Branches, outs, discards) -> np.ndarray:
+    """Rows of every Kraus operator of a finished run, from the wires
+    `outs` (in that order) tracing out `discards`, as a (2^len(outs), 2^D,
     B, k) array: entry [o, d, b] is row o of branch b's operator for basis
     state d of the D live discarded wires.
 
     One index table over the live wires serves every branch. A measured
     discarded wire has one value per branch, so it needs no slice. A
     measured output wire makes every row zero whose bit there differs from
-    the branch's value: each branch's rows are placed at its own bits.
+    the branch's value: each branch's rows are placed at its own bits,
+    after the placed array is checked against `BYTE_BUDGET`.
     """
-    outs, at = c.output_wires, branches.at
+    at = branches.at
     live = [i for i, w in enumerate(outs) if w in at]
     table = _restriction_indices(
         len(at),
         tuple(at[outs[i]] for i in live),
-        tuple(at[w] for w in c.discard_wires if w in at),
+        tuple(at[w] for w in discards if w in at),
     )
     rows = branches._blocks()[table]  # (2^len(live), 2^D, B, k)
     if len(live) == len(outs):
         return rows
-    _require_budget(rows.size << (len(outs) - len(live)), "Kraus rows")
+    _require_budget(rows.size << (len(outs) - len(live)), "output rows")
     own = _pack(branches.fixed[:, list(outs)])  # a live wire's value reads 0
     placed = np.zeros((1 << len(outs),) + rows.shape[1:], dtype=complex)
     at_rows = _scatter_index(len(outs), live)[:, None] | own[None, :]
@@ -487,7 +486,7 @@ def extract_channel(c: Circuit) -> Channel:
     these operators generate, so it does not depend on the Kraus
     decomposition.
     """
-    rows = _kraus_rows(c, _branches(c, _prepare(c)))
+    rows = _kraus_rows(_branches(c, _prepare(c)), c.output_wires, c.discard_wires)
     kraus = rows.transpose(2, 1, 0, 3).reshape(-1, len(rows), rows.shape[3])
     return make_channel(kraus, len(c.effective_inputs), len(c.output_wires))
 
@@ -528,6 +527,7 @@ def channel_of_deferred(c: Circuit) -> Channel:
     out_full = _scatter_index(n, outs)[None, :]
     disc_mask = _mask(n, disc)
     meas_out_mask = _mask(n, (w for w in m_sorted if w in outs))
+    _require_budget((v.shape[1] << len(labels)) << len(outs), "deferred Kraus operators")
     consistent = (out_full & meas_out_mask) == (label_full & meas_out_mask)
     rows = v[out_full | (label_full & disc_mask)]
     kraus = np.where(consistent[:, :, None], rows, 0)

@@ -135,10 +135,12 @@ def test_check_not_equivalent_prints_probe(files, capsys):
 def test_check_oracle_builds_the_probe_set_once(files, capsys, monkeypatch):
     from qrewrite import equivalence
 
-    calls = []
-    probe_states = equivalence.probe_states
+    blocks = []
+    probe_columns = equivalence.probe_columns
     monkeypatch.setattr(
-        equivalence, "probe_states", lambda n_in: calls.append(n_in) or probe_states(n_in)
+        equivalence,
+        "probe_columns",
+        lambda n_in, start, stop: blocks.append((start, stop)) or probe_columns(n_in, start, stop),
     )
     x = files("x.qc", "qubits 1\ncbits 0\nINPUT q0\nX q0\n")
     ident = files("id.qc", "qubits 1\ncbits 0\nINPUT q0\n")
@@ -146,11 +148,28 @@ def test_check_oracle_builds_the_probe_set_once(files, capsys, monkeypatch):
     assert capsys.readouterr().out == (
         "not equivalent (oracle)\ndistinguishing probe: basis |0>\n"
     )
-    # probe 0 decides the unequal pair, so no probe set is built for it
-    assert calls == []
+    # probe 0 decides the unequal pair, so no block past it is built
+    assert blocks == [(0, 1)]
+    blocks.clear()
     assert main(["check", ident, ident, "--mode", "oracle"]) == 0
     assert capsys.readouterr().out == "equivalent (oracle)\n"
-    assert calls == [1]
+    # probe 0, then the other 24 probes of one input wire in one block
+    assert blocks == [(0, 1), (1, 25)]
+
+
+def test_check_channel_verdict_stands_when_the_probe_is_refused(files, capsys, monkeypatch):
+    # an unequal 8-qubit pair whose one output density (4^8 entries, 1 MiB)
+    # is over the budget: the channel verdict prints without a probe
+    from qrewrite import sim
+
+    preps = "qubits 8\ncbits 0\n" + "".join(f"PREP q{w} 0\n" for w in range(8))
+    a = files("a.qc", preps + "H q0\n")
+    b = files("b.qc", preps + "X q0\n")
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 64 << 10)
+    assert main(["check", a, b, "--mode", "channel"]) == EXIT_NOT_EQUIV
+    assert capsys.readouterr().out == "not equivalent (channel)\n"
+    assert main(["check", a, b, "--mode", "oracle"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: output density needs 1048576 bytes")
 
 
 def test_check_channel_oversized_is_a_usage_error(files, capsys):

@@ -13,7 +13,8 @@ from qrewrite.equivalence import (
     channel_equal,
     distinguishing_probe,
     oracle_equal,
-    probe_states,
+    probe_columns,
+    probe_name,
     unitary_equal,
 )
 from qrewrite.rules import CATALOG_IDS, RULES
@@ -210,12 +211,14 @@ def test_branch_and_deferred_paths_agree_at_eight_qubits():
 
 def test_probe_states_equal_the_kron_construction():
     for n_in in range(7):
-        names, probes = probe_states(n_in)
         reference = kron_probe_states(n_in)
+        names = [probe_name(n_in, j) for j in range(len(reference))]
         assert names == [name for name, _ in reference]
+        probes = probe_columns(n_in, 0, len(reference))
         assert probes.shape == (1 << n_in, len(reference))
         for j, (_, vec) in enumerate(reference):
             assert np.array_equal(probes[:, j], vec), (n_in, names[j])
+            assert np.array_equal(probe_columns(n_in, j, j + 1)[:, 0], vec), (n_in, names[j])
 
 
 def _measured_ancilla_pair(rng, n: int, equal: bool):
@@ -306,17 +309,19 @@ def test_oracle_narrows_passes_to_fit_the_byte_budget(monkeypatch):
     # worst case for one column: the 6-qubit state, since the 3 measurements
     # split it into half-size blocks and nothing brings a measured wire back
     assert sim._entries_per_column(a) == 1 << 6
+    # the reference runs each probe through `run`, whose 8 branch states of
+    # 6 qubits do not fit the budget below
+    references = [per_probe_oracle(a, other) for other in (b, equal_b)]
     monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 6)
-    _, probes = probe_states(3)
     with pytest.raises(sim.SimulationError, match="budget"):
-        sim._branches(a, sim._prepare(a, probes[:, :2]))
+        sim._branches(a, sim._prepare(a, probe_columns(3, 0, 2)))
     widths = []
     branches = sim._branches
     monkeypatch.setattr(
         sim, "_branches", lambda c, s: widths.append(s.shape[1]) or branches(c, s)
     )
-    for other in (b, equal_b):
-        assert distinguishing_probe(a, other) == per_probe_oracle(a, other)
+    for other, reference in zip((b, equal_b), references):
+        assert distinguishing_probe(a, other) == reference
     assert set(widths) == {1}
     assert oracle_equal(a, equal_b)
     assert not oracle_equal(a, b)
@@ -327,10 +332,9 @@ def test_the_probe_set_is_built_one_pass_at_a_time(monkeypatch):
     # holds one 6-qubit column but not the whole 8 x 37 probe set
     a, b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=True)
     monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 6)
-    names, probes = probe_states(3)
-    assert probes.shape == (8, len(names)) == (8, 37)
+    assert len(kron_probe_states(3)) == 37
     with pytest.raises(sim.SimulationError, match="probe set needs 4736 bytes"):
-        probes[:, :]
+        probe_columns(3, 0, 37)
     blocks = []
     outputs = equivalence._probe_outputs
     monkeypatch.setattr(

@@ -1,5 +1,6 @@
 """Simulator: gate semantics, branch enumeration, unitaries, channels."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qrewrite.circuit import (
     prep_plus,
     prep_zero,
 )
-from qrewrite.equivalence import channel_equal, unitary_equal
+from qrewrite.equivalence import channel_equal, oracle_equal, unitary_equal
 from qrewrite.scenarios import SCENARIO_NAMES, make
 from qrewrite.sim import (
     ATOL,
@@ -241,12 +242,75 @@ def test_re_expansion_is_refused_over_budget(monkeypatch):
     c = circuit(3, rounds, body, preps=[prep_zero(w) for w in range(3)])
     assert sim._entries_per_column(c) == 1 << (3 + rounds - 1)
     monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (3 + rounds - 1))
+    branches = sim._branches(c, sim._prepare(c))
+    assert len(branches.fixed) == 1 << rounds
+    assert np.allclose(branches.probabilities(), 1 / (1 << rounds), rtol=0, atol=1e-12)
+    # `run` returns every branch's state on all 3 wires: 64 states of 8
+    # entries, twice what the branch loop holds
+    with pytest.raises(SimulationError, match="needs 8192 bytes"):
+        run(c)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (3 + rounds))
     branches = run(c)
     assert len(branches) == 1 << rounds
     assert all(b.probability == pytest.approx(1 / (1 << rounds), abs=1e-12) for b in branches)
     monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (3 + rounds - 2))
     with pytest.raises(SimulationError, match="re-expanded branch state needs"):
         run(c)
+
+
+def _over_budget_cases():
+    """One call per array the simulator must refuse before allocating it:
+    (call, budget, bytes of the refused array)."""
+    measured_plus = parse(
+        "qubits 14\ncbits 7\n"
+        + "".join(f"PREP q{w} {'+' if w < 7 else '0'}\n" for w in range(14))
+        + "".join(f"MEASURE q{w} c{w}\n" for w in range(7))
+    )
+    zeros = "qubits 8\ncbits 0\n" + "".join(f"PREP q{w} 0\n" for w in range(8))
+    h, x = parse(zeros + "H q0"), parse(zeros + "X q0")
+    return {
+        # 128 branch states of 14 qubits, 32 MiB together
+        "run": (lambda: run(measured_plus), 1 << 20, 16 << 21),
+        # one output density of 8 qubits, 4^8 entries
+        "oracle_equal": (lambda: oracle_equal(h, x), 64 << 10, 16 << 16),
+        # 2^6 Kraus operators of 2^6 x 2^6 entries, one per measured outcome
+        "channel_of_deferred": (
+            lambda: channel_of_deferred(_all_measured_outputs(6)), 16 << 12, 16 << 18
+        ),
+    }
+
+
+def _all_measured_outputs(n: int):
+    """n input wires, each measured, each an output."""
+    return parse(
+        f"qubits {n}\ncbits {n}\n"
+        + "".join(f"INPUT q{w}\nOUTPUT q{w}\n" for w in range(n))
+        + "".join(f"MEASURE q{w} c{w}\n" for w in range(n))
+    )
+
+
+@pytest.mark.parametrize("name", ["run", "oracle_equal", "channel_of_deferred"])
+def test_each_array_is_refused_before_it_is_allocated(monkeypatch, name):
+    call, budget, refused = _over_budget_cases()[name]
+    monkeypatch.setattr(sim, "BYTE_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=f"needs {refused} bytes"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < refused
+
+
+def test_deferred_channel_is_refused_with_the_branch_channel(monkeypatch):
+    c = _all_measured_outputs(6)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 17)
+    for path in (extract_channel, channel_of_deferred):
+        with pytest.raises(SimulationError, match="needs 4194304 bytes"):
+            path(c)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 18)
+    assert channel_equal(extract_channel(c), channel_of_deferred(c))
 
 
 def _measured_wire_cases(c) -> set[str]:
