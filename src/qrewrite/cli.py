@@ -47,7 +47,8 @@ def format_vector(vec: np.ndarray) -> str:
 
 def parse_ket(spec: str, n_wires: int) -> np.ndarray:
     """Input state: '|01>'-style basis label or comma-separated amplitudes;
-    a state over `sim.BYTE_BUDGET` is refused before it is allocated."""
+    a state over `sim.BYTE_BUDGET` is refused before it is allocated, and
+    a NaN or infinite amplitude is refused."""
     spec = spec.strip()
     dim = 1 << n_wires
     _require_budget(dim, "input state")
@@ -62,6 +63,8 @@ def parse_ket(spec: str, n_wires: int) -> np.ndarray:
     if len(parts) != dim:
         raise ValueError(f"expected {dim} amplitudes, got {len(parts)}")
     vec = np.array([complex(p) for p in parts])
+    if not np.isfinite(vec).all():
+        raise ValueError("input state has a non-finite amplitude")
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("input state has zero norm")

@@ -62,8 +62,6 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-import numpy as np
-
 from .circuit import (
     FIELD_KINDS,
     Circuit,
@@ -79,7 +77,7 @@ from .circuit import (
 )
 from .equivalence import channel_equal, unitary_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms, template_variables
-from .sim import STATE_VECTORS, _apply_gates, _require_budget, extract_channel
+from .sim import STATE_VECTORS, _apply_gates, _product_state, _require_budget, extract_channel
 
 
 class RewriteError(ValueError):
@@ -495,23 +493,19 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
 
 
 _WINDOW_MEMO_SIZE = 4096  # distinct gate-window forms whose verdicts are kept
-_IDENTITY = np.eye(2, dtype=complex)
 
 
 @lru_cache(maxsize=_WINDOW_MEMO_SIZE)
 def _gates_equal_on(old: tuple, new: tuple, states: tuple) -> bool:
     """Whether gates `old` and `new` on local qubits 0..k-1 agree up to one
     global phase on the fixed part: qubit j in `sim.STATE_VECTORS[states[j]]`,
-    or arbitrary where `states[j]` is None. The fixed part is the Kronecker
-    product, qubit 0 most significant, of those 2x1 columns and 2x2
-    identities, built by broadcasting; the caller checks its size."""
-    fixed = np.ones((1, 1), dtype=complex)
-    for state in states:
-        factor = _IDENTITY if state is None else STATE_VECTORS[state][:, None]
-        rows, cols = fixed.shape
-        fixed = (fixed[:, None, :, None] * factor[None, :, None, :]).reshape(
-            2 * rows, cols * factor.shape[1]
-        )
+    or arbitrary where `states[j]` is None. The fixed part is the product
+    state (`sim._product_state`), qubit 0 most significant, of those
+    one-qubit states, with the arbitrary qubits as its input register in
+    their basis; `_window_equal` checks its size before the memo lookup."""
+    free = [j for j, state in enumerate(states) if state is None]
+    known = [((j,), STATE_VECTORS[state]) for j, state in enumerate(states) if state is not None]
+    fixed = _product_state(len(states), free, known)
     return unitary_equal(
         _apply_gates(fixed, old), _apply_gates(fixed, new), up_to_phase=True
     )

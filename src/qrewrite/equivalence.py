@@ -136,12 +136,12 @@ def _probe_outputs(c: Circuit, columns: np.ndarray):
     of probabilities.
     """
     branches = sim._branches(c, sim._prepare(c, columns))
-    rows = sim._kraus_rows(branches, c.output_wires, c.discard_wires)
-    r = rows.transpose(3, 0, 2, 1).reshape(rows.shape[3], len(rows), -1)
     dist = {}
     reported = branches.outcomes[:, list(c.report_cbits)].tolist()
     for key, p in zip(map(tuple, reported), branches.probabilities()):
         dist[key] = dist.get(key, 0.0) + p
+    rows = sim._kraus_rows(branches, c.output_wires, c.discard_wires)  # last: it consumes the run
+    r = rows.transpose(3, 0, 2, 1).reshape(rows.shape[3], len(rows), -1)
     return r, dist
 
 

@@ -22,11 +22,19 @@ sit at the end of the body. Cross checking the two is part of the
 verification story. The Choi matrix is computed only on request
 (`Channel.choi`); channel equality never forms it.
 
+The joint state is one tensor with an axis per wire. `_product_state`
+builds it from the input columns and each prep's vector, put in wire
+order by one transpose, and `_kraus_rows` reads every Kraus row of a run
+by one transpose of the branch state's wire axes, after it brings each
+measured output wire back into the state as its value. So a state has at
+most n + 2 axes, within numpy's limit of 32 for any n the budget allows.
+Only `channel_of_deferred` reads through index tables.
+
 Every dense array the simulator allocates is checked against
-`BYTE_BUDGET` first: the branch array before each split and each
-re-expansion, the rows `_kraus_rows` places at measured output wires
-(for `run`, every branch's state, taken together) and the Kraus
-operators of `channel_of_deferred`. A request over it raises
+`BYTE_BUDGET` first: the prepared state, the branch array before each
+split and each re-expansion, the Kraus rows with measured output wires
+brought back (for `run`, every branch's state, taken together) and the
+Kraus operators of `channel_of_deferred`. A request over it raises
 `SimulationError` and allocates nothing.
 """
 from __future__ import annotations
@@ -101,10 +109,6 @@ class Channel:
         return choi_of_kraus(self.kraus)
 
 
-def _bit(idx: np.ndarray, n: int, wire: int) -> np.ndarray:
-    return (idx >> (n - 1 - wire)) & 1
-
-
 def _wire_axes(state: np.ndarray, *wires: int) -> np.ndarray:
     """View of `state` with one length-2 axis per wire, at axes 1, 3, ... in
     ascending wire order; the last axis holds lower wires and batch columns."""
@@ -172,41 +176,39 @@ def _scatter_index(n: int, wires) -> np.ndarray:
     return full
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Each row of a (B, m) array of 0/1 values as a basis index over m
-    wires, the first most significant."""
-    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64))
+def _product_state(n: int, inputs, factors, columns: np.ndarray | None = None) -> np.ndarray:
+    """(2^n, k) joint state over n wires, wire 0 most significant: the
+    input register on wires `inputs` (first most significant) in each
+    column of `columns` (shape (2^len(inputs), k); its basis if None),
+    tensored with each factor `(wires, vector)`, a state of those wires.
+
+    Its size is checked against `BYTE_BUDGET` first. The factors' outer
+    product, then its outer product with the columns, is put in wire order
+    by one transpose.
+    """
+    k = 1 << len(inputs) if columns is None else columns.shape[1]
+    _require_budget((1 << n) * k, "prepared state")
+    if columns is None:
+        columns = np.eye(1 << len(inputs), dtype=complex)
+    amp, order = np.ones(1, dtype=complex), []
+    for wires, vector in factors:
+        amp = np.outer(amp, vector).reshape(-1)
+        order += wires
+    t = np.multiply.outer(amp, columns).reshape([2] * n + [k])
+    return t.transpose(list(np.argsort(order + list(inputs))) + [n]).reshape(1 << n, k)
 
 
 def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
     """Joint state over all wires, input register tensored with the
-    preparations, for each column of `columns` (shape (2^n_in, k)).
+    preparations (`_product_state`), for each column of `columns` (shape
+    (2^n_in, k)).
 
     With `columns` None the input register runs over its basis, which gives
     the circuit's (2^n, 2^n_in) input isometry.
     """
-    inputs = c.effective_inputs
-    n = c.num_qubits
-    dim_in = 1 << len(inputs)
-    k = dim_in if columns is None else columns.shape[1]
-    _require_budget((1 << n) * k, "prepared state")
-    if columns is None:
-        columns = np.eye(dim_in, dtype=complex)
-
-    idx = np.arange(1 << n)
-    in_index = np.zeros(1 << n, dtype=np.int64)
-    for pos, w in enumerate(inputs):
-        in_index |= _bit(idx, n, w) << (len(inputs) - 1 - pos)
-    amp = np.ones(1 << n)
-    for p in c.preps:
-        if p.kind == "zero":
-            amp = amp * (_bit(idx, n, p.wires[0]) == 0)
-        elif p.kind == "plus":
-            amp = amp * SQRT_HALF
-        else:  # bell pair: (|00> + |11>)/sqrt(2) on the two wires
-            a, b = p.wires
-            amp = amp * (_bit(idx, n, a) == _bit(idx, n, b)) * SQRT_HALF
-    return amp[:, None] * columns[in_index]
+    bell = np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex)  # (|00> + |11>)/sqrt(2)
+    factors = [(p.wires, bell if p.kind == "bell" else STATE_VECTORS[p.kind]) for p in c.preps]
+    return _product_state(c.num_qubits, c.effective_inputs, factors, columns)
 
 
 class _Branches:
@@ -359,8 +361,8 @@ def _entries_per_column(c: Circuit) -> int:
     """Most complex entries per input column that `_branches` and
     `_kraus_rows` hold for `c`: 2^n, doubled by each H or CNOT target on a
     wire measured before it (it may come back into the state) and by each
-    measured output wire (its rows are placed, with zeros, in the Kraus
-    rows), but at most 2^n for each of the 2^m branches of m measurements."""
+    measured output wire (`_kraus_rows` brings it back), but at most 2^n
+    for each of the 2^m branches of m measurements."""
     measured, grow, splits = set(), 0, 0
     for instr in c.body:
         if type(instr) is Measure:
@@ -378,7 +380,9 @@ def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
     Returns all surviving branches (probability >= 1e-12); their
     probabilities sum to 1 and each state is renormalized. The states are
     the rows `_kraus_rows` reads with every wire an output, so together
-    they are checked against `BYTE_BUDGET` before they are allocated.
+    they are checked against `BYTE_BUDGET` before they are allocated; each
+    is a row of that one array, normalized in place. An input with a NaN
+    or infinite amplitude, or not of norm 1, raises `SimulationError`.
     """
     dim_in = 1 << len(c.effective_inputs)
     if input_state is None:
@@ -388,16 +392,19 @@ def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
     vec = np.asarray(input_state, dtype=complex).reshape(-1)
     if vec.shape[0] != dim_in:
         raise SimulationError(f"input has dimension {vec.shape[0]}, expected {dim_in}")
+    if not np.isfinite(vec).all():
+        raise SimulationError("input state has a non-finite amplitude")
     if abs(np.linalg.norm(vec) - 1.0) > ATOL:
         raise SimulationError("input state is not normalized")
     branches = _branches(c, _prepare(c, vec[:, None]))
-    states = _kraus_rows(branches, range(c.num_qubits), ())[:, 0, :, 0]
+    states = _kraus_rows(branches, range(c.num_qubits), ())[:, 0, :, 0].T
     cbits = [getattr(i, WRITES[type(i)]) for i in c.body if type(i) in WRITES]
     out = []
-    for s, outcome in zip(states.T, branches.outcomes.tolist()):
-        s = np.ascontiguousarray(s)  # so vdot sums it as it sums a lone column
-        p = float(np.vdot(s, s).real)
-        out.append(Branch({j: outcome[j] for j in cbits}, p, s / math.sqrt(p)))
+    for s, outcome in zip(states, branches.outcomes.tolist()):
+        flat = np.ascontiguousarray(s)  # so vdot sums it as it sums a lone column
+        p = float(np.vdot(flat, flat).real)
+        s /= math.sqrt(p)
+        out.append(Branch({j: outcome[j] for j in cbits}, p, s))
     return out
 
 
@@ -442,39 +449,27 @@ def unitary_channel(mat: np.ndarray) -> Channel:
     return make_channel([np.array(mat, dtype=complex)], n, n)
 
 
-def _restriction_indices(n: int, outs: tuple[int, ...], rest: tuple[int, ...]) -> np.ndarray:
-    """index_map[o, d] = full basis index with O-bits o and rest-bits d."""
-    return _scatter_index(n, outs)[:, None] | _scatter_index(n, rest)[None, :]
-
-
 def _kraus_rows(branches: _Branches, outs, discards) -> np.ndarray:
     """Rows of every Kraus operator of a finished run, from the wires
     `outs` (in that order) tracing out `discards`, as a (2^len(outs), 2^D,
     B, k) array: entry [o, d, b] is row o of branch b's operator for basis
-    state d of the D live discarded wires.
+    state d of the D live discarded wires. This consumes the run.
 
-    One index table over the live wires serves every branch. A measured
-    discarded wire has one value per branch, so it needs no slice. A
-    measured output wire makes every row zero whose bit there differs from
-    the branch's value: each branch's rows are placed at its own bits,
-    after the placed array is checked against `BYTE_BUDGET`.
+    A measured discarded wire has one value per branch, so it needs no
+    slice. A measured output wire is brought back into the state as its
+    value (`_Branches._expand`, as a CNOT onto it does), after the grown
+    state is checked against `BYTE_BUDGET`; then one transpose of the
+    state's wire axes reads every row.
     """
-    at = branches.at
-    live = [i for i, w in enumerate(outs) if w in at]
-    table = _restriction_indices(
-        len(at),
-        tuple(at[outs[i]] for i in live),
-        tuple(at[w] for w in discards if w in at),
-    )
-    rows = branches._blocks()[table]  # (2^len(live), 2^D, B, k)
-    if len(live) == len(outs):
-        return rows
-    _require_budget(rows.size << (len(outs) - len(live)), "output rows")
-    own = _pack(branches.fixed[:, list(outs)])  # a live wire's value reads 0
-    placed = np.zeros((1 << len(outs),) + rows.shape[1:], dtype=complex)
-    at_rows = _scatter_index(len(outs), live)[:, None] | own[None, :]
-    placed[at_rows, :, np.arange(len(own))] = rows.transpose(0, 2, 1, 3)
-    return placed
+    measured = [w for w in outs if w not in branches.at]
+    _require_budget(branches.state.size << len(measured), "output rows")
+    for w in measured:
+        branches._expand(w, hadamard=False)
+    at, count, k = branches.at, len(branches.fixed), branches.k
+    axes = [at[w] for w in outs] + [at[w] for w in discards if w in at]
+    t = branches.state.reshape([2] * len(at) + [count, k])
+    rows = t.transpose(axes + [len(at), len(at) + 1])
+    return rows.reshape(1 << len(outs), 1 << (len(axes) - len(outs)), count, k)
 
 
 def extract_channel(c: Circuit) -> Channel:

@@ -188,6 +188,17 @@ def test_check_oracle_oversized_is_refused_before_probe_zero(files, capsys):
     assert capsys.readouterr().err.startswith("error: probe state needs")
 
 
+@pytest.mark.parametrize("spec", ["nan,1", "1e400,0", "0,-1e400j"])
+def test_run_input_with_a_non_finite_amplitude_is_a_usage_error(files, capsys, spec):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_ket(spec, 1)
+    path = files("m.qc", "qubits 1\ncbits 1\nINPUT q0\nMEASURE q0 c0\n")
+    assert main(["run", path, "--input", spec]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input state has a non-finite amplitude\n"
+
+
 def test_run_input_over_the_budget_is_a_usage_error(files, capsys):
     path = files("wide.qc", "qubits 40\ncbits 0\nH q0\n")
     assert main(["run", path, "--input", "|" + "0" * 40 + ">"]) == EXIT_USAGE

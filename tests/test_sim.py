@@ -15,6 +15,7 @@ from qrewrite.circuit import (
     ParseError,
     circuit,
     parse,
+    prep_bell,
     prep_plus,
     prep_zero,
 )
@@ -25,7 +26,6 @@ from qrewrite.sim import (
     SQRT_HALF,
     STATE_VECTORS,
     SimulationError,
-    _restriction_indices,
     apply_gate,
     build_unitary,
     channel_of_deferred,
@@ -42,6 +42,8 @@ from util import (
     random_circuit,
     random_state,
     reduced_density,
+    reference_kraus_rows,
+    reference_prepare,
 )
 
 
@@ -168,17 +170,18 @@ def test_norm_preserved_on_random_states():
 def _state_table_faults() -> list:
     """Where `circuit._STATE_TABLE` or `sim.STATE_VECTORS` disagrees with the
     simulator: a gate whose image of a state's vector is not, up to global
-    phase, the vector the table names, or a prep whose vector is not what
-    `_prepare` makes of a one-wire circuit with that prep."""
+    phase, the vector the table names, or a prep whose state `_prepare`
+    (which reads `STATE_VECTORS`) makes otherwise than the mask reference,
+    which has amplitudes of its own."""
     faults = []
     for kind, images in _STATE_TABLE.items():
         for state, image in images.items():
             out = apply_gate(STATE_VECTORS[state], Gate1(kind, 0))
             if not unitary_equal(out, STATE_VECTORS[image], up_to_phase=True):
                 faults.append((kind, state))
-    for prep in (prep_zero(0), prep_plus(0)):
-        prepared = sim._prepare(circuit(1, 0, (), preps=[prep]))[:, 0]
-        if not np.allclose(prepared, STATE_VECTORS[prep.kind], rtol=0, atol=ATOL):
+    for prep in (prep_zero(0), prep_plus(0), prep_bell(0, 1)):
+        c = circuit(len(prep.wires), 0, (), preps=[prep])
+        if not np.allclose(sim._prepare(c), reference_prepare(c), rtol=0, atol=ATOL):
             faults.append(prep)
     return faults
 
@@ -381,21 +384,86 @@ def test_branch_loop_agrees_with_full_dimension_reference():
     assert all(seen.get(case, 0) >= 3 for case in cases), seen
 
 
-def test_restriction_indices_match_bitwise_loop():
-    def reference(n, outs, rest):
-        fi = np.zeros((1 << len(outs), 1 << len(rest)), dtype=int)
-        for o in range(1 << len(outs)):
-            for d in range(1 << len(rest)):
-                full = 0
-                for pos, w in enumerate(outs):
-                    full |= ((o >> (len(outs) - 1 - pos)) & 1) << (n - 1 - w)
-                for pos, w in enumerate(rest):
-                    full |= ((d >> (len(rest) - 1 - pos)) & 1) << (n - 1 - w)
-                fi[o, d] = full
-        return fi
+def test_prepare_equals_the_mask_reference():
+    # interleaved inputs, BELL pairs on wires far apart, preps in any order,
+    # the input basis or given columns: bit for bit the mask reference
+    rng = np.random.default_rng(2020)
+    far_pairs = 0
+    for k in range(200):
+        n = int(rng.integers(1, 8))
+        wires = [int(w) for w in rng.permutation(n)]
+        preps, inputs = [], []
+        while wires:
+            w, roll = wires.pop(), rng.random()
+            if roll < 0.3:
+                inputs.append(w)
+            elif roll < 0.55 and wires:
+                preps.append(prep_bell(w, wires.pop()))
+                far_pairs += preps[-1].wires[1] - preps[-1].wires[0] > 1
+            elif roll < 0.8:
+                preps.append(prep_zero(w))
+            else:
+                preps.append(prep_plus(w))
+        c = circuit(n, 0, [], preps=preps, inputs=inputs)
+        columns = None
+        if k % 2:
+            shape = (1 << len(c.effective_inputs), int(rng.integers(1, 4)))
+            columns = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got, want = sim._prepare(c, columns), reference_prepare(c, columns)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), c
+    assert far_pairs >= 30
 
-    for n, outs, rest in [(1, (0,), ()), (1, (), (0,)), (3, (2, 0), (1,)), (5, (4, 1), (0, 3, 2))]:
-        assert np.array_equal(_restriction_indices(n, outs, rest), reference(n, outs, rest))
+
+def test_kraus_rows_equal_the_table_and_placement_reference():
+    # measured output wires come back into the state as their values, and
+    # measured discarded wires need no slice: entry for entry, the rows an
+    # index table reads and a placement among zeros puts at each branch's
+    # own values of the measured output wires
+    rng = np.random.default_rng(2121)
+    measured_outputs = 0
+    for _ in range(200):
+        c = random_circuit(rng, max_qubits=5, max_cbits=4, max_instructions=16, p_input=0.3)
+        roles = rng.choice(["output", "discard"], size=c.num_qubits)
+        c = dataclasses.replace(c, q_roles=tuple(str(r) for r in roles))
+        want = reference_kraus_rows(
+            sim._branches(c, sim._prepare(c)), c.output_wires, c.discard_wires
+        )
+        branches = sim._branches(c, sim._prepare(c))
+        measured_outputs += any(w not in branches.at for w in c.output_wires)
+        got = sim._kraus_rows(branches, c.output_wires, c.discard_wires)
+        assert got.shape == want.shape and np.array_equal(got, want), c
+    assert measured_outputs >= 40
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_refuses_a_non_finite_input_state(bad):
+    c = parse("qubits 1\ncbits 1\nINPUT q0\nMEASURE q0 c0")
+    with pytest.raises(SimulationError, match="non-finite"):
+        run(c, np.array([bad, 1]))
+    with pytest.raises(SimulationError, match="non-finite"):
+        run(c, np.array([0, 1j * bad]))
+
+
+def test_run_holds_its_branch_states_once():
+    # H on all 15 wires, then two measurements: four states of 2^15 entries.
+    # `run` brings the measured wires back into the one branch array and
+    # normalizes its rows in place, so it never holds the states twice
+    n = 15
+    body = [Gate1("H", w) for w in range(n)] + [Measure(0, 0), Measure(n - 1, 1)]
+    c = circuit(n, 2, body, preps=[prep_zero(w) for w in range(n)])
+    tracemalloc.start()
+    try:
+        branches = run(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [b.outcome for b in branches] == [{0: i, 1: j} for i in (0, 1) for j in (0, 1)]
+    for b in branches:
+        assert b.probability == pytest.approx(0.25, abs=1e-12)
+        assert np.vdot(b.state, b.state).real == pytest.approx(1.0, abs=1e-12)
+    states = sum(b.state.nbytes for b in branches)
+    assert states == 4 * 16 << n
+    assert peak < 2 * states
 
 
 def test_gates_are_involutions():

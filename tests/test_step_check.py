@@ -2,6 +2,7 @@
 and the whole-circuit channel check behind it."""
 import dataclasses
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qrewrite.engine import (
 from qrewrite.equivalence import channel_equal, oracle_equal
 from qrewrite.rules import DIRECTIONS, FORMS
 from qrewrite.scenarios import derive
-from qrewrite.sim import SimulationError, extract_channel
+from qrewrite.sim import STATE_VECTORS, SimulationError, extract_channel
 
 from util import random_circuit
 
@@ -99,6 +100,23 @@ def test_memoized_window_verdicts_equal_the_uncached_decision(monkeypatch):
     assert 0 < cold.misses < cold.hits, cold
     assert [_window_equal(prev, new) for prev, new in steps] == uncached
     assert memo.cache_info().misses == cold.misses
+
+
+def test_the_fixed_part_equals_the_kron_construction(monkeypatch):
+    # each side's gates act on the Kronecker product, qubit 0 most
+    # significant, of each known qubit's column and an identity for each
+    # arbitrary one
+    seen = []
+    monkeypatch.setattr(engine, "_apply_gates", lambda state, gates: seen.append(state) or state)
+    for k in (1, 2, 3):
+        for states in product([None, *STATE_VECTORS], repeat=k):
+            assert engine._gates_equal_on.__wrapped__((), (), states)
+            want = np.ones((1, 1))
+            for state in states:
+                want = np.kron(want, np.eye(2) if state is None else STATE_VECTORS[state][:, None])
+            assert len(seen) == 2
+            assert all(np.array_equal(fixed, want) for fixed in seen), states
+            seen.clear()
 
 
 def test_one_local_form_on_other_wires_shares_one_memo_entry():

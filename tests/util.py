@@ -29,8 +29,6 @@ from qrewrite.sim import (
     PRUNE_EPS,
     SQRT_HALF,
     Branch,
-    _prepare,
-    _restriction_indices,
     _wire_axes,
     apply_gate,
     make_channel,
@@ -373,18 +371,86 @@ def full_branches(c, state: np.ndarray) -> list[tuple[dict[int, int], np.ndarray
     return branches
 
 
+def reference_prepare(c, columns: np.ndarray | None = None) -> np.ndarray:
+    """`sim._prepare` by bit masks: one pass over all 2^n basis indices per
+    input wire, to read each row's input-register index, and per prep, to
+    weigh each row by the prep's amplitude. The reference for
+    `sim._prepare`."""
+    inputs, n = c.effective_inputs, c.num_qubits
+    if columns is None:
+        columns = np.eye(1 << len(inputs), dtype=complex)
+    idx = np.arange(1 << n)
+
+    def bit(w):
+        return (idx >> (n - 1 - w)) & 1
+
+    in_index = np.zeros(1 << n, dtype=np.int64)
+    for pos, w in enumerate(inputs):
+        in_index |= bit(w) << (len(inputs) - 1 - pos)
+    amp = np.ones(1 << n)
+    for p in c.preps:
+        if p.kind == "zero":
+            amp = amp * (bit(p.wires[0]) == 0)
+        elif p.kind == "plus":
+            amp = amp * SQRT_HALF
+        else:  # bell pair: (|00> + |11>)/sqrt(2) on the two wires
+            a, b = p.wires
+            amp = amp * (bit(a) == bit(b)) * SQRT_HALF
+    return amp[:, None] * columns[in_index]
+
+
+def reference_indices(n: int, outs, rest) -> np.ndarray:
+    """index[o, d]: the n-wire basis index whose bits on `outs` spell o and
+    on `rest` spell d (first wire most significant), every other bit 0,
+    one bit at a time."""
+    index = np.zeros((1 << len(outs), 1 << len(rest)), dtype=np.int64)
+    for o in range(1 << len(outs)):
+        for d in range(1 << len(rest)):
+            full = 0
+            for pos, w in enumerate(outs):
+                full |= ((o >> (len(outs) - 1 - pos)) & 1) << (n - 1 - w)
+            for pos, w in enumerate(rest):
+                full |= ((d >> (len(rest) - 1 - pos)) & 1) << (n - 1 - w)
+            index[o, d] = full
+    return index
+
+
+def reference_kraus_rows(branches, outs, discards) -> np.ndarray:
+    """`sim._kraus_rows` by an index table and a placement, leaving
+    `branches` as it is: the rows at the live output and discarded wires
+    are read through `reference_indices`, and each branch's rows are put,
+    among zeros, at its own values of the measured output wires."""
+    at, fixed = branches.at, branches.fixed
+    live = [i for i, w in enumerate(outs) if w in at]
+    table = reference_indices(
+        len(at), [at[outs[i]] for i in live], [at[w] for w in discards if w in at]
+    )
+    rows = branches._blocks()[table]  # (2^len(live), 2^D, B, k)
+    placed = np.zeros((1 << len(outs),) + rows.shape[1:], dtype=complex)
+    for b in range(len(fixed)):
+        own = sum(int(fixed[b, w]) << (len(outs) - 1 - i) for i, w in enumerate(outs))
+        for o in range(len(rows)):
+            at_row = own
+            for pos, i in enumerate(live):
+                at_row |= ((o >> (len(live) - 1 - pos)) & 1) << (len(outs) - 1 - i)
+            placed[at_row, :, b] = rows[o, :, b]
+    return placed
+
+
 def full_channel(c):
-    """`sim.extract_channel` from `full_branches`: each branch restricted to
-    each basis state of the discarded wires is one Kraus operator."""
-    index = _restriction_indices(c.num_qubits, c.output_wires, c.discard_wires)
-    kraus = [s[index].transpose(1, 0, 2) for _, s in full_branches(c, _prepare(c))]
+    """`sim.extract_channel` from `full_branches` and the references: each
+    branch restricted to each basis state of the discarded wires is one
+    Kraus operator."""
+    index = reference_indices(c.num_qubits, c.output_wires, c.discard_wires)
+    branches = full_branches(c, reference_prepare(c))
+    kraus = [s[index].transpose(1, 0, 2) for _, s in branches]
     return make_channel(np.concatenate(kraus), len(c.effective_inputs), len(c.output_wires))
 
 
 def full_run(c, vec: np.ndarray) -> list[Branch]:
-    """`sim.run` from `full_branches`."""
+    """`sim.run` from `full_branches` and `reference_prepare`."""
     out = []
-    for outcome, s in full_branches(c, _prepare(c, vec[:, None])):
+    for outcome, s in full_branches(c, reference_prepare(c, vec[:, None])):
         p = float(np.vdot(s, s).real)
         out.append(Branch(outcome, p, s[:, 0] / np.sqrt(p)))
     return out
