@@ -59,16 +59,20 @@ def parse_ket(spec: str, n_wires: int) -> np.ndarray:
         vec = np.zeros(dim, dtype=complex)
         vec[int(bits, 2) if bits else 0] = 1.0
         return vec
-    parts = [p.strip().replace("i", "j") for p in spec.split(",")]
+    parts = [p.strip() for p in spec.split(",")]
     if len(parts) != dim:
         raise ValueError(f"expected {dim} amplitudes, got {len(parts)}")
-    vec = np.array([complex(p) for p in parts])
+    # a trailing "i" is the imaginary unit; "inf" keeps its "i"
+    vec = np.array([complex(p[:-1] + "j" if p.endswith("i") else p) for p in parts])
     if not np.isfinite(vec).all():
         raise ValueError("input state has a non-finite amplitude")
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
+    # divided by its largest real or imaginary part first, so the norm
+    # neither overflows nor underflows
+    scale = np.abs(vec.view(float)).max()
+    if scale == 0:
         raise ValueError("input state has zero norm")
-    return vec / norm
+    vec = vec / scale
+    return vec / np.linalg.norm(vec)
 
 
 def _load(path: str) -> Circuit:

@@ -15,9 +15,12 @@ read the circuit's wire index (`Circuit.wire_index`) rather than each
 instruction's wires. A rule's condition is a list of tests, each on one
 variable's wire (`rules.WireTest`), so one filter, `_wires_for`, decides
 which wire a variable may take: the declared wires of its kind that carry
-the prep `src_preps` requires and pass its tests at the occurrence. At
-each insertion position the search takes injective tuples of those wires,
-so it never enumerates a binding a test refuses. `_admit` is the one
+the prep `src_preps` requires and pass its tests at the occurrence. An
+insertion search takes the position-free part (`_prepped_wires`) once per
+variable and runs only the tests at each position; there it takes
+injective tuples of those wires, so it never enumerates a binding a test
+refuses, and where every variable's wires equal the previous position's
+it reuses the tuples already enumerated. `_admit` is the one
 admission check of an occurrence: it binds each fresh wire a rewrite needs
 (a `dst` variable left unbound) to the first wire the filter offers that
 the match has not bound (a cbit with none takes a new one), checks the
@@ -29,7 +32,10 @@ circuit object it was found on. `rewrite_at` applies such a match to that
 very circuit without checking it again; every other match, hand-built or
 found on another circuit, is checked by `_check_applicable` (bindings,
 site shape, then the search restricted to the site), then `_admit`. So a
-bad match is a `RewriteError`, never a wrong rewrite. One splice
+bad match is a `RewriteError`, never a wrong rewrite. The replacement is
+grounded once per form and binding tuple (`RuleForm._ground_dst`, a memo
+on the form bounded by `rules._GROUND_MEMO_SIZE`), and rewrites with the
+same wires share its immutable instructions. One splice
 (`circuit._splice`) puts the replacement at the occurrence's position,
 after gathering the matched instructions there (an insertion gathers
 none); `Commute` swaps. The output differs from its valid input only in
@@ -233,7 +239,9 @@ def _occurrences(
 ) -> Iterator[tuple[tuple[int, ...], dict[str, int]]]:
     """Every occurrence of the form in `c` as (site, bindings), by first
     index; with `site` and `bindings`, only the one they name, if it is
-    one (a named insertion keeps its checked, maybe partial, bindings)."""
+    one (a named insertion keeps its checked, maybe partial, bindings).
+    Insertions at different positions may share one bindings dict, which
+    the caller does not change."""
     body = c.body
     if form.rule == "Commute":
         body_wires = c.wire_index.wires
@@ -248,24 +256,41 @@ def _occurrences(
     else:
         qvars = [v for v in form.dst_vars if form.kinds[v] == "q"]
         cvars = [v for v in form.dst_vars if form.kinds[v] == "c"]
+        names, n = qvars + cvars, len(qvars)
+        prepped = [_prepped_wires(c, form, v) for v in names]
+        last, found = None, []
         for pos in range(len(body) + 1):
-            qs_ok = [_wires_for(c, form, v, pos) for v in qvars]
-            cs_ok = [_wires_for(c, form, v, pos) for v in cvars]
-            for qs in _injective(qs_ok):
-                for cs in _injective(cs_ok):
-                    yield (pos,), dict(zip(qvars + cvars, qs + cs))
+            ok = [_wires_for(c, form, v, pos, (), ws) for v, ws in zip(names, prepped)]
+            if ok != last:
+                # some variable's tests admit other wires here than before
+                last = ok
+                found = [
+                    dict(zip(names, qs + cs))
+                    for qs in _injective(ok[:n])
+                    for cs in _injective(ok[n:])
+                ]
+            for bindings in found:
+                yield (pos,), bindings
 
 
-def _wires_for(
-    c: Circuit, form: RuleForm, var: str, pos: int, matched: tuple[int, ...] = ()
-) -> list[int]:
-    """The declared wires `var` may take at an occurrence anchored at `pos`
-    with matched indices `matched`: those of its kind that carry the prep
-    `src_preps` requires of it and pass its condition's tests."""
+def _prepped_wires(c: Circuit, form: RuleForm, var: str) -> list[int]:
+    """The declared wires of `var`'s kind that carry the prep `src_preps`
+    requires of it, which `_wires_for` filters by its tests. It reads no
+    position, so an insertion search takes it once per variable."""
     ws = list(range(c.num_qubits if form.kinds[var] == "q" else c.num_cbits))
     for p in form.src_preps:
         if var in p.wires:
             ws = [w for w in ws if getattr(c.prep_of(w), "kind", None) == p.kind]
+    return ws
+
+
+def _wires_for(
+    c: Circuit, form: RuleForm, var: str, pos: int, matched: tuple[int, ...], ws: list[int]
+) -> list[int]:
+    """The declared wires `var` may take at an occurrence anchored at `pos`
+    with matched indices `matched`: those of its kind that carry the prep
+    `src_preps` requires of it (`ws`, from `_prepped_wires`) and pass its
+    condition's tests. The caller does not change the list it gets."""
     for v, test in form.condition:
         if v == var:
             ws = [w for w in ws if test(c, pos, matched, w) is None]
@@ -295,7 +320,8 @@ def _admit(
             continue
         kind = form.kinds[var]
         taken = {w for v, w in b.items() if form.kinds[v] == kind}
-        free = [w for w in _wires_for(c, form, var, pos, matched) if w not in taken]
+        ws = _wires_for(c, form, var, pos, matched, _prepped_wires(c, form, var))
+        free = [w for w in ws if w not in taken]
         if free:
             b[var] = free[0]
         elif kind == "q":
@@ -331,8 +357,7 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
                 m = Match(rule_id, said, site, tuple(sorted(bindings.items())), form.variant)
                 object.__setattr__(m, "_admitted", _Admitted(c, form, complete, num_cbits))
                 out.append(m)
-    variants = list(forms)
-    out.sort(key=lambda m: (m.site, variants.index(m.variant), m.bindings))
+    out.sort(key=lambda m: (m.site, m._admitted.form._rank, m.bindings))
     return out
 
 
@@ -389,7 +414,7 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         pos, matched = _anchor(c, form, m.site)
         end = matched[-1] + 1 if matched else pos
         skipped = [c.body[j] for j in range(pos, end) if j not in matched]
-        dst = ground(form.dst, bindings)
+        dst = form._ground_dst(bindings)
 
     preps = None
     if form.src_preps or form.dst_preps:

@@ -375,6 +375,7 @@ def ground_preps(preps: list[PrepDecl], bindings: Bindings) -> list[PrepDecl]:
 # ----------------------------------------------------------------------
 
 DIRECTIONS = ("forward", "backward")
+_GROUND_MEMO_SIZE = 1024  # binding tuples whose grounded `dst` a form keeps
 
 
 @dataclass(frozen=True)
@@ -387,7 +388,15 @@ class RuleForm:
     with an empty `src` is applied by insertion. `src_vars` and `dst_vars`
     are the variables each side needs, instruction slots first, then prep
     wires; `dst_vars` missing from `src_vars` are fresh wires a rewrite
-    allocates.
+    allocates. `_rank` is the variant's place in the rule's declaration
+    order, by which `find_matches` orders matches at one site.
+
+    A rewrite grounds `dst` once per form and binding tuple
+    (`_ground_dst`): the form keeps a memo from the wires bound to
+    `dst_vars`, in that order, to the grounded instructions, which are
+    immutable, so every rewrite with those wires shares them. The memo
+    belongs to this object, so a copy made by `dataclasses.replace` starts
+    empty, and it holds at most `_GROUND_MEMO_SIZE` tuples.
     """
 
     rule: str
@@ -402,6 +411,23 @@ class RuleForm:
     kinds: Mapping[str, str]
     alias_ok: frozenset[frozenset[str]]
     condition: Condition
+    _rank: int = 0
+    _dst_memo: dict[tuple[int, ...], tuple[Instruction, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _ground_dst(self, bindings: Bindings) -> tuple[Instruction, ...]:
+        """`ground(self.dst, bindings)` as a tuple, from the memo when the
+        wires bound to `dst_vars` were grounded before; bindings must
+        bind every `dst` variable."""
+        key = tuple(map(bindings.__getitem__, self.dst_vars))
+        memo = self._dst_memo
+        dst = memo.get(key)
+        if dst is None:
+            if len(memo) >= _GROUND_MEMO_SIZE:
+                del memo[next(iter(memo))]  # the oldest entry
+            dst = memo[key] = tuple(ground(self.dst, bindings))
+        return dst
 
     def clash(self, bindings: Bindings, var: str, wire: object) -> str | None:
         """A variable other than `var` that `bindings` binds to `wire`, of
@@ -441,13 +467,13 @@ class RuleForm:
 def _compile(rule: RewriteRule, direction: str) -> dict[str, RuleForm]:
     kinds = variable_kinds(rule)
     forms = {}
-    for variant in rule.templates:
+    for rank, variant in enumerate(rule.templates):
         src = template_side(rule, direction, "src", variant)
         dst = template_side(rule, direction, "dst", variant)
         forms[variant] = RuleForm(
             rule.id, direction, variant, src[0], dst[0], src[1], dst[1],
             template_variables(src), template_variables(dst), kinds,
-            rule.alias_ok, rule.condition,
+            rule.alias_ok, rule.condition, rank,
         )
     return forms
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qrewrite
@@ -55,6 +56,10 @@ def test_parse_ket():
     assert list(parse_ket("0,1", 1)) == [0, 1]
     amp = parse_ket("1,1", 1)
     assert abs(amp[0] - math.sqrt(0.5)) < 1e-12
+    # a trailing "i" is the imaginary unit
+    half = math.sqrt(0.5)
+    assert np.allclose(parse_ket("1,1i", 1), [half, half * 1j])
+    assert np.allclose(parse_ket("1+1i,0", 1), [half + half * 1j, 0])
     with pytest.raises(ValueError):
         parse_ket("|0>", 2)
 
@@ -188,7 +193,7 @@ def test_check_oracle_oversized_is_refused_before_probe_zero(files, capsys):
     assert capsys.readouterr().err.startswith("error: probe state needs")
 
 
-@pytest.mark.parametrize("spec", ["nan,1", "1e400,0", "0,-1e400j"])
+@pytest.mark.parametrize("spec", ["nan,1", "1e400,0", "0,-1e400j", "inf,0"])
 def test_run_input_with_a_non_finite_amplitude_is_a_usage_error(files, capsys, spec):
     with pytest.raises(ValueError, match="non-finite"):
         parse_ket(spec, 1)
@@ -197,6 +202,18 @@ def test_run_input_with_a_non_finite_amplitude_is_a_usage_error(files, capsys, s
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: input state has a non-finite amplitude\n"
+
+
+@pytest.mark.parametrize("spec", ["1e200,1e200", "1e-200,1e-200", "1.7e308,1.7e308"])
+def test_run_input_scaled_far_from_one_runs_as_plus(files, capsys, spec):
+    # the norm is taken after dividing by the largest part, so it neither
+    # overflows nor underflows (a numpy warning would fail the test)
+    assert np.allclose(parse_ket(spec, 1), [math.sqrt(0.5)] * 2)
+    path = files("m.qc", "qubits 1\ncbits 1\nINPUT q0\nMEASURE q0 c0\n")
+    assert main(["run", path, "--input", spec]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in out] == ["c0=0", "c0=1"]
+    assert all("p=0.5" in line for line in out)
 
 
 def test_run_input_over_the_budget_is_a_usage_error(files, capsys):

@@ -12,12 +12,15 @@ from qrewrite.circuit import (
     Circuit,
     CircuitError,
     ClassicalCtrl,
+    ClassicalXor,
     Gate1,
     Gate2,
     Measure,
     PrepDecl,
     circuit,
     parse,
+    prep_bell,
+    prep_plus,
     prep_zero,
     serialize,
 )
@@ -374,16 +377,45 @@ def test_insertion_forms_are_exactly_those_with_an_empty_matched_side():
     assert insertions == set(INSERTION_FORMS)
 
 
+def _bell_report_circuit(rng):
+    # five qubits shaped like the benchmark's mixed circuits: q0 an input,
+    # q1 |0>, q2 |+>, a Bell pair on q3 q4; a CNOT onto the |+> wire, one
+    # from the |0> wire, an inverse pair, two measurements feeding an XOR
+    # into a REPORT cbit; c3 left unwritten, some wires discarded
+    def gate():
+        if rng.random() < 0.5:
+            return Gate1(str(rng.choice(["H", "X", "Z"])), int(rng.integers(5)))
+        a, b = (int(w) for w in rng.choice(5, size=2, replace=False))
+        return Gate2(str(rng.choice(["CNOT", "CZ"])), a, b)
+
+    a, b = (int(w) for w in rng.choice(5, size=2, replace=False))
+    pair = gate()
+    body = [
+        Gate2("CNOT", int(rng.choice([0, 3, 4])), 2),
+        Gate2("CNOT", 1, int(rng.choice([0, 2, 3, 4]))),
+        gate(), pair, pair,
+        Measure(a, 0), gate(), ClassicalCtrl("CX", 0, (a + 1) % 5),
+        Measure(b, 1), ClassicalXor(0, 1, 2), ClassicalCtrl("CZC", 2, int(rng.integers(5))),
+        gate(),
+    ]
+    roles = {w: str(r) for w, r in enumerate(rng.choice(["output", "discard"], size=5))}
+    return circuit(
+        5, 4, body, preps=[prep_zero(1), prep_plus(2), prep_bell(3, 4)], inputs=[0],
+        q_roles=roles, c_roles={2: "report"},
+    )
+
+
 def _insertion_corpus():
     # the digest corpus, plus random circuits with |0>, |+> and Bell preps,
-    # some wires given the discard role and some cbits left unwritten
+    # some wires given the discard role and some cbits left unwritten, and
+    # five-qubit circuits with a Bell pair and a REPORT cbit
     rng = np.random.default_rng(4711)
     extra = []
     for _ in range(30):
         c = random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=10)
         roles = tuple(str(r) for r in rng.choice(["output", "discard"], size=c.num_qubits))
         extra.append(dataclasses.replace(c, q_roles=roles))
-    return _digest_corpus() + extra
+    return _digest_corpus() + extra + [_bell_report_circuit(rng) for _ in range(8)]
 
 
 def test_insertion_search_equals_the_exhaustive_enumeration():
@@ -391,13 +423,19 @@ def test_insertion_search_equals_the_exhaustive_enumeration():
     # force over every position and injective binding, filtered by
     # `_admit`, finds the same matches
     admitted, refused = dict.fromkeys(INSERTION_FORMS, 0), dict.fromkeys(INSERTION_FORMS, 0)
+    on_five = dict.fromkeys(INSERTION_FORMS, 0)
     for c in _insertion_corpus():
         for rule, direction in INSERTION_FORMS:
             expected, n_refused = exhaustive_insertions(c, rule, direction)
             assert find_matches(c, rule, direction) == expected, (rule, direction, serialize(c))
             admitted[rule, direction] += len(expected)
             refused[rule, direction] += n_refused
+            on_five[rule, direction] += len(expected) if c.num_qubits == 5 and c.num_cbits == 4 else 0
     assert all(admitted.values()), admitted
+    # every insertion form, the conditioned ones included, admits matches
+    # on the five-qubit circuits, where R1's two-qubit variants bind 20
+    # wire pairs at each position
+    assert all(on_five.values()), on_five
     # every form with a condition or a required prep refuses somewhere;
     # R1_InverseCancel backward has neither, so it admits every candidate
     assert [form for form, n in refused.items() if not n] == [("R1_InverseCancel", "backward")]

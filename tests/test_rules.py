@@ -1,5 +1,6 @@
 """Rule catalog soundness: channel preservation, exact unitary identities,
 XOR-arithmetic oracles, invertibility, and static conditions."""
+import dataclasses
 import hashlib
 import re
 import zlib
@@ -17,7 +18,9 @@ from qrewrite.rules import (
     RULES,
     STRUCTURAL_IDS,
     RewriteRule,
+    _GROUND_MEMO_SIZE,
     _compile,
+    ground,
     rule_forms,
 )
 from qrewrite.sim import build_unitary, extract_channel
@@ -350,6 +353,43 @@ def test_instantiate_rejects_unknown_direction_and_missing_pattern_binding():
         instantiate("R2_CZFlip", {"a": 0, "b": 1}, direction="sideways")
     with pytest.raises(ValueError, match="missing binding for 'b'"):
         instantiate("R2_CZFlip", {"a": 0})
+
+
+def test_the_grounding_memo_equals_ground():
+    # each form grounds `dst` once per binding tuple; a hit returns the
+    # very tuple the miss grounded
+    rng = np.random.default_rng(21)
+    for forms in FORMS.values():
+        for form in forms.values():
+            form = dataclasses.replace(form)  # an empty memo
+            for _ in range(8):
+                b = random_bindings(rng, form.rule, form.variant, n_qubits=6)
+                got = form._ground_dst(b)
+                assert got == tuple(ground(form.dst, b)), (form.rule, form.variant, b)
+                assert form._ground_dst(dict(b)) is got
+
+
+def test_the_grounding_memo_is_bounded_and_stays_exact():
+    form = dataclasses.replace(rule_forms("R1_InverseCancel", "backward")["CNOT"])
+    pairs = [(c, t) for c in range(40) for t in range(40) if c != t]
+    assert len(pairs) > _GROUND_MEMO_SIZE
+    for _ in range(2):  # the second pass re-grounds evicted tuples
+        for c, t in pairs:
+            b = {"c": c, "t": t}
+            assert form._ground_dst(b) == tuple(ground(form.dst, b))
+            assert len(form._dst_memo) <= _GROUND_MEMO_SIZE
+    assert len(form._dst_memo) == _GROUND_MEMO_SIZE
+
+
+def test_a_replaced_form_does_not_share_the_grounding_memo():
+    # the memo belongs to the form object, not to its rule, direction and
+    # variant: a copy with another `dst` grounds its own
+    form = rule_forms("R1_InverseCancel", "backward")["H"]
+    b = {"w": 2}
+    assert form._ground_dst(b) == (Gate1("H", 2), Gate1("H", 2))
+    other = dataclasses.replace(form, dst=form.dst[:1])
+    assert other._ground_dst(b) == (Gate1("H", 2),)
+    assert form._ground_dst(b) == (Gate1("H", 2), Gate1("H", 2))
 
 
 FORMS_DIGEST = "c8bee896c59b705e4d411215d59703f490c342dca9ec4be7bf2356ff48a215aa"
