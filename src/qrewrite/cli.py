@@ -75,6 +75,13 @@ def parse_ket(spec: str, n_wires: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _count(text: str) -> int:
+    """`--shots` or `--seed`: an integer in 0..2^63-1, as numpy takes it."""
+    if not (text.isdecimal() and int(text) < 1 << 63):
+        raise argparse.ArgumentTypeError(f"expected an integer in 0..2^63-1, got {text!r}")
+    return int(text)
+
+
 def _load(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
@@ -217,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a circuit and print branches")
     p.add_argument("file")
     p.add_argument("--input", help="ket spec: |01>-style label or amplitudes")
-    p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", type=_count, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("unitary", help="print the unitary of a pure gate circuit")
@@ -248,9 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simplify)
 
     p = sub.add_parser("demo", help="replay a verified derivation")
-    p.add_argument(
-        "name", choices=("teleportation", "densecoding", "gateteleportation", "swap")
-    )
+    p.add_argument("name", choices=(*_DEMOS, "swap"))
     p.set_defaults(fn=_cmd_demo)
     return ap
 

@@ -20,12 +20,13 @@ insertion search takes the position-free part (`_prepped_wires`) once per
 variable and runs only the tests at each position; there it takes
 injective tuples of those wires, so it never enumerates a binding a test
 refuses, and where every variable's wires equal the previous position's
-it reuses the tuples already enumerated. `_admit` is the one
-admission check of an occurrence: it binds each fresh wire a rewrite needs
-(a `dst` variable left unbound) to the first wire the filter offers that
-the match has not bound (a cbit with none takes a new one), checks the
-required preps and runs the condition's tests, in order, on the complete
-bindings.
+it reuses the tuples already enumerated. It counts the tuples before it
+builds them, and refuses to list more than `MAX_MATCHES` in one call.
+`_admit` is the one admission check of an occurrence: it binds each
+fresh wire a rewrite needs (a `dst` variable left unbound) to the first
+wire the filter offers that the match has not bound (a cbit with none
+takes a new one), checks the required preps and runs the condition's
+tests, in order, on the complete bindings.
 `find_matches` keeps the occurrences `_admit` accepts, so every match it
 finds applies, and each match carries what `_admit` returned for the
 circuit object it was found on. `rewrite_at` applies such a match to that
@@ -66,6 +67,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .circuit import (
@@ -84,6 +86,9 @@ from .circuit import (
 from .equivalence import channel_equal, unitary_equal
 from .rules import RuleForm, ground, ground_preps, rule_forms, template_variables
 from .sim import STATE_VECTORS, _apply_gates, _product_state, _require_budget, extract_channel
+
+
+MAX_MATCHES = 1 << 18  # most matches one `find_matches` call may list
 
 
 class RewriteError(ValueError):
@@ -236,12 +241,15 @@ def _occurrences(
     form: RuleForm,
     site: tuple[int, ...] | None = None,
     bindings: dict[str, int] | None = None,
+    listed: int = 0,
 ) -> Iterator[tuple[tuple[int, ...], dict[str, int]]]:
     """Every occurrence of the form in `c` as (site, bindings), by first
     index; with `site` and `bindings`, only the one they name, if it is
     one (a named insertion keeps its checked, maybe partial, bindings).
     Insertions at different positions may share one bindings dict, which
-    the caller does not change."""
+    the caller does not change. An insertion search raises `RewriteError`
+    before it builds the candidate tuples that take its count, after the
+    `listed` matches found before it, over `MAX_MATCHES`."""
     body = c.body
     if form.rule == "Commute":
         body_wires = c.wire_index.wires
@@ -263,7 +271,14 @@ def _occurrences(
             ok = [_wires_for(c, form, v, pos, (), ws) for v, ws in zip(names, prepped)]
             if ok != last:
                 # some variable's tests admit other wires here than before
-                last = ok
+                last, found, size = ok, None, prod(map(len, ok))
+            listed += size
+            if listed > MAX_MATCHES:
+                raise RewriteError(
+                    f"insertion search needs at least {listed} bindings, "
+                    f"over the limit of {MAX_MATCHES}"
+                )
+            if found is None:
                 found = [
                     dict(zip(names, qs + cs))
                     for qs in _injective(ok[:n])
@@ -350,7 +365,7 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
     said = "forward" if rule_id == "Commute" else direction
     out = []
     for form in forms.values():
-        for site, bindings in _occurrences(c, form):
+        for site, bindings in _occurrences(c, form, listed=len(out)):
             # the search checked the rest of what `_check_applicable` checks
             reason, complete, num_cbits = _admit(c, form, site, bindings)
             if reason is None:

@@ -12,16 +12,13 @@ in one loop of passes, each a block of probe columns built when it runs
 (`probe_columns`), so the whole probe set, 2^n_in + 3 n_in + 20
 columns, is never held. Probe 0 is the first pass, alone, so a pair
 that differs there costs one column and no random draws; with no input
-wires it is the only probe. The later passes are as wide as
-`sim.BYTE_BUDGET` allows. A measurement splits the branch state into
-half-size blocks and never grows it, so a pass is sized from the state
-alone, doubled only for each gate that brings a measured wire back and
-each measured output wire (`sim._entries_per_column`); it narrows down
-to one column. Output densities are formed a few at a time, and one
-density over the budget is refused. The loop and its row readout
-(`sim._kraus_rows`) are all the oracle shares with the channel path: it
-forms densities from the rows itself and never touches `make_channel`,
-`extract_channel` or `channel_equal`.
+wires it is the only probe. The rest run in one pass, halved each time
+the simulator's budget check refuses it, down to one column. Output
+densities are formed a few at a time, and one density over the budget
+is refused. The loop and its row readout (`sim._kraus_rows`) are all
+the oracle shares with the channel path: it forms densities from the
+rows itself and never touches `make_channel`, `extract_channel` or
+`channel_equal`.
 """
 from __future__ import annotations
 
@@ -118,13 +115,6 @@ def probe_name(n_in: int, j: int) -> str:
     return f"random state #{j - dim - 3 * n_in}"
 
 
-def _pass_width(c: Circuit) -> int:
-    """Probe columns per pass: as many as fit `sim.BYTE_BUDGET` in the worst
-    case of `c`'s branch states and Kraus rows (at worst one column, as a
-    single-input run)."""
-    return max(1, sim.BYTE_BUDGET // (16 * sim._entries_per_column(c)))
-
-
 def _probe_outputs(c: Circuit, columns: np.ndarray):
     """Run `c` once on every probe column through the branch loop.
 
@@ -188,18 +178,25 @@ def distinguishing_probe(c1: Circuit, c2: Circuit) -> str | None:
 
     The probes run in blocks of columns, each built when its pass runs:
     probe 0, the basis state |0...0>, alone, so a pair that differs there
-    costs one column and draws no random probe, then passes of
-    `_pass_width` columns. With no input wires every probe is a global
-    phase of probe 0, so probe 0 is the only probe.
+    costs one column and draws no random probe, then all the others in
+    one pass, halved each time it raises `SimulationError`, down to one
+    column. With no input wires every probe is a global phase of probe 0,
+    so probe 0 is the only probe.
     """
     n_in = _require_matching_roles(c1, c2)
     sim._require_budget(1 << n_in, "probe state")
     count = (1 << n_in) + 3 * n_in + _N_RANDOM_PROBES if n_in else 1
-    width = min(_pass_width(c1), _pass_width(c2))
-    start, stop = 0, 1
+    width, start, stop = count - 1, 0, 1
     while start < count:
-        cols = probe_columns(n_in, start, stop)
-        j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols))
+        try:
+            cols = probe_columns(n_in, start, stop)
+            j = _first_difference(_probe_outputs(c1, cols), _probe_outputs(c2, cols))
+        except sim.SimulationError:
+            if stop - start == 1:
+                raise
+            width = (stop - start) // 2
+            stop = start + width
+            continue
         if j is not None:
             return probe_name(n_in, start + j)
         start, stop = stop, min(stop + width, count)

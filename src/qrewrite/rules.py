@@ -48,6 +48,7 @@ from .circuit import (
     ParseError,
     PrepDecl,
     WireRef,
+    prep_bell,
     read_statement,
     touched,
     wire_state_before,
@@ -361,13 +362,8 @@ def ground(instrs: list[Instruction], bindings: Bindings) -> list[Instruction]:
 
 
 def ground_preps(preps: list[PrepDecl], bindings: Bindings) -> list[PrepDecl]:
-    out = []
-    for p in preps:
-        ws = tuple(bindings[w] for w in p.wires)
-        if p.kind == "bell":
-            ws = (min(ws), max(ws))
-        out.append(PrepDecl(p.kind, ws))
-    return out
+    grounded = ((p.kind, [bindings[w] for w in p.wires]) for p in preps)
+    return [prep_bell(*ws) if k == "bell" else PrepDecl(k, tuple(ws)) for k, ws in grounded]
 
 
 # ----------------------------------------------------------------------

@@ -357,23 +357,6 @@ def _branches(c: Circuit, state: np.ndarray) -> _Branches:
     return branches
 
 
-def _entries_per_column(c: Circuit) -> int:
-    """Most complex entries per input column that `_branches` and
-    `_kraus_rows` hold for `c`: 2^n, doubled by each H or CNOT target on a
-    wire measured before it (it may come back into the state) and by each
-    measured output wire (`_kraus_rows` brings it back), but at most 2^n
-    for each of the 2^m branches of m measurements."""
-    measured, grow, splits = set(), 0, 0
-    for instr in c.body:
-        if type(instr) is Measure:
-            measured.add(instr.target)
-            splits += 1
-        elif getattr(instr, "kind", None) in ("H", "CNOT"):
-            grow += instr.target in measured
-    grow += len(measured.intersection(c.output_wires))
-    return 1 << (c.num_qubits + min(grow, splits))
-
-
 def run(c: Circuit, input_state: np.ndarray | None = None) -> list[Branch]:
     """Execute the circuit, splitting a branch at every measurement.
 

@@ -18,7 +18,7 @@ from qrewrite.cli import (
     main,
     parse_ket,
 )
-from qrewrite import scenarios
+from qrewrite import engine, scenarios
 from qrewrite.circuit import MAX_WIRES, serialize
 from qrewrite.engine import VerificationError
 from qrewrite.scenarios import derive, make
@@ -94,6 +94,30 @@ def test_run_shots_reproducible_and_convergent(files, capsys):
     assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / n)
     assert main(["run", path, "--shots", str(n), "--seed", "0"]) == 0
     assert capsys.readouterr().out == first
+
+
+TRANSFER = "qubits 2\ncbits 1\nINPUT q0\nPREP q1 0\nCNOT q0 q1\nMEASURE q1 c0\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--shots", "100000000000000000000"), ("--shots", "-3"), ("--seed", "-1")]
+)
+def test_run_count_out_of_range_is_a_usage_error(files, capsys, flag, value):
+    path = files("a.qc", TRANSFER)
+    # refused as the arguments are read: a missing file is never opened
+    for file in (path, path + ".missing"):
+        assert main(["run", file, "--input", "|1>", flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: expected an integer in 0..2^63-1" in captured.err
+
+
+def test_run_takes_zero_shots_and_seed(files, capsys):
+    path = files("a.qc", TRANSFER)
+    assert main(["run", path, "--input", "|1>", "--shots", "0", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == "c0=1\tp=1\t0+0i,0+0i,0+0i,1+0i\n"
+    assert main(["run", path, "--input", "|1>", "--shots", "5", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == "c0=1\t5\n"
 
 
 def test_unitary_output(files, capsys):
@@ -255,6 +279,13 @@ def test_rewrite_lists_no_match_it_cannot_apply(files, capsys):
     path = files("cnot.qc", "qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCNOT q0 q1\n")
     assert main(["rewrite", path, "--rule", "R5_DistributeCNOT", "--list"]) == 0
     assert capsys.readouterr().out == "no matches\n"
+
+
+def test_rewrite_list_over_the_match_bound_is_a_usage_error(files, capsys, monkeypatch):
+    path = files("h.qc", "qubits 4\ncbits 0\nH q0\n")
+    monkeypatch.setattr(engine, "MAX_MATCHES", 3)
+    assert main(["rewrite", path, "--rule", "R1_InverseCancel", "--backward", "--list"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: insertion search needs")
 
 
 def test_rewrite_unknown_rule(files, capsys):

@@ -377,6 +377,31 @@ def test_insertion_forms_are_exactly_those_with_an_empty_matched_side():
     assert insertions == set(INSERTION_FORMS)
 
 
+def test_an_insertion_search_over_the_match_bound_is_refused(monkeypatch):
+    c = parse("qubits 4\ncbits 0\nH q0")
+    listed = find_matches(c, "R1_InverseCancel", "backward")
+    assert len(listed) == 2 * (3 * 4 + 2 * 4 * 3)
+    assert listed == exhaustive_insertions(c, "R1_InverseCancel", "backward")[0]
+    built = []
+    injective = engine._injective
+    monkeypatch.setattr(engine, "_injective", lambda ws: built.append(ws) or injective(ws))
+    # the last variant, CZ, counts the 48 matches listed before it and its
+    # 16 candidate pairs (repeated wires included) at each of 2 positions
+    monkeypatch.setattr(engine, "MAX_MATCHES", 48 + 2 * 16)
+    assert find_matches(c, "R1_InverseCancel", "backward") == listed
+    monkeypatch.setattr(engine, "MAX_MATCHES", 48 + 2 * 16 - 1)
+    with pytest.raises(RewriteError, match="needs at least 80 bindings, over the limit of 79"):
+        find_matches(c, "R1_InverseCancel", "backward")
+    # H's first position has 4 candidates: refused before one is built
+    built.clear()
+    monkeypatch.setattr(engine, "MAX_MATCHES", 3)
+    with pytest.raises(RewriteError, match="needs at least 4 bindings"):
+        find_matches(c, "R1_InverseCancel", "backward")
+    assert built == []
+    # pattern searches are not counted
+    assert len(find_matches(parse("qubits 1\ncbits 0\n" + "H q0\n" * 8), "R1_InverseCancel")) == 7
+
+
 def _bell_report_circuit(rng):
     # five qubits shaped like the benchmark's mixed circuits: q0 an input,
     # q1 |0>, q2 |+>, a Bell pair on q3 q4; a CNOT onto the |+> wire, one

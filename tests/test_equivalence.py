@@ -306,11 +306,10 @@ def test_input_free_pairs_are_decided_on_probe_zero(monkeypatch):
 def test_oracle_narrows_passes_to_fit_the_byte_budget(monkeypatch):
     a, equal_b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=True)
     _, b = _measured_ancilla_pair(np.random.default_rng(6), 6, equal=False)
-    # worst case for one column: the 6-qubit state, since the 3 measurements
-    # split it into half-size blocks and nothing brings a measured wire back
-    assert sim._entries_per_column(a) == 1 << 6
     # the reference runs each probe through `run`, whose 8 branch states of
-    # 6 qubits do not fit the budget below
+    # 6 qubits do not fit the budget below; the branch loop holds at most
+    # the 6-qubit state per column, since the 3 measurements split it into
+    # half-size blocks and nothing brings a measured wire back
     references = [per_probe_oracle(a, other) for other in (b, equal_b)]
     monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 6)
     with pytest.raises(sim.SimulationError, match="budget"):
@@ -341,8 +340,64 @@ def test_the_probe_set_is_built_one_pass_at_a_time(monkeypatch):
         equivalence, "_probe_outputs", lambda c, cols: blocks.append(cols.nbytes) or outputs(c, cols)
     )
     assert oracle_equal(a, b)
-    # probe 0, then every other probe once per circuit, one column a pass
-    assert blocks == [16 * 8] * (2 * 37)
+    # probe 0, then the other 36 probes: `probe_columns` refuses them in
+    # blocks of 36, 18 and 9, and the first circuit's prepared state refuses
+    # blocks of 4 and 2, so they run one column a pass
+    assert blocks == [16 * 8] * 2 + [16 * 8 * 4, 16 * 8 * 2] + [16 * 8] * (2 * 36)
+
+
+def test_a_refusal_on_probe_zero_is_not_retried(monkeypatch):
+    # one 8-qubit output density (4^8 entries) is over the budget whatever
+    # the pass width, so probe 0 raises and no wider pass is tried
+    zeros = "qubits 8\ncbits 0\nINPUT q0\nINPUT q1\n" + "".join(
+        f"PREP q{w} 0\n" for w in range(2, 8)
+    )
+    h, x = parse(zeros + "H q0"), parse(zeros + "X q0")
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 64 << 10)
+    widths = []
+    outputs = equivalence._probe_outputs
+    monkeypatch.setattr(
+        equivalence, "_probe_outputs", lambda c, cols: widths.append(cols.shape[1]) or outputs(c, cols)
+    )
+    with pytest.raises(sim.SimulationError, match="output density needs 1048576 bytes"):
+        distinguishing_probe(h, x)
+    assert widths == [1, 1]
+
+
+def test_narrowed_passes_fit_the_budget_and_keep_the_verdicts(monkeypatch):
+    # at a budget of 4 prepared columns (or one output density), the pass
+    # after probe 0 is halved until it fits; where a measured wire comes
+    # back into the state, it is refused past the prepared state too
+    rng = np.random.default_rng(4403)
+    pairs = []
+    for _ in range(30):
+        c = random_circuit(rng, max_qubits=4, max_instructions=12, p_input=0.6)
+        pauli = Gate1(str(rng.choice(["X", "Z"])), int(rng.integers(c.num_qubits)))
+        pairs += [(c, c), (c, dataclasses.replace(c, body=c.body + (pauli,)))]
+    for n in (4, 6):
+        for equal in (True, False):
+            pairs.append(_measured_ancilla_pair(rng, n, equal))
+    references = [per_probe_oracle(a, b) for a, b in pairs]
+    requested, built = [], []
+    columns = equivalence.probe_columns
+
+    def recording(n_in, start, stop):
+        requested.append(stop - start)
+        block = columns(n_in, start, stop)
+        built.append(block.nbytes)
+        return block
+
+    monkeypatch.setattr(equivalence, "probe_columns", recording)
+    narrowed = 0
+    for (a, b), reference in zip(pairs, references):
+        budget = 16 * max(4 << a.num_qubits, 1 << (2 * len(a.output_wires)))
+        monkeypatch.setattr(sim, "BYTE_BUDGET", budget)
+        requested.clear()
+        built.clear()
+        assert distinguishing_probe(a, b) == reference, (a, b)
+        assert max(built) <= budget
+        narrowed += len(set(requested[1:])) > 1
+    assert narrowed >= 30
 
 
 def test_oracle_runs_one_pass_after_probe_zero(monkeypatch):

@@ -243,7 +243,6 @@ def test_re_expansion_is_refused_over_budget(monkeypatch):
     rounds = 6
     body = [g for r in range(rounds) for g in (Gate1("H", 0), Measure(0, r))]
     c = circuit(3, rounds, body, preps=[prep_zero(w) for w in range(3)])
-    assert sim._entries_per_column(c) == 1 << (3 + rounds - 1)
     monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << (3 + rounds - 1))
     branches = sim._branches(c, sim._prepare(c))
     assert len(branches.fixed) == 1 << rounds
