@@ -5,7 +5,7 @@ brute-force oracle over probe inputs.
 
 The oracle runs both circuits on a fixed probe set (every basis state,
 |+>, |-> and |+i> on each input wire, 20 seeded random states) and
-compares, probe by probe, the outcome-marginalized output density and
+compares, probe by probe, the outcome-marginalized output state and
 the labeled distribution on report-role classical wires. The probes run
 through the simulator's branch loop (`sim._prepare`, `sim._branches`)
 in one loop of passes, each a block of probe columns built when it runs
@@ -13,12 +13,14 @@ in one loop of passes, each a block of probe columns built when it runs
 columns, is never held. Probe 0 is the first pass, alone, so a pair
 that differs there costs one column and no random draws; with no input
 wires it is the only probe. The rest run in one pass, halved each time
-the simulator's budget check refuses it, down to one column. Output
-densities are formed a few at a time, and one density over the budget
-is refused. The loop and its row readout (`sim._kraus_rows`) are all
-the oracle shares with the channel path: it forms densities from the
-rows itself and never touches `make_channel`, `extract_channel` or
-`channel_equal`.
+the simulator's budget check refuses it, down to one column. Where both
+circuits give one pure output row per probe (one branch, no live
+discarded wire), the rows are compared up to one phase per probe and no
+density is formed. Only mixed outputs form densities, a few at a time,
+and one density over the budget is refused. The loop and its row
+readout (`sim._kraus_rows`) are all the oracle shares with the channel
+path: it compares the rows itself and never touches `make_channel`,
+`extract_channel`, `channel_equal` or `unitary_equal`.
 """
 from __future__ import annotations
 
@@ -136,22 +138,38 @@ def _probe_outputs(c: Circuit, columns: np.ndarray):
 
 
 def _first_difference(out1, out2) -> int | None:
-    """First probe column whose output densities or report distributions
-    differ by more than ORACLE_ATOL in some entry, or None. The densities
-    are formed as many at a time as fit `_DENSITY_CHUNK` and the byte
-    budget; one density over the budget raises `SimulationError`."""
+    """First probe column whose outputs or report distributions differ by
+    more than ORACLE_ATOL in some entry, or None.
+
+    Where both sides give one output row per probe (pure outputs: one
+    branch, no live discarded wire), each probe's rows a and b are compared
+    without forming a density: b is turned by the phase of a against b's
+    largest-magnitude entry, and the rows must then agree entrywise to
+    ORACLE_ATOL / 2. Both rows have norm at most 1, so with a = phase b + e
+    each density entry differs by at most 2 max|e|, and no pair the
+    density check refuses is accepted. Otherwise the output densities are
+    formed as many at a time as fit `_DENSITY_CHUNK` and the byte budget;
+    one density over the budget raises `SimulationError`."""
     (r1, d1), (r2, d2) = out1, out2
     k = len(r1)
     bad = np.zeros(k, dtype=bool)
     for key in d1.keys() | d2.keys():
         bad |= np.abs(d1.get(key, 0.0) - d2.get(key, 0.0)) > ORACLE_ATOL
-    size = r1.shape[1] ** 2
-    sim._require_budget(size, "output density")
-    step = max(1, min(_DENSITY_CHUNK, sim.BYTE_BUDGET // 16) // size)
-    for j in range(0, k, step):
-        a, b = r1[j : j + step], r2[j : j + step]
-        diff = a @ a.conj().transpose(0, 2, 1) - b @ b.conj().transpose(0, 2, 1)
-        bad[j : j + step] |= np.abs(diff).max(axis=(1, 2)) > ORACLE_ATOL
+    if r1.shape[2] == r2.shape[2] == 1:
+        a, b = r1[:, :, 0], r2[:, :, 0]
+        ref = np.abs(b).argmax(axis=1)[:, None]
+        phase = np.take_along_axis(a, ref, 1) * np.take_along_axis(b, ref, 1).conj()
+        size = np.abs(phase)
+        np.divide(phase, size, out=phase, where=size > 0)  # 0 where a is 0 there: a differs
+        bad |= np.abs(a - phase * b).max(axis=1) > ORACLE_ATOL / 2
+    else:
+        size = r1.shape[1] ** 2
+        sim._require_budget(size, "output density")
+        step = max(1, min(_DENSITY_CHUNK, sim.BYTE_BUDGET // 16) // size)
+        for j in range(0, k, step):
+            a, b = r1[j : j + step], r2[j : j + step]
+            diff = a @ a.conj().transpose(0, 2, 1) - b @ b.conj().transpose(0, 2, 1)
+            bad[j : j + step] |= np.abs(diff).max(axis=(1, 2)) > ORACLE_ATOL
     hits = np.flatnonzero(bad)
     return int(hits[0]) if len(hits) else None
 

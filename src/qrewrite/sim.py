@@ -3,7 +3,11 @@ full-unitary construction, and Kraus channel extraction.
 
 Every gate acts along axis 0 of a `(2^n,)` statevector or of a `(2^n, k)`
 batch of statevector columns, so one pass over the circuit evolves a whole
-input isometry.
+input isometry. Gates act in place on an array the loop owns (`_gate`):
+`_apply_gates` copies its input once, C-ordered, and the branch loop owns
+its state, so a gate allocates at most a half-size temporary (X copies a
+reversed view instead). The public `apply_gate` still returns a new array
+and never changes its argument.
 
 Measurement branching (`_branches`) keeps every branch in one array. A
 measured wire leaves the state: each branch records its value, and the
@@ -120,46 +124,60 @@ def _wire_axes(state: np.ndarray, *wires: int) -> np.ndarray:
     return state.reshape(shape + [-1])
 
 
+def _gate(v: np.ndarray, instr: Gate1 | Gate2) -> np.ndarray:
+    """Apply a pure gate along axis 0 of `v`, a C-ordered array the caller
+    owns, in place. Returns `v`, or for X a new C-ordered array: copying a
+    reversed view is faster than swapping the halves in place."""
+    kind = instr.kind
+    if type(instr) is Gate1:
+        s = _wire_axes(v, instr.target)
+        if kind == "X":
+            return s[:, ::-1].copy().reshape(v.shape)
+        if kind == "Z":
+            s[:, 1] *= -1
+        else:  # H: new[w=0] = (s0 + s1) / sqrt(2), new[w=1] = (s0 - s1) / sqrt(2)
+            low = s[:, 0] - s[:, 1]
+            s[:, 0] += s[:, 1]
+            s[:, 1] = low
+            v *= SQRT_HALF
+        return v
+    s = _wire_axes(v, instr.control, instr.target)
+    if kind == "CZ":
+        s[:, 1, :, 1] *= -1
+    else:  # CNOT: swap the target's two values where the control is 1
+        if instr.control < instr.target:
+            a, b = s[:, 1, :, 0], s[:, 1, :, 1]
+        else:
+            a, b = s[:, 0, :, 1], s[:, 1, :, 1]
+        quarter = a.copy()
+        a[...] = b
+        b[...] = quarter
+    return v
+
+
 def apply_gate(state: np.ndarray, instr: Instruction) -> np.ndarray:
     """Apply a pure gate (H/X/Z/CNOT/CZ) along axis 0 of a statevector or of
-    a (2^n, k) batch of statevector columns."""
+    a (2^n, k) batch of statevector columns. Returns a new array; `state`
+    is not changed."""
     if state.ndim not in (1, 2):
         raise SimulationError("state must be a vector or a (2^n, k) array of columns")
     n = state.shape[0].bit_length() - 1
     if 1 << n != state.shape[0]:
         raise SimulationError("state dimension is not a power of two")
-    if isinstance(instr, Gate1):
-        v = _wire_axes(state, instr.target)
-        if instr.kind == "X":
-            out = v[:, ::-1]
-        elif instr.kind == "Z":
-            out = v.copy()
-            out[:, 1] *= -1
-        else:  # H: new[w=0] = (s0 + s1) / sqrt(2), new[w=1] = (s0 - s1) / sqrt(2)
-            out = np.empty_like(v)
-            np.add(v[:, 0], v[:, 1], out=out[:, 0])
-            np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
-            out *= SQRT_HALF
-        return out.reshape(state.shape)
-    if isinstance(instr, Gate2):
-        v = _wire_axes(state, instr.control, instr.target)
-        out = v.copy()
-        if instr.kind == "CZ":
-            out[:, 1, :, 1] *= -1
-        elif instr.control < instr.target:
-            out[:, 1] = v[:, 1, :, ::-1]
-        else:
-            out[:, :, :, 1] = v[:, ::-1, :, 1]
-        return out.reshape(state.shape)
-    raise SimulationError(f"not a pure gate instruction: {instr!r}")
+    return _apply_gates(state, (instr,))
 
 
 def _apply_gates(state: np.ndarray, gates) -> np.ndarray:
+    """`gates` applied in turn along axis 0 of one C-ordered copy of
+    `state`, in place (`_gate`); `state` is not changed. The order matters:
+    an F-ordered copy would make `_wire_axes` reshape to a copy, and every
+    write would be lost."""
+    v = np.array(state, dtype=complex, order="C")
     for instr in gates:
         if not isinstance(instr, (Gate1, Gate2)):
             raise SimulationError(f"non-unitary instruction {instr!r}")
-        state = apply_gate(state, instr)
-    return state
+        v = _gate(v, instr)
+    return v
 
 
 def _mask(n: int, wires) -> int:
@@ -220,14 +238,16 @@ class _Branches:
     unnormalized, so a block's squared norm is the branch's probability
     summed over the k input columns. `fixed[b, w]` is branch b's value of
     measured wire w (0 while w is live) and `outcomes[b, j]` its value of
-    classical wire j (-1 while unassigned). The loop owns `state` and may
-    change it in place.
+    classical wire j (-1 while unassigned). The loop owns `state`, a
+    C-ordered array (`_apply_gates`' copy, then the arrays it builds), and
+    gates change it in place; a gate on some branches acts on a copy of
+    their blocks, written back.
     """
 
     __slots__ = ("live", "at", "state", "k", "fixed", "outcomes")
 
     def __init__(self, c: Circuit, state: np.ndarray):
-        self.state, self.k = np.ascontiguousarray(state), state.shape[1]
+        self.state, self.k = state, state.shape[1]
         self.fixed = np.zeros((1, c.num_qubits), dtype=np.int64)
         self.outcomes = np.full((1, c.num_cbits), -1, dtype=np.int64)
         self._relive(list(range(c.num_qubits)))
@@ -255,13 +275,13 @@ class _Branches:
                 if t not in at:
                     self._expand(t, hadamard=False)
                 local = Gate2(kind, self.at[c], self.at[t])
-                return self._on_branches(on, lambda s: apply_gate(s, local))
+                return self._on_branches(on, lambda s: _gate(s, local))
             one = self.fixed[:, c] == 1
             on = one if on is None else on & one
             kind = "X" if kind == "CNOT" else "Z"
         if t in at:
             local = Gate1(kind, at[t])
-            self._on_branches(on, lambda s: apply_gate(s, local))
+            self._on_branches(on, lambda s: _gate(s, local))
         elif kind == "H":  # never masked: H is not classically controlled
             self._expand(t, hadamard=True)
         elif kind == "X":
@@ -272,14 +292,15 @@ class _Branches:
 
     def _on_branches(self, on: np.ndarray | None, fn) -> None:
         """Replace the blocks of the branches in mask `on` (all if None) by
-        `fn` of them, a function of a (2^L, j) array."""
+        `fn` of them, a function of a C-ordered (2^L, j) array that may
+        change it in place: `state` itself, or a copy of those blocks."""
         sel = None if on is None else np.flatnonzero(on)
         if sel is None or len(sel) == len(on):
             self.state = fn(self.state)
         elif len(sel):
             blocks = self._blocks()
             rows = len(blocks)
-            part = fn(blocks[:, sel].reshape(rows, -1))
+            part = fn(blocks.take(sel, axis=1).reshape(rows, -1))
             blocks[:, sel] = part.reshape(rows, len(sel), self.k)
             self.state = blocks.reshape(rows, -1)
 

@@ -18,7 +18,7 @@ from qrewrite.cli import (
     main,
     parse_ket,
 )
-from qrewrite import engine, scenarios
+from qrewrite import engine, scenarios, sim
 from qrewrite.circuit import MAX_WIRES, serialize
 from qrewrite.engine import VerificationError
 from qrewrite.scenarios import derive, make
@@ -187,18 +187,28 @@ def test_check_oracle_builds_the_probe_set_once(files, capsys, monkeypatch):
 
 
 def test_check_channel_verdict_stands_when_the_probe_is_refused(files, capsys, monkeypatch):
-    # an unequal 8-qubit pair whose one output density (4^8 entries, 1 MiB)
-    # is over the budget: the channel verdict prints without a probe
-    from qrewrite import sim
-
-    preps = "qubits 8\ncbits 0\n" + "".join(f"PREP q{w} 0\n" for w in range(8))
-    a = files("a.qc", preps + "H q0\n")
-    b = files("b.qc", preps + "X q0\n")
+    # an unequal pair of 8 output qubits, mixed by a discarded wire entangled
+    # with q0, whose one output density (4^8 entries, 1 MiB) is over the
+    # budget: the channel verdict prints without a probe
+    preps = "qubits 9\ncbits 0\nDISCARD q8\n" + "".join(f"PREP q{w} 0\n" for w in range(9))
+    a = files("a.qc", preps + "H q0\nCNOT q0 q8\n")
+    b = files("b.qc", preps + "X q0\nCNOT q0 q8\n")
     monkeypatch.setattr(sim, "BYTE_BUDGET", 64 << 10)
     assert main(["check", a, b, "--mode", "channel"]) == EXIT_NOT_EQUIV
     assert capsys.readouterr().out == "not equivalent (channel)\n"
     assert main(["check", a, b, "--mode", "oracle"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: output density needs 1048576 bytes")
+
+
+def test_check_oracle_decides_a_pure_pair_without_a_density(files, capsys, monkeypatch):
+    # the same pair with no discarded wire has pure outputs: its rows are
+    # compared, and no density is formed, at the same budget
+    preps = "qubits 8\ncbits 0\n" + "".join(f"PREP q{w} 0\n" for w in range(8))
+    a = files("a.qc", preps + "H q0\n")
+    b = files("b.qc", preps + "X q0\n")
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 64 << 10)
+    assert main(["check", a, b, "--mode", "oracle"]) == EXIT_NOT_EQUIV
+    assert capsys.readouterr().out == "not equivalent (oracle)\ndistinguishing probe: scalar input\n"
 
 
 def test_check_channel_oversized_is_a_usage_error(files, capsys):

@@ -9,6 +9,7 @@ from qrewrite.circuit import Gate1, Gate2, Measure, circuit, parse, prep_zero
 from qrewrite.engine import RewriteError, find_matches, rewrite_at
 from qrewrite.equivalence import (
     CHANNEL_ATOL,
+    ORACLE_ATOL,
     EquivalenceError,
     channel_equal,
     distinguishing_probe,
@@ -347,12 +348,13 @@ def test_the_probe_set_is_built_one_pass_at_a_time(monkeypatch):
 
 
 def test_a_refusal_on_probe_zero_is_not_retried(monkeypatch):
-    # one 8-qubit output density (4^8 entries) is over the budget whatever
-    # the pass width, so probe 0 raises and no wider pass is tried
-    zeros = "qubits 8\ncbits 0\nINPUT q0\nINPUT q1\n" + "".join(
-        f"PREP q{w} 0\n" for w in range(2, 8)
+    # one output density of 8 qubits (4^8 entries), mixed by a discarded
+    # wire entangled with q0, is over the budget whatever the pass width,
+    # so probe 0 raises and no wider pass is tried
+    zeros = "qubits 9\ncbits 0\nINPUT q0\nINPUT q1\nDISCARD q8\n" + "".join(
+        f"PREP q{w} 0\n" for w in range(2, 9)
     )
-    h, x = parse(zeros + "H q0"), parse(zeros + "X q0")
+    h, x = parse(zeros + "H q0\nCNOT q0 q8"), parse(zeros + "X q0\nCNOT q0 q8")
     monkeypatch.setattr(sim, "BYTE_BUDGET", 64 << 10)
     widths = []
     outputs = equivalence._probe_outputs
@@ -362,6 +364,101 @@ def test_a_refusal_on_probe_zero_is_not_retried(monkeypatch):
     with pytest.raises(sim.SimulationError, match="output density needs 1048576 bytes"):
         distinguishing_probe(h, x)
     assert widths == [1, 1]
+
+
+def test_a_pure_pair_is_decided_without_a_density(monkeypatch):
+    # the pair above without its discarded wire has pure outputs: at the
+    # same budget its rows are compared and no density is formed
+    zeros = "qubits 8\ncbits 0\nINPUT q0\nINPUT q1\n" + "".join(
+        f"PREP q{w} 0\n" for w in range(2, 8)
+    )
+    h, x = parse(zeros + "H q0"), parse(zeros + "X q0")
+    references = per_probe_oracle(h, x), per_probe_oracle(h, h)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 64 << 10)
+    assert (distinguishing_probe(h, x), distinguishing_probe(h, h)) == references
+    assert references == ("basis |00>", None)
+
+
+def _phase_pairs(rng: np.random.Generator) -> list:
+    """Pairs of gate circuits on input wires whose outputs differ by one
+    phase per probe: a Z or CZ appended last (a sign on some basis probes,
+    told apart on a superposed one), X Z X Z (a global -1), or nothing."""
+    pairs = []
+    for _ in range(12):
+        c = random_circuit(rng, max_qubits=4, max_cbits=0, max_instructions=10, p_input=1.0)
+        a, b = (int(w) for w in rng.choice(c.num_qubits, size=2, replace=c.num_qubits < 2))
+        tails = [(), (Gate1("Z", a),), (Gate1("X", a), Gate1("Z", a)) * 2]
+        if a != b:
+            tails.append((Gate2("CZ", a, b),))
+        pairs += [(c, dataclasses.replace(c, body=c.body + tail)) for tail in tails]
+    return pairs
+
+
+def test_row_comparison_agrees_with_the_per_probe_reference(monkeypatch):
+    # pure pairs (rows compared) and mixed pairs (densities formed) both
+    # name the probe `per_probe_oracle` names
+    rng = np.random.default_rng(2314)
+    pairs = _phase_pairs(rng)
+    for _ in range(12):
+        c = random_circuit(rng, max_qubits=4, max_instructions=10, p_input=0.5)
+        pauli = Gate1(str(rng.choice(["X", "Z"])), int(rng.integers(c.num_qubits)))
+        pairs += [(c, c), (c, dataclasses.replace(c, body=c.body + (pauli,)))]
+    for equal in (True, False):
+        pairs.append(_measured_ancilla_pair(rng, 6, equal))
+    widths = []
+    first = equivalence._first_difference
+    monkeypatch.setattr(
+        equivalence,
+        "_first_difference",
+        lambda o1, o2: widths.append(max(o1[0].shape[2], o2[0].shape[2])) or first(o1, o2),
+    )
+    names = []
+    for a, b in pairs:
+        widths.clear()
+        name = distinguishing_probe(a, b)
+        assert name == per_probe_oracle(a, b), (a, b)
+        names.append((name, max(widths)))
+    pure = [name for name, width in names if width == 1]
+    assert pure.count(None) >= 20 and len(pure) - pure.count(None) >= 10
+    assert sum(name is not None and "wire" in name for name in pure) >= 5
+    assert sum(width > 1 for _, width in names) >= 10
+
+
+def test_row_comparison_is_within_the_density_tolerance():
+    # rows that are one phase apart per probe, plus an error in one entry:
+    # accepted up to ORACLE_ATOL / 2 and refused past it, and never
+    # accepted where their densities (the same rows beside a zero column,
+    # so the density path runs) are refused
+    rng = np.random.default_rng(2315)
+    k, d = 40, 16
+    b = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    a = np.exp(2j * np.pi * rng.random(k))[:, None] * b
+    at = rng.integers(d, size=k)
+    errors = np.linspace(0.1, 3, k) * ORACLE_ATOL * np.exp(2j * np.pi * rng.random(k))
+    a[np.arange(k), at] += errors
+
+    def first(rows1, rows2):
+        return equivalence._first_difference((rows1, {}), (rows2, {}))
+
+    def flags(rows1, rows2):
+        return [first(rows1[j : j + 1], rows2[j : j + 1]) is not None for j in range(k)]
+
+    rows = flags(a[:, :, None], b[:, :, None])
+    pad = np.zeros((k, d, 1), dtype=complex)
+    densities = flags(np.concatenate([a[:, :, None], pad], 2), np.concatenate([b[:, :, None], pad], 2))
+    assert rows == list(np.abs(errors) > ORACLE_ATOL / 2)
+    assert all(r for r, dens in zip(rows, densities) if dens)
+    assert first(a[:, :, None], b[:, :, None]) == int(np.argmax(np.abs(errors) > ORACLE_ATOL / 2))
+    assert first(b[:, :, None] * 1j, b[:, :, None]) is None
+
+
+def test_a_ten_input_pure_pair_is_decided_by_rows():
+    # 1,074 probes of 1,024 output entries each: rows, not 4^10-entry densities
+    wide = "qubits 10\ncbits 0\n" + "".join(f"INPUT q{w}\n" for w in range(10))
+    empty, hh = parse(wide), parse(wide + "H q0\nH q0")
+    assert distinguishing_probe(empty, hh) is None
+    assert distinguishing_probe(empty, parse(wide + "Z q9")) == "+ on input wire 9"
 
 
 def test_narrowed_passes_fit_the_budget_and_keep_the_verdicts(monkeypatch):

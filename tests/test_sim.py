@@ -42,6 +42,7 @@ from util import (
     random_circuit,
     random_state,
     reduced_density,
+    reference_gate,
     reference_kraus_rows,
     reference_prepare,
 )
@@ -219,6 +220,44 @@ def test_apply_gate_on_columns_matches_column_by_column():
             assert np.array_equal(out[:, j], apply_gate(batch[:, j], g)), (g, j)
 
 
+def _gate_inputs(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    """One input of each layout the gate kernels take: a vector, a C-ordered
+    (2^n, k) batch, its F-ordered transpose and a strided column view."""
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return {
+        "vector": draw(1 << n),
+        "C batch": draw(1 << n, 3),
+        "F batch": draw(3, 1 << n).T,
+        "strided batch": draw(1 << n, 6)[:, ::2],
+    }
+
+
+def test_gate_kernels_equal_the_reference_and_never_write_their_input():
+    # every kind, CNOT and CZ with the control below and above the target,
+    # on each input layout: `apply_gate`, and `_apply_gates` one gate at a
+    # time and as a run, equal `reference_gate`; the input is unchanged and
+    # no result is a view of it (X on one qubit once returned one)
+    rng = np.random.default_rng(2323)
+    for n in (1, 3):
+        gates = [Gate1(k, w) for k in ("H", "X", "Z") for w in range(n)] + [
+            Gate2(k, a, b) for k in ("CNOT", "CZ") for a in range(n) for b in range(n) if a != b
+        ]
+        for layout, x in _gate_inputs(rng, n).items():
+            before = x.copy()
+            want = x
+            for g in gates:
+                ref = reference_gate(x, g)
+                for out in (apply_gate(x, g), sim._apply_gates(x, [g])):
+                    assert np.array_equal(out, ref), (n, layout, g)
+                    assert not np.shares_memory(out, x), (n, layout, g)
+                assert np.array_equal(x, before), (n, layout, g)
+                want = reference_gate(want, g)
+            assert np.array_equal(sim._apply_gates(x, gates), want), (n, layout)
+            assert np.array_equal(x, before), (n, layout)
+
+
 def test_apply_gate_rejects_more_than_two_axes():
     with pytest.raises(SimulationError):
         apply_gate(np.zeros((4, 2, 2), dtype=complex), Gate1("H", 0))
@@ -268,12 +307,13 @@ def _over_budget_cases():
         + "".join(f"PREP q{w} {'+' if w < 7 else '0'}\n" for w in range(14))
         + "".join(f"MEASURE q{w} c{w}\n" for w in range(7))
     )
-    zeros = "qubits 8\ncbits 0\n" + "".join(f"PREP q{w} 0\n" for w in range(8))
-    h, x = parse(zeros + "H q0"), parse(zeros + "X q0")
+    zeros = "qubits 9\ncbits 0\nDISCARD q8\n" + "".join(f"PREP q{w} 0\n" for w in range(9))
+    h, x = parse(zeros + "H q0\nCNOT q0 q8"), parse(zeros + "X q0\nCNOT q0 q8")
     return {
         # 128 branch states of 14 qubits, 32 MiB together
         "run": (lambda: run(measured_plus), 1 << 20, 16 << 21),
-        # one output density of 8 qubits, 4^8 entries
+        # one output density of 8 qubits, 4^8 entries, mixed by the
+        # discarded wire q8
         "oracle_equal": (lambda: oracle_equal(h, x), 64 << 10, 16 << 16),
         # 2^6 Kraus operators of 2^6 x 2^6 entries, one per measured outcome
         "channel_of_deferred": (

@@ -29,8 +29,6 @@ from qrewrite.sim import (
     PRUNE_EPS,
     SQRT_HALF,
     Branch,
-    _wire_axes,
-    apply_gate,
     make_channel,
     run,
 )
@@ -345,27 +343,55 @@ def per_probe_oracle(c1, c2, atol: float = ORACLE_ATOL) -> str | None:
     return None
 
 
+def _mask(state: np.ndarray, w: int) -> int:
+    """Wire w's bit in a basis index of `state`, wire 0 most significant."""
+    return 1 << (len(state).bit_length() - 2 - w)
+
+
+def _bit(state: np.ndarray, w: int) -> np.ndarray:
+    """Wire w's value in each basis index of `state`, shaped to broadcast
+    along axis 0."""
+    bits = (np.arange(len(state)) & _mask(state, w)) > 0
+    return bits.astype(int).reshape((-1,) + (1,) * (state.ndim - 1))
+
+
+def reference_gate(state: np.ndarray, instr) -> np.ndarray:
+    """A pure gate along axis 0 of a statevector or a (2^n, k) batch, by
+    basis-index arithmetic: X and CNOT read each row at its index with the
+    target bit flipped, Z and CZ negate where the bits are 1, and H sums
+    each pair of rows. The reference for `sim.apply_gate`."""
+    s = np.asarray(state, dtype=complex)
+    t = _bit(s, instr.target)
+    flipped = s[np.arange(len(s)) ^ _mask(s, instr.target)]
+    on = 1 if isinstance(instr, Gate1) else _bit(s, instr.control)
+    if instr.kind in ("X", "CNOT"):
+        return np.where(on == 1, flipped, s)
+    if instr.kind in ("Z", "CZ"):
+        return np.where((on & t) == 1, -s, s)
+    return np.where(t == 0, s + flipped, flipped - s) * SQRT_HALF
+
+
 def full_branches(c, state: np.ndarray) -> list[tuple[dict[int, int], np.ndarray]]:
     """The branch loop on full-dimension states: every branch keeps all n
-    wires, and a measurement projects a copy of its state on each value.
-    The reference for `sim._branches`."""
+    wires, gates act by `reference_gate`, and a measurement projects a copy
+    of its state on each value. The reference for `sim._branches`."""
     branches = [({}, state)]
     for instr in c.body:
         if isinstance(instr, (Gate1, Gate2)):
-            branches = [(o, apply_gate(s, instr)) for o, s in branches]
+            branches = [(o, reference_gate(s, instr)) for o, s in branches]
         elif isinstance(instr, Measure):
             split = []
             for outcome, s in branches:
                 for value in (0, 1):
-                    proj = _wire_axes(s, instr.target).copy()
-                    proj[:, 1 - value] = 0
-                    proj = proj.reshape(s.shape)
+                    proj = np.where(_bit(s, instr.target) == value, s, 0)
                     if float(np.vdot(proj, proj).real) >= PRUNE_EPS:
                         split.append(({**outcome, instr.result: value}, proj))
             branches = split
         elif isinstance(instr, ClassicalCtrl):
             gate = Gate1("X" if instr.kind == "CX" else "Z", instr.target)
-            branches = [(o, apply_gate(s, gate) if o[instr.control] else s) for o, s in branches]
+            branches = [
+                (o, reference_gate(s, gate) if o[instr.control] else s) for o, s in branches
+            ]
         else:  # ClassicalXor
             branches = [({**o, instr.out: o[instr.a] ^ o[instr.b]}, s) for o, s in branches]
     return branches
