@@ -360,6 +360,21 @@ def _check_order(
             written.add(w)
 
 
+@lru_cache(maxsize=1 << 12)
+def _instructions_fit(new: tuple[Instruction, ...], num_qubits: int, num_cbits: int) -> bool:
+    """Whether every instruction of `new` passes `_check_instruction` in a
+    circuit of these wire counts. The check reads nothing else, so this is
+    memoized, exactly: a rewrite's replacement, grounded once per form and
+    binding (`rules.RuleForm._ground_dst`), is checked once per size."""
+    size = {"q": num_qubits, "c": num_cbits}
+    try:
+        for instr in new:
+            _check_instruction(0, instr, size)
+    except CircuitError:
+        return False
+    return True
+
+
 def _splice(
     c: Circuit,
     pos: int,
@@ -376,7 +391,8 @@ def _splice(
     `preps` unless it is None.
 
     `c` is valid, so only what the splice can change is checked, by the
-    code `validate` runs: each instruction of `new`; the declarations, if
+    code `validate` runs: each instruction of `new` (once per tuple and
+    wire counts, `_instructions_fit`); the declarations, if
     the preps change; and the classical order along the wires in `cbits`.
     The caller names there every classical wire that a removed or a new
     instruction touches. No other one can change order, because `kept`
@@ -396,9 +412,11 @@ def _splice(
     put(out, "c_roles", c.c_roles + ("scratch",) * (num_cbits - c.num_cbits))
     if preps is not None:
         _check_declarations(out)
-    size = {"q": c.num_qubits, "c": num_cbits}
-    for k, instr in enumerate(new, start=pos):
-        _check_instruction(k, instr, size)
+    new = tuple(new)
+    if new and not _instructions_fit(new, c.num_qubits, num_cbits):
+        size = {"q": c.num_qubits, "c": num_cbits}
+        for k, instr in enumerate(new, start=pos):
+            _check_instruction(k, instr, size)  # raises at the first at fault
     if cbits:
         written: set[int] = set()
         for k, instr in enumerate(body):

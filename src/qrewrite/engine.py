@@ -29,7 +29,9 @@ takes a new one), checks the required preps and runs the condition's
 tests, in order, on the complete bindings.
 `find_matches` keeps the occurrences `_admit` accepts, so every match it
 finds applies, and each match carries what `_admit` returned for the
-circuit object it was found on. `rewrite_at` applies such a match to that
+circuit object it was found on. An insertion form with no condition is
+admitted once per bindings dict the search shares among positions, since
+`_admit` reads the position only through the condition's tests. `rewrite_at` applies such a match to that
 very circuit without checking it again; every other match, hand-built or
 found on another circuit, is checked by `_check_applicable` (bindings,
 site shape, then the search restricted to the site), then `_admit`. So a
@@ -41,23 +43,21 @@ same wires share its immutable instructions. One splice
 after gathering the matched instructions there (an insertion gathers
 none); `Commute` swaps. The output differs from its valid input only in
 that window, the preps and new scratch cbits, so the splice checks only
-those, with the code `circuit.validate` runs on a whole circuit.
+those, with the code `circuit.validate` runs on a whole circuit (a
+grounded replacement once per pair of wire counts).
 
 Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one
 check (`_step_check`) in two tiers, decided from the circuits before and
 after the step alone, not from the match. The window tier
-(`_window_equal`) diffs the two bodies; where the declarations agree and
-the window is empty, a swap of disjoint instructions, or gates on both
-sides, it compares the window's two small isometries, with each qubit
-whose state before it `circuit.wire_state_before` knows fixed to that
-state (the query the R1 conditions read). That is exact in any context,
-report distributions included. A gate window's verdict is a function of
-its local form alone (its gates on local qubits and each one's state), so
-it is memoized by that form (`_gates_equal_on`), exactly; the byte-budget
-check on its isometry runs before the lookup, on every call. Any other
-step (one that measures, prepares, discards or adds a cbit in its
-window) is checked by channel equality of the whole circuit with the
-start, whose channel is extracted at the first step that needs it.
+(`_window_equal`) diffs the two bodies and decides the window they differ
+in on its own, exactly in any context, reports included: a window of
+gates by its two small isometries (`_gates_equal_on`), any other, one
+that measures, reads or writes a cbit, changes a prep or traces a qubit
+out, by the channels of two small window circuits
+(`_window_circuits_equal`), so the local identities of Rules III and IV
+are decided once per local form. A step it cannot tell is checked by
+channel equality of the whole circuit with the start, whose channel is
+extracted at the first step that needs it.
 `defer_measurements` only applies found `Commute` and `R3_DeferMeasure`
 forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
@@ -73,18 +73,24 @@ from typing import NamedTuple
 from .circuit import (
     FIELD_KINDS,
     Circuit,
+    CircuitError,
     Gate1,
     Gate2,
     ClassicalCtrl,
     Instruction,
     Measure,
+    WireRef,
     _splice,
+    circuit,
+    prep_plus,
+    prep_zero,
     serialize,
+    touched,
     wire_state_before,
     wires,
 )
 from .equivalence import channel_equal, unitary_equal
-from .rules import RuleForm, ground, ground_preps, rule_forms, template_variables
+from .rules import RuleForm, ground_preps, rule_forms
 from .sim import STATE_VECTORS, _apply_gates, _product_state, _require_budget, extract_channel
 
 
@@ -365,12 +371,27 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
     said = "forward" if rule_id == "Commute" else direction
     out = []
     for form in forms.values():
+        # `_admit` reads the position only through the condition's tests, so
+        # an insertion form with none admits a bindings dict, which the search
+        # shares among positions, once (the dict is kept, so its id is not
+        # reused within this call)
+        once = {} if not (form.src or form.condition or rule_id == "Commute") else None
         for site, bindings in _occurrences(c, form, listed=len(out)):
-            # the search checked the rest of what `_check_applicable` checks
-            reason, complete, num_cbits = _admit(c, form, site, bindings)
-            if reason is None:
-                m = Match(rule_id, said, site, tuple(sorted(bindings.items())), form.variant)
-                object.__setattr__(m, "_admitted", _Admitted(c, form, complete, num_cbits))
+            entry = None if once is None else once.get(id(bindings))
+            if entry is None:
+                # the search checked the rest of what `_check_applicable` checks
+                reason, complete, num_cbits = _admit(c, form, site, bindings)
+                key = admission = None
+                if reason is None:
+                    key = tuple(sorted(bindings.items()))
+                    admission = _Admitted(c, form, complete, num_cbits)
+                entry = bindings, key, admission
+                if once is not None:
+                    once[id(bindings)] = entry
+            _, key, admission = entry
+            if admission is not None:
+                m = Match(rule_id, said, site, key, form.variant)
+                object.__setattr__(m, "_admitted", admission)
                 out.append(m)
     out.sort(key=lambda m: (m.site, m._admitted.form._rank, m.bindings))
     return out
@@ -484,32 +505,65 @@ def _indent(text: str) -> str:
 
 def _window_equal(a: Circuit, b: Circuit) -> bool:
     """True if the window where the bodies of `a` and `b` differ shows
-    them equal in any context they share: same channel, same report
-    distribution. False if it cannot tell, not a proof that they differ.
+    them equal in any context they share: same channel, same joint law of
+    the reports and the outputs. False if it cannot tell, not a proof that
+    they differ.
 
     The window is what is left of the two bodies after their longest common
-    prefix and then their longest common suffix; the declarations must be
-    identical. An empty window, or a swap of two instructions with disjoint
-    wires, is equal. So is a window of gates on both sides whose two
-    isometries agree up to one global phase: on its qubits S, a wire is
-    fixed if `wire_state_before` knows its state at the window (|0>, |1>,
-    |+> or |->, up to a global phase), so the state there is a product of
-    the fixed wires' states and a state of everything else, on every
-    branch and input column. A wire's phase is a scalar shared by both
-    sides. An isometry over `sim.BYTE_BUDGET` raises `SimulationError`
-    before it is built.
+    prefix and then their longest common suffix. The qubit count, inputs
+    and qubit roles must be identical. An empty window, or a swap of two
+    instructions with disjoint wires, is equal if the declarations are
+    identical too.
 
-    A gate window is decided by `_gates_equal_on` from its local form: its
-    gates on local qubits numbered in order of first appearance, and each
-    local qubit's state. The verdict depends on nothing else, and both
-    sides and the fixed part share one numbering, so the same form on other
-    wires or at another step has the same verdict; it is memoized, exactly.
-    The budget check runs here, before the lookup, on every call, so a hit
-    is refused over budget just as a miss is.
+    A window of gates on both sides, under identical declarations and with
+    no qubit traced out (below), is equal if its two isometries agree up
+    to one global phase: on its qubits S, a wire is fixed if
+    `wire_state_before` knows its state at the window (|0>, |1>, |+> or
+    |->, up to a global phase), so the state there is a product of the
+    fixed wires' states and a state of everything else, on every branch and
+    input column. A wire's phase is a scalar shared by both sides. It is
+    decided by `_gates_equal_on` from its local form: its gates on local
+    qubits numbered in order of first appearance, and each local qubit's
+    state.
+
+    Any other window (one that measures, reads or writes a cbit, changes
+    a prep, or acts on a traced qubit) becomes two small window circuits,
+    one per side, whose channels `_window_circuits_equal` compares:
+    - a qubit whose state `wire_state_before` knows enters in that state,
+      a qubit whose prep the two sides declare differently enters as its
+      side's prep, and every other qubit is an input;
+    - a cbit written before the window is an input qubit measured into it,
+      so each of its values is checked;
+    - a cbit the window writes is copied to an output qubit if it is a
+      report or the suffix reads it, and is summed out otherwise;
+    - a discarded qubit that nothing after the window touches is traced
+      out there, as it is at the end.
+    The declarations may differ only in scratch cbits that one side
+    appends, and in preps on wires that nothing before the window touches
+    (BellPrepFold): those wires are in their preps' states there,
+    uncorrelated with every other wire. Any other difference, or a window
+    circuit that is not a valid circuit (a copied cbit only one side
+    writes), cannot tell.
+
+    This is sound: at the window the joint state is classical on the cbits
+    and arbitrary, entanglement included, on the input qubits. Equal window
+    channels (equal Choi matrices) mean that, for every value of the cbits
+    the window reads, both windows leave the same state on the qubits and
+    cbits anything after them reads. The prefix and the suffix are shared,
+    so the whole channel and the joint law of the reports are equal. An
+    isometry or window circuit over `sim.BYTE_BUDGET` raises
+    `SimulationError` before it is built.
+
+    Each verdict depends on nothing but the window's local form: its
+    instructions with qubits and cbits numbered, each kind on its own, in
+    order of first appearance (then changed preps' wires), and each wire's
+    descriptor (its state or prep and whether it is traced; whether a cbit
+    is read, copied or summed out). Both sides share one numbering, so the
+    same form on other wires or at another step has the same verdict, and
+    both memos are exact. The budget check runs here, before the lookup,
+    on every call, so a hit is refused over budget just as a miss is.
     """
-    if (a.num_qubits, a.num_cbits, a.preps, a.inputs, a.q_roles, a.c_roles) != (
-        b.num_qubits, b.num_cbits, b.preps, b.inputs, b.q_roles, b.c_roles
-    ):
+    if (a.num_qubits, a.inputs, a.q_roles) != (b.num_qubits, b.inputs, b.q_roles):
         return False
     x, y = a.body, b.body
     n = min(len(x), len(y))
@@ -520,19 +574,72 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
     while s < n - p and x[-1 - s] == y[-1 - s]:
         s += 1
     old, new = x[p : len(x) - s], y[p : len(y) - s]
-    if not old and not new:
+    after = len(x) - s  # where the suffix starts in `a`
+    same = (a.num_cbits, a.preps, a.c_roles) == (b.num_cbits, b.preps, b.c_roles)
+    if same and not old and not new:
         return True
-    if len(old) == 2 and new == old[::-1]:
-        return not (wires(old[0]) & wires(old[1]))
-    if not all(isinstance(i, (Gate1, Gate2)) for i in old + new):
+    if same and len(old) == 2 and new == old[::-1] and not (wires(old[0]) & wires(old[1])):
+        return True
+    qs: dict[int, int] = {}
+    cs: dict[int, int] = {}
+    for instr in old + new:
+        for name, kind in FIELD_KINDS[type(instr)]:
+            local = qs if kind == "q" else cs
+            local.setdefault(getattr(instr, name), len(local))
+    changed = []
+    if a.preps != b.preps:
+        pa, pb = a._prep_by_wire, b._prep_by_wire
+        changed = sorted(w for w in pa.keys() | pb.keys() if pa.get(w) != pb.get(w))
+    for w in changed:
+        if w not in pa or w not in pb or touched(a, WireRef("q", w), stop=p):
+            return False
+        qs.setdefault(w, len(qs))
+    short, long = sorted((a, b), key=lambda c: c.num_cbits)
+    shared, added = long.c_roles[: short.num_cbits], long.c_roles[short.num_cbits :]
+    if shared != short.c_roles or "report" in added:
         return False
-    local = {w: j for j, w in enumerate(template_variables((old + new, ())))}
-    states = tuple(wire_state_before(a, w, p) for w in local)
-    _require_budget((1 << len(states)) << states.count(None), "prepared state")
-    return _gates_equal_on(tuple(ground(old, local)), tuple(ground(new, local)), states)
+    traced = {
+        w for w in qs if a.q_roles[w] == "discard" and not touched(a, WireRef("q", w), after)
+    }
+    states = tuple("prep" if w in changed else wire_state_before(a, w, p) for w in qs)
+    old, new = _relabel(old, qs, cs), _relabel(new, qs, cs)
+    if same and not cs and not traced:
+        _require_budget((1 << len(states)) << states.count(None), "prepared state")
+        return _gates_equal_on(old, new, states)
+    cbits = tuple(
+        "read" if touched(a, WireRef("c", r), stop=p)
+        else "copied" if long.c_roles[r] == "report" or touched(a, WireRef("c", r), after)
+        else "summed"
+        for r in cs
+    )
+    qubits = tuple(
+        (state, "discard" if w in traced else "output") for w, state in zip(qs, states)
+    )
+    read, copied = cbits.count("read"), cbits.count("copied")
+    inputs = states.count(None) + read
+    _require_budget((1 << (len(qs) + read + copied)) << inputs, "prepared state")
+    preps_a, preps_b = (
+        tuple(sorted(
+            ground_preps([prep for prep in c.preps if prep.wires[0] in changed], qs),
+            key=lambda prep: prep.wires,
+        ))
+        for c in (a, b)
+    )
+    return _window_circuits_equal(old, new, qubits, cbits, preps_a, preps_b)
 
 
-_WINDOW_MEMO_SIZE = 4096  # distinct gate-window forms whose verdicts are kept
+def _relabel(instrs: tuple[Instruction, ...], qs: dict[int, int], cs: dict[int, int]) -> tuple:
+    """`instrs` with each qubit w renamed `qs[w]` and each cbit r `cs[r]`."""
+    out = []
+    for instr in instrs:
+        cls = type(instr)
+        ws = [(qs if k == "q" else cs)[getattr(instr, f)] for f, k in FIELD_KINDS[cls]]
+        kind = getattr(instr, "kind", None)
+        out.append(cls(*ws) if kind is None else cls(kind, *ws))
+    return tuple(out)
+
+
+_WINDOW_MEMO_SIZE = 4096  # distinct window forms whose verdicts each memo keeps
 
 
 @lru_cache(maxsize=_WINDOW_MEMO_SIZE)
@@ -549,6 +656,53 @@ def _gates_equal_on(old: tuple, new: tuple, states: tuple) -> bool:
     return unitary_equal(
         _apply_gates(fixed, old), _apply_gates(fixed, new), up_to_phase=True
     )
+
+
+@lru_cache(maxsize=_WINDOW_MEMO_SIZE)
+def _window_circuits_equal(
+    old: tuple, new: tuple, qubits: tuple, cbits: tuple, preps_a: tuple, preps_b: tuple
+) -> bool:
+    """Whether window circuits running `old` and `new`, on local qubits
+    0..k-1 and local cbits, have equal channels (`channel_equal`, within
+    `CHANNEL_ATOL`); False if either is not a valid circuit.
+
+    `qubits[j]` is local qubit j's (state, role): a state name of
+    `sim.STATE_VECTORS`, made by a |0> or |+> prep and X or Z; "prep",
+    for its side's prep in `preps_a` or `preps_b`; or None, for an input.
+    Its role is "discard" where it is traced out. `cbits[r]` is local cbit
+    r's use: "read" (an input qubit after the local ones, measured into r
+    first), "copied" (`CX r` onto a fresh |0> output qubit after the
+    inputs, last) or "summed". `_window_equal` checks the size of the
+    prepared state before the memo lookup."""
+    k = len(qubits)
+    read = [r for r, use in enumerate(cbits) if use == "read"]
+    copied = [r for r, use in enumerate(cbits) if use == "copied"]
+    preps, head, roles = [], [], {}
+    for j, (state, role) in enumerate(qubits):
+        roles[j] = role
+        if state in ("zero", "one"):
+            preps.append(prep_zero(j))
+        elif state in ("plus", "minus"):
+            preps.append(prep_plus(j))
+        if state in ("one", "minus"):
+            head.append(Gate1("X" if state == "one" else "Z", j))
+    for j, r in enumerate(read, start=k):
+        head.append(Measure(j, r))
+    tail = []
+    for j, r in enumerate(copied, start=k + len(read)):
+        preps.append(prep_zero(j))
+        tail.append(ClassicalCtrl("CX", r, j))
+    channels = []
+    for body, side in ((old, preps_a), (new, preps_b)):
+        try:
+            c = circuit(
+                k + len(read) + len(copied), len(cbits), head + list(body) + tail,
+                preps=preps + list(side), q_roles=roles,
+            )
+        except CircuitError:
+            return False
+        channels.append(extract_channel(c))
+    return channel_equal(*channels)
 
 
 def _step_check(start: Circuit, verify: bool) -> Callable[[Match, Circuit], TraceStep]:

@@ -17,6 +17,7 @@ from qrewrite.circuit import (
     Gate2,
     Measure,
     PrepDecl,
+    _splice,
     circuit,
     parse,
     prep_bell,
@@ -466,6 +467,25 @@ def test_insertion_search_equals_the_exhaustive_enumeration():
     assert [form for form, n in refused.items() if not n] == [("R1_InverseCancel", "backward")]
 
 
+def test_an_insertion_form_without_a_condition_admits_each_binding_once(monkeypatch):
+    # R1_InverseCancel backward has no condition, so `_admit` reads no
+    # position: it runs once per candidate binding, not once per position,
+    # and the matches equal the exhaustive enumeration
+    c = parse("qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nPREP q2 +\nH q0\nCNOT q1 q0")
+    calls = []
+    admit = engine._admit
+    monkeypatch.setattr(engine, "_admit", lambda *args: calls.append(args) or admit(*args))
+    found = find_matches(c, "R1_InverseCancel", "backward")
+    assert found == exhaustive_insertions(c, "R1_InverseCancel", "backward")[0]
+    # 3 wires for each one-qubit variant, 6 ordered pairs for each two-qubit one
+    assert len(calls) == 3 * 3 + 2 * 6
+    assert len(found) == len(calls) * (len(c.body) + 1)
+    # a conditioned insertion form is admitted at each position: a control
+    # q0 or q1 onto the |+> wire q2, at 3 positions
+    calls.clear()
+    assert len(find_matches(c, "R1_TargetPlus", "backward")) == len(calls) == 2 * 3
+
+
 def test_no_match_without_a_free_qubit_for_the_ancilla():
     c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nCNOT q0 q1")
     assert find_matches(c, "R5_DistributeCNOT") == []
@@ -540,6 +560,23 @@ def test_rewrite_rejects_binding_to_an_undeclared_wire():
     assert rewrite_at(c, m, verify=True).num_cbits == 3
 
 
+def test_a_replacement_is_checked_against_each_wire_count():
+    # `_splice` checks a replacement once per wire count: the same grounded
+    # tuple is refused where it names an undeclared wire, before and after
+    # it was accepted where it does not
+    new = (Gate1("H", 2), Measure(2, 1))
+    wide = parse("qubits 3\ncbits 2\nINPUT q0\nH q0")
+    for c in (parse("qubits 2\ncbits 2\nINPUT q0\nH q0"), wide, parse("qubits 3\ncbits 1\nH q0")):
+        kind = "q2" if c.num_qubits == 2 else "c1"
+        if c is wide:
+            out = _splice(c, 1, 1, new, (), c.num_cbits, None, (1,))
+            assert out.body == c.body + new
+            continue
+        with pytest.raises(CircuitError, match=f"undeclared wire {kind}") as exc:
+            _splice(c, 1, 1, new, (), c.num_cbits, None, (1,))
+        assert exc.value.index == (1 if kind == "q2" else 2)
+
+
 @pytest.mark.parametrize(
     "rule, direction, bindings, error",
     [
@@ -576,37 +613,75 @@ _R4_HOST = "qubits 3\ncbits {}\nINPUT q0\nINPUT q1\nINPUT q2\nREPORT {}\n"
 _R4_CNOT = "CNOT q0 q1\nMEASURE q0 c0\nMEASURE q1 c1\nCX c1 q2"
 
 
-@pytest.mark.parametrize(
-    "text, rule, direction, bindings",
-    [
-        # writes the unwritten report c0
-        (_DISCARDED_H, "MeasureDiscarded", "forward", {"w": 1, "r": 0}),
-        # erases the write of report c0
-        (_DISCARDED_H + "\nMEASURE q1 c0", "MeasureDiscarded", "backward", {"w": 1, "r": 0}),
-        # changes report r2 = c1 from a xor b to b
-        (_R4_HOST.format(2, "c1") + _R4_CNOT, "R4_XorSubstitute", "forward", {}),
-        # erases report r3 = c2
-        (
-            _R4_HOST.format(3, "c2") + "MEASURE q0 c0\nMEASURE q1 c1\nXOR c0 c1 c2\nCX c2 q2",
-            "R4_XorSubstitute",
-            "backward",
-            {"r3": 2},
-        ),
-    ],
-    ids=["write", "unwrite", "change", "erase"],
-)
-def test_no_rewrite_writes_changes_or_erases_a_report_wire(text, rule, direction, bindings):
-    # `channel_equal` sees only qubits, so step verification would accept
-    # these rewrites; the oracle also compares report distributions
-    c = parse(text)
-    assert find_matches(c, rule, direction) == []
+# (circuit text, rule, direction, bindings): a rewrite that writes, erases or
+# changes a report wire, at the site `_report_rewrite` names
+_REPORT_REWRITES = {
+    # writes the unwritten report c0
+    "write": (_DISCARDED_H, "MeasureDiscarded", "forward", {"w": 1, "r": 0}),
+    # erases the write of report c0
+    "unwrite": (_DISCARDED_H + "\nMEASURE q1 c0", "MeasureDiscarded", "backward", {"w": 1, "r": 0}),
+    # changes report r2 = c1 from a xor b to b
+    "change": (_R4_HOST.format(2, "c1") + _R4_CNOT, "R4_XorSubstitute", "forward", {}),
+    # erases report r3 = c2
+    "erase": (
+        _R4_HOST.format(3, "c2") + "MEASURE q0 c0\nMEASURE q1 c1\nXOR c0 c1 c2\nCX c2 q2",
+        "R4_XorSubstitute",
+        "backward",
+        {"r3": 2},
+    ),
+}
+
+
+def _report_rewrite(case: str) -> tuple[Circuit, Match]:
+    text, rule, direction, bindings = _REPORT_REWRITES[case]
     if rule == "R4_XorSubstitute":
         site = (0, 1, 2, 3)
         bindings = {"a": 0, "b": 1, "r1": 0, "r2": 1, "t": 2} | bindings
     else:
         site = (1,)
+    return parse(text), match(rule, direction, site, bindings)
+
+
+@pytest.mark.parametrize("case", list(_REPORT_REWRITES))
+def test_no_rewrite_writes_changes_or_erases_a_report_wire(case):
+    # the rules' report tests refuse these rewrites
+    c, m = _report_rewrite(case)
+    assert find_matches(c, m.rule, m.direction) == []
     with pytest.raises(RewriteError, match="role report"):
-        rewrite_at(c, match(rule, direction, site, bindings), verify=True)
+        rewrite_at(c, m, verify=True)
+
+
+@pytest.mark.parametrize("case", list(_REPORT_REWRITES))
+def test_only_the_window_check_refuses_a_rewrite_of_a_report(monkeypatch, case):
+    # with the report tests bypassed (each cbit test sees every cbit as
+    # scratch), the window check refuses each rewrite, since it copies a
+    # written report out of its window; the whole-circuit channel check,
+    # which sees only qubits, still accepts it, and the oracle does not
+    for rule in ("MeasureDiscarded", "R4_XorSubstitute"):
+        for direction in DIRECTIONS:
+            forms = FORMS[rule, direction]
+            for variant, form in list(forms.items()):
+                condition = tuple(
+                    (var, test if form.kinds[var] == "q" else _as_scratch(test))
+                    for var, test in form.condition
+                )
+                monkeypatch.setitem(forms, variant, dataclasses.replace(form, condition=condition))
+    c, m = _report_rewrite(case)
+    new = rewrite_at(c, m)
+    assert not engine._window_equal(c, new)
+    assert channel_equal(extract_channel(c), extract_channel(new))
+    assert not oracle_equal(c, new)
+    (step,) = engine.apply_steps(c, [m]).steps
+    assert (step.circuit, step.tier) == (new, "channel")
+
+
+def _as_scratch(test):
+    """`test` run on the circuit with every cbit's role scratch."""
+
+    def scratch(c, pos, matched, w):
+        return test(dataclasses.replace(c, c_roles=("scratch",) * c.num_cbits), pos, matched, w)
+
+    return scratch
 
 
 def test_a_fresh_cbit_is_never_a_report_wire():

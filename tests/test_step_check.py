@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qrewrite import engine, sim
-from qrewrite.circuit import Gate1, Gate2, parse
+from qrewrite.circuit import CircuitError, Gate1, Gate2, parse, prep_plus
 from qrewrite.engine import (
     VerificationError,
     _window_equal,
@@ -25,11 +25,11 @@ from qrewrite.sim import STATE_VECTORS, SimulationError, extract_channel
 from util import random_circuit
 
 
-# derivation -> steps accepted by the window check and by the channel check
+# derivation -> steps accepted by each check: the window check takes every one
 TIERS = {
-    "TeleportFromTransfer": {"window": 9, "channel": 6},
-    "DenseFromCopy": {"window": 5, "channel": 6},
-    "GateTeleportFromTeleport": {"window": 21, "channel": 14},
+    "TeleportFromTransfer": {"window": 15},
+    "DenseFromCopy": {"window": 11},
+    "GateTeleportFromTeleport": {"window": 35},
 }
 
 
@@ -69,37 +69,57 @@ def _steps():
                 yield c, rewrite_at(c, m), m.label()
 
 
+def _window_verdict(prev, new) -> tuple[bool, bool]:
+    """The window check's verdict on a step, and whether its window
+    circuits decided it (`engine._window_circuits_equal` was consulted)."""
+    info = engine._window_circuits_equal.cache_info
+    calls = sum(info()[:2])
+    verdict = _window_equal(prev, new)
+    return verdict, sum(info()[:2]) > calls
+
+
 def test_the_window_check_accepts_only_channel_equal_steps():
     # whenever the window check accepts a step, the whole-circuit channel
-    # check accepts it too; a sample of accepted steps on circuits with
-    # report roles is also oracle-equal, report distributions included
-    accepted, fell_through, unequal = 0, 0, []
+    # check accepts it too; every step its window circuits accept (a window
+    # that measures, reads or writes a cbit, changes a prep or traces a
+    # qubit out) is also oracle-equal, reports included, as is a sample of
+    # the rest on circuits with report roles
+    accepted, by_circuits, fell_through, unequal = 0, 0, 0, []
     for prev, new, label in _steps():
-        if not _window_equal(prev, new):
+        window, circuits = _window_verdict(prev, new)
+        if not window:
             fell_through += 1
             continue
         accepted += 1
+        by_circuits += circuits
         if not channel_equal(extract_channel(prev), extract_channel(new)):
             unequal.append(label)
-        elif accepted % 25 == 0 and prev.report_cbits and not oracle_equal(prev, new):
-            unequal.append(label)
+        elif circuits or accepted % 25 == 0 and prev.report_cbits:
+            if not oracle_equal(prev, new):
+                unequal.append(label)
     assert unequal == []
-    assert accepted >= 6_000 and fell_through >= 400, (accepted, fell_through)
+    # the few that fall through are windows the common prefix and suffix
+    # cut off from the rewrite's own site (an inserted CNOT next to an equal
+    # one), where the control's state is no longer known
+    assert accepted >= 6_900 and by_circuits >= 1_500 and 0 < fell_through <= 30, (
+        accepted, by_circuits, fell_through,
+    )
 
 
 def test_memoized_window_verdicts_equal_the_uncached_decision(monkeypatch):
-    # on every step, from an empty memo and again with it warm
+    # on every step, from empty memos and again with them warm
     steps = [(prev, new) for prev, new, _ in _steps()]
-    memo = engine._gates_equal_on
+    memos = (engine._gates_equal_on, engine._window_circuits_equal)
     with monkeypatch.context() as m:
-        m.setattr(engine, "_gates_equal_on", memo.__wrapped__)
+        for memo in memos:
+            m.setattr(engine, memo.__wrapped__.__name__, memo.__wrapped__)
         uncached = [_window_equal(prev, new) for prev, new in steps]
-    assert memo.cache_info().currsize == 0
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
     assert [_window_equal(prev, new) for prev, new in steps] == uncached
-    cold = memo.cache_info()
-    assert 0 < cold.misses < cold.hits, cold
+    cold = [memo.cache_info() for memo in memos]
+    assert all(0 < info.misses < info.hits for info in cold), cold
     assert [_window_equal(prev, new) for prev, new in steps] == uncached
-    assert memo.cache_info().misses == cold.misses
+    assert [memo.cache_info().misses for memo in memos] == [info.misses for info in cold]
 
 
 def test_the_fixed_part_equals_the_kron_construction(monkeypatch):
@@ -165,6 +185,45 @@ def test_the_window_check_refuses_unsound_null_controls(null_controls_admit_ever
     assert accepted >= 900 and unsound >= 1_500, (accepted, unsound)
 
 
+# the rules whose conditions keep their rewrites sound in context
+_CONDITIONED = (
+    "DiscardedWireTail", "MeasureDiscarded", "BellPrepFold", "R1_ControlZero", "R1_TargetPlus",
+)
+
+
+def test_the_window_check_accepts_no_unsound_rewrite_without_conditions(monkeypatch):
+    # with the conditions of the five rules dropped, many of their rewrites
+    # change the channel in context; the window check accepts none of them,
+    # nor one that changes the reports (the oracle checks every acceptance)
+    for rule in _CONDITIONED:
+        for direction in DIRECTIONS:
+            forms = FORMS[rule, direction]
+            for variant, form in list(forms.items()):
+                monkeypatch.setitem(forms, variant, dataclasses.replace(form, condition=()))
+    rng = np.random.default_rng(2024)
+    accepted, unsound, wrong = 0, Counter(), []
+    for _ in range(20):
+        c = random_circuit(rng, max_qubits=4, max_cbits=3, max_instructions=8)
+        c = _with_random_roles(rng, c)
+        channel = extract_channel(c)
+        for rule in _CONDITIONED:
+            for direction in DIRECTIONS:
+                for m in find_matches(c, rule, direction):
+                    try:
+                        new = rewrite_at(c, m)
+                    except CircuitError:  # a cbit written twice, a prep clash
+                        continue
+                    sound = channel_equal(channel, extract_channel(new))
+                    unsound[rule] += not sound
+                    if _window_equal(c, new):
+                        accepted += 1
+                        if not (sound and oracle_equal(c, new)):
+                            wrong.append(m.label())
+    assert wrong == []
+    assert accepted >= 500 and sum(unsound.values()) >= 1_000, (accepted, unsound)
+    assert all(unsound[rule] for rule in _CONDITIONED), unsound
+
+
 # (rule, direction, variant, unsound `dst`, circuit text): each replacement
 # changes what a pure-gate form computes in this context
 _UNSOUND_DST = {
@@ -200,7 +259,8 @@ def test_an_unsound_pure_gate_form_fails_verification(monkeypatch, defect):
 @pytest.mark.parametrize("name", list(TIERS))
 def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
     # the start's channel is extracted once, at the first step that needs
-    # it; a window-checked step extracts none
+    # it; a window-checked step extracts no whole-circuit channel, only
+    # those of its small window circuits
     calls = Counter()
 
     def counting(c):
@@ -211,8 +271,10 @@ def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
     trace = derive(name)
     assert Counter(s.tier for s in trace.steps) == TIERS[name]
     assert all(s.verified for s in trace.steps)
+    whole = {trace.start, *(s.circuit for s in trace.steps)}
     channel_steps = [s.circuit for s in trace.steps if s.tier == "channel"]
-    assert calls == Counter([trace.start] + channel_steps)
+    want = Counter([trace.start] + channel_steps) if channel_steps else Counter()
+    assert Counter(c for c in calls.elements() if c in whole) == want
     assert {s.tier for s in derive(name, verify=False).steps} == {None}
 
 
@@ -291,3 +353,53 @@ def test_the_window_check_is_refused_over_the_byte_budget(monkeypatch):
     monkeypatch.setattr(sim, "BYTE_BUDGET", 1023)
     with pytest.raises(SimulationError, match="prepared state needs 1024 bytes"):
         _window_equal(a, b)
+
+
+def test_a_window_circuit_is_refused_over_the_byte_budget(monkeypatch):
+    # R3 on inputs q0, q1 with report c0: window circuits of q0, q1 and one
+    # output qubit copying c0, two inputs, so a prepared state of 2^3 x 2^2
+    # entries of 16 bytes; refused on a memo hit just as on a miss
+    head = "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nREPORT c0\n"
+    a = parse(head + "MEASURE q0 c0\nCX c0 q1")
+    b = parse(head + "CNOT q0 q1\nMEASURE q0 c0")
+    memo = engine._window_circuits_equal
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 512)
+    assert _window_equal(a, b)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 511)
+    with pytest.raises(SimulationError, match="prepared state needs 512 bytes"):
+        _window_equal(a, b)  # a hit
+    memo.cache_clear()
+    with pytest.raises(SimulationError, match="prepared state needs 512 bytes"):
+        _window_equal(a, b)  # a miss
+    assert memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "old, new, equal",
+    [
+        # c0 is written before the window: each of its values is checked
+        ("CX c0 q1\nCX c0 q1", "", True),
+        ("CX c0 q1", "X q1", False),
+        ("CX c0 q1\nH q1\nCZC c0 q1\nH q1", "", True),
+    ],
+    ids=["cancel", "unequal", "conjugated"],
+)
+def test_the_window_check_reads_a_cbit_written_before_it(old, new, equal):
+    head = "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nMEASURE q0 c0\n"
+    a, b = parse(head + old), parse(head + new)
+    assert _window_equal(a, b) is _window_equal(b, a) is equal
+    assert channel_equal(extract_channel(a), extract_channel(b)) is equal
+
+
+def test_the_declarations_may_differ_only_in_scratch_cbits_and_untouched_preps():
+    a = parse("qubits 2\ncbits 1\nINPUT q0\nPREP q1 0\nH q0\nMEASURE q0 c0")
+    added = dataclasses.replace(a, num_cbits=2, c_roles=("scratch", "scratch"))
+    assert _window_equal(a, added) and _window_equal(added, a)
+    # an unwritten report is a report outcome of its own
+    reported = dataclasses.replace(added, c_roles=("scratch", "report"))
+    assert not _window_equal(a, reported)
+    # q1 is a |0> or a |+> wire nothing touches: a channel change
+    plus = dataclasses.replace(a, preps=(prep_plus(1),))
+    assert not _window_equal(a, plus)
+    # q1 without its prep is an input: another channel
+    assert not _window_equal(a, dataclasses.replace(a, preps=()))
