@@ -34,6 +34,12 @@ measured output wire back into the state as its value. So a state has at
 most n + 2 axes, within numpy's limit of 32 for any n the budget allows.
 Only `channel_of_deferred` reads through index tables.
 
+Every gate and prep of the circuit language is a real matrix in the
+computational basis, so the dtype follows the data: a circuit's isometry,
+its branches, its Kraus operators and its unitary are float64, and an
+array is complex128 only where a caller passes complex columns (`run`'s
+input state, the oracle's probes).
+
 Every dense array the simulator allocates is checked against
 `BYTE_BUDGET` first: the prepared state, the branch array before each
 split and each re-expansion, the Kraus rows with measured output wires
@@ -64,13 +70,13 @@ from .circuit import (
 SQRT_HALF = math.sqrt(0.5)
 PRUNE_EPS = 1e-12  # zero-probability branch threshold
 ATOL = 1e-9  # entrywise numerical tolerance
-BYTE_BUDGET = 512 * 2**20  # largest complex array the simulator allocates
+BYTE_BUDGET = 512 * 2**20  # largest array allocated, at 16 bytes an entry for any dtype
 # |0>, |1>, |+> and |->, keyed by the names `circuit.wire_state_before` returns
 STATE_VECTORS = {
-    "zero": np.array([1, 0], dtype=complex),
-    "one": np.array([0, 1], dtype=complex),
-    "plus": np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
-    "minus": np.array([SQRT_HALF, -SQRT_HALF], dtype=complex),
+    "zero": np.array([1.0, 0.0]),
+    "one": np.array([0.0, 1.0]),
+    "plus": np.array([SQRT_HALF, SQRT_HALF]),
+    "minus": np.array([SQRT_HALF, -SQRT_HALF]),
 }
 
 
@@ -79,9 +85,11 @@ class SimulationError(ValueError):
 
 
 def _require_budget(entries: int, what: str) -> None:
-    """Refuse, before allocating, an array of `entries` complex128 values
-    over `BYTE_BUDGET`; arrays that are returned or held together, such as
-    `run`'s branch states, count as one."""
+    """Refuse, before allocating, an array of `entries` values over
+    `BYTE_BUDGET`; arrays that are returned or held together, such as
+    `run`'s branch states, count as one. Every entry counts as 16 bytes, a
+    complex128, even in a float64 array, so each refusal threshold and
+    message is the same for real and complex data."""
     nbytes = entries * 16
     if nbytes > BYTE_BUDGET:
         raise SimulationError(
@@ -101,8 +109,9 @@ class Branch:
 
 @dataclass
 class Channel:
-    """Kraus operators stacked as an (r, 2^n_out, 2^n_in) array; the Choi
-    matrix is derived from them on first access."""
+    """Kraus operators stacked as an (r, 2^n_out, 2^n_in) array, float64
+    for every circuit (complex128 only if built from complex operators);
+    the Choi matrix is derived from them on first access."""
 
     kraus: np.ndarray
     n_in: int
@@ -157,8 +166,9 @@ def _gate(v: np.ndarray, instr: Gate1 | Gate2) -> np.ndarray:
 
 def apply_gate(state: np.ndarray, instr: Instruction) -> np.ndarray:
     """Apply a pure gate (H/X/Z/CNOT/CZ) along axis 0 of a statevector or of
-    a (2^n, k) batch of statevector columns. Returns a new array; `state`
-    is not changed."""
+    a (2^n, k) batch of statevector columns. Returns a new array, float64
+    for a real `state` and complex128 for a complex one; `state` is not
+    changed."""
     if state.ndim not in (1, 2):
         raise SimulationError("state must be a vector or a (2^n, k) array of columns")
     n = state.shape[0].bit_length() - 1
@@ -172,7 +182,7 @@ def _apply_gates(state: np.ndarray, gates) -> np.ndarray:
     `state`, in place (`_gate`); `state` is not changed. The order matters:
     an F-ordered copy would make `_wire_axes` reshape to a copy, and every
     write would be lost."""
-    v = np.array(state, dtype=complex, order="C")
+    v = np.array(state, dtype=np.result_type(state, float), order="C")
     for instr in gates:
         if not isinstance(instr, (Gate1, Gate2)):
             raise SimulationError(f"non-unitary instruction {instr!r}")
@@ -207,8 +217,8 @@ def _product_state(n: int, inputs, factors, columns: np.ndarray | None = None) -
     k = 1 << len(inputs) if columns is None else columns.shape[1]
     _require_budget((1 << n) * k, "prepared state")
     if columns is None:
-        columns = np.eye(1 << len(inputs), dtype=complex)
-    amp, order = np.ones(1, dtype=complex), []
+        columns = np.eye(1 << len(inputs))
+    amp, order = np.ones(1), []
     for wires, vector in factors:
         amp = np.outer(amp, vector).reshape(-1)
         order += wires
@@ -224,7 +234,7 @@ def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
     With `columns` None the input register runs over its basis, which gives
     the circuit's (2^n, 2^n_in) input isometry.
     """
-    bell = np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex)  # (|00> + |11>)/sqrt(2)
+    bell = np.array([SQRT_HALF, 0, 0, SQRT_HALF])  # (|00> + |11>)/sqrt(2)
     factors = [(p.wires, bell if p.kind == "bell" else STATE_VECTORS[p.kind]) for p in c.preps]
     return _product_state(c.num_qubits, c.effective_inputs, factors, columns)
 
@@ -311,7 +321,7 @@ class _Branches:
         p = bisect_left(self.live, w)
         rows, f = len(self.state), self.fixed[:, w]
         old = self.state.reshape(1 << p, rows >> p, len(f), self.k)
-        new = np.empty((1 << p, 2, rows >> p, len(f), self.k), dtype=complex)
+        new = np.empty((1 << p, 2, rows >> p, len(f), self.k), dtype=self.state.dtype)
         if hadamard:
             np.multiply(old, SQRT_HALF, out=new[:, 0])
             np.multiply(new[:, 0], (1 - 2 * f)[:, None], out=new[:, 1])
@@ -331,8 +341,8 @@ class _Branches:
             return
         _require_budget(self.state.size, "measurement branches")
         p, rows, count, k = self.at[w], len(self.state), len(self.fixed), self.k
-        shape = (1 << p, 2, rows >> (p + 1), count, 2 * k)
-        parts = self.state.view(float).reshape(shape)  # real and imaginary side by side
+        shape = (1 << p, 2, rows >> (p + 1), count, -1)
+        parts = self.state.view(float).reshape(shape)  # any imaginary part beside the real
         weight = np.einsum("abcde,abcde->db", parts, parts)  # (branch, value)
         kb, kv = np.nonzero(weight >= PRUNE_EPS)
         halves = self.state.reshape(shape[:-1] + (k,)).transpose(0, 2, 3, 1, 4)
@@ -347,7 +357,7 @@ class _Branches:
         """(B, k): each branch's probability for each input column."""
         parts = self.state.view(float)
         sq = np.einsum("ij,ij->j", parts, parts)
-        return sq.reshape(len(self.fixed), self.k, 2).sum(axis=2)
+        return sq.reshape(len(self.fixed), self.k, -1).sum(axis=2)
 
 
 def _branches(c: Circuit, state: np.ndarray) -> _Branches:
@@ -417,7 +427,7 @@ def build_unitary(c: Circuit) -> np.ndarray:
     if c.preps:
         raise SimulationError("circuit with preps is not a pure gate circuit")
     _require_budget(1 << (2 * c.num_qubits), "unitary")
-    return _apply_gates(np.eye(1 << c.num_qubits, dtype=complex), c.body)
+    return _apply_gates(np.eye(1 << c.num_qubits), c.body)
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +446,11 @@ def choi_of_kraus(kraus: np.ndarray) -> np.ndarray:
 
 def make_channel(kraus: np.ndarray | list[np.ndarray], n_in: int, n_out: int) -> Channel:
     """Assemble a channel, pruning negligible Kraus terms and checking
-    completeness (sum K^dag K = I)."""
+    completeness (sum K^dag K = I). Real operators stay real (float64);
+    complex ones stay complex128."""
     dim_in = 1 << n_in
-    kraus = np.asarray(kraus, dtype=complex).reshape(-1, 1 << n_out, dim_in)
+    kraus = np.asarray(kraus)
+    kraus = kraus.astype(np.result_type(kraus, float), copy=False).reshape(-1, 1 << n_out, dim_in)
     kraus = kraus[np.linalg.norm(kraus.reshape(len(kraus), -1), axis=1) > PRUNE_EPS]
     if not len(kraus):
         raise SimulationError("channel has no Kraus operators")
@@ -450,7 +462,7 @@ def make_channel(kraus: np.ndarray | list[np.ndarray], n_in: int, n_out: int) ->
 
 def unitary_channel(mat: np.ndarray) -> Channel:
     n = mat.shape[0].bit_length() - 1
-    return make_channel([np.array(mat, dtype=complex)], n, n)
+    return make_channel([mat], n, n)
 
 
 def _kraus_rows(branches: _Branches, outs, discards) -> np.ndarray:

@@ -192,6 +192,71 @@ def test_channel_equal_agrees_with_entrywise_choi_comparison():
     assert sum(verdicts) >= 50 and len(verdicts) - sum(verdicts) >= 50
 
 
+def _as_complex(ch: sim.Channel) -> sim.Channel:
+    return sim.Channel(ch.kraus.astype(complex), ch.n_in, ch.n_out)
+
+
+def test_channel_equal_gives_one_verdict_for_real_and_complex_operators():
+    # every circuit's channel is real; its complex cast, on either side or
+    # both, must not change a verdict
+    rng = np.random.default_rng(2525)
+    verdicts = []
+    for _ in range(150):
+        c = random_circuit(rng, max_qubits=5, max_instructions=12, p_input=0.4)
+        w = int(rng.integers(c.num_qubits))
+        pauli = Gate1(str(rng.choice(["X", "Z"])), w)
+        partners = [_rule_rewrite(c), dataclasses.replace(c, body=c.body + (pauli,))]
+        a = extract_channel(c)
+        assert a.kraus.dtype == np.float64
+        assert channel_equal(a, _as_complex(a)) and channel_equal(_as_complex(a), a)
+        for other in partners:
+            if other is None:
+                continue
+            b = extract_channel(other)
+            verdict = channel_equal(a, b)
+            for x in (a, _as_complex(a)):
+                for y in (b, _as_complex(b)):
+                    assert channel_equal(x, y) == verdict, (c, other)
+            verdicts.append(verdict)
+    assert sum(verdicts) >= 50 and len(verdicts) - sum(verdicts) >= 50
+
+
+def test_real_and_complex_unitary_channels_meet_extracted_ones():
+    one = "qubits 1\ncbits 0\nINPUT q0\n"
+    wire = extract_channel(parse(one + "H q0\nH q0"))
+    flip = extract_channel(parse(one + "X q0"))
+    phase = extract_channel(parse(one + "Z q0"))
+    for u in (np.eye(2), np.eye(2, dtype=complex), 1j * np.eye(2)):
+        ch = unitary_channel(u)
+        assert ch.kraus.dtype == u.dtype
+        assert channel_equal(ch, wire) and channel_equal(wire, ch)
+        assert not channel_equal(ch, flip) and not channel_equal(flip, ch)
+    s_gate = unitary_channel(np.diag([1, 1j]))
+    assert not channel_equal(s_gate, phase) and not channel_equal(phase, wire)
+    assert channel_equal(unitary_channel(np.diag([1.0, -1.0])), phase)
+
+
+def test_a_perturbation_is_judged_alike_whether_real_or_imaginary():
+    # one zero entry of the measured wire's |0><0| moved by a real or a
+    # purely imaginary amount moves the Choi matrix by sqrt(2) times it in
+    # Frobenius norm: within CHANNEL_ATOL at half of it, past it at twice.
+    # An imaginary amount makes the operators complex, so that verdict runs
+    # the complex path and must see it
+    measured = extract_channel(parse("qubits 1\ncbits 1\nINPUT q0\nOUTPUT q0\nMEASURE q0 c0"))
+    assert measured.kraus.dtype == np.float64 and measured.kraus[0, 0, 1] == 0
+    for scale, equal in ((0.5, True), (2.0, False)):
+        for amount in (scale * CHANNEL_ATOL, 1j * scale * CHANNEL_ATOL):
+            kraus = measured.kraus.astype(np.result_type(measured.kraus, amount))
+            kraus[0, 0, 1] += amount
+            bent = sim.Channel(kraus, 1, 1)
+            real = isinstance(amount, float)
+            assert bent.kraus.dtype == (np.float64 if real else np.complex128)
+            for a in (measured, _as_complex(measured)):
+                for b in (bent, _as_complex(bent)):
+                    assert channel_equal(a, b) == equal, (scale, amount)
+                    assert channel_equal(b, a) == equal, (scale, amount)
+
+
 def test_branch_and_deferred_paths_agree_at_eight_qubits():
     # all eight wires are inputs: the Choi matrix would be 64 GiB
     rng = np.random.default_rng(8)

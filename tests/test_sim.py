@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrewrite import sim
+from qrewrite import equivalence, sim
 from qrewrite.circuit import (
     _STATE_TABLE,
     ClassicalCtrl,
@@ -276,6 +276,27 @@ def test_oversized_requests_are_refused_before_allocation():
         ch.choi
 
 
+def test_budget_counts_sixteen_bytes_an_entry_for_a_real_state_too(monkeypatch):
+    # a prepared isometry is float64, 8 bytes an entry, but the budget counts
+    # 16 for every dtype: a real state is refused at the same entry count,
+    # with the same text, as a complex one
+    def zeros(n):
+        return circuit(n, 0, [], preps=[prep_zero(w) for w in range(n)])
+
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 16 << 6)
+    complex_column = np.ones((1, 1), dtype=complex)
+    assert sim._prepare(zeros(6)).dtype == np.float64
+    assert sim._prepare(zeros(6), complex_column).dtype == np.complex128
+    refusal = "^prepared state needs 2048 bytes, over the 1024-byte budget$"
+    for call in (
+        lambda: sim._prepare(zeros(7)),
+        lambda: sim._prepare(zeros(7), complex_column),
+        lambda: extract_channel(zeros(7)),
+    ):
+        with pytest.raises(SimulationError, match=refusal):
+            call()
+
+
 def test_re_expansion_is_refused_over_budget(monkeypatch):
     # each H on the measured wire brings it back into the branch state, and
     # each measurement then doubles the branches: round r holds 2^(r+2) entries
@@ -425,7 +446,8 @@ def test_branch_loop_agrees_with_full_dimension_reference():
 
 def test_prepare_equals_the_mask_reference():
     # interleaved inputs, BELL pairs on wires far apart, preps in any order,
-    # the input basis or given columns: bit for bit the mask reference
+    # the input basis or given columns: bit for bit the mask reference, in
+    # its complex dtype (a prepared isometry is float64)
     rng = np.random.default_rng(2020)
     far_pairs = 0
     for k in range(200):
@@ -449,8 +471,62 @@ def test_prepare_equals_the_mask_reference():
             shape = (1 << len(c.effective_inputs), int(rng.integers(1, 4)))
             columns = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got, want = sim._prepare(c, columns), reference_prepare(c, columns)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), c
+        assert got.shape == want.shape, c
+        assert got.astype(complex).tobytes() == want.tobytes(), c
     assert far_pairs >= 30
+
+
+def _real_part_of(got: np.ndarray, want: np.ndarray) -> bool:
+    """`got` is float64 and, bitwise, the real part of the complex128
+    `want`, whose imaginary part is exactly zero. Zeros are made positive
+    first (x + 0.0): the two dtypes may give a zero opposite signs."""
+    assert got.dtype == np.float64 and want.dtype == np.complex128
+    assert not np.any(want.imag)
+    return got.shape == want.shape and _zero_signed_bytes(got) == _zero_signed_bytes(want.real)
+
+
+def _zero_signed_bytes(a: np.ndarray) -> bytes:
+    return (a + 0.0).tobytes()
+
+
+def test_channel_deferred_and_unitary_paths_are_real():
+    # every gate and prep is a real matrix, so each path returns float64
+    # arrays whose entries are those of the complex reference; `run` and the
+    # oracle, given complex columns, still compute in complex128
+    rng = np.random.default_rng(9090)
+    deferred = unitaries = 0
+    for k in range(1000):
+        if k % 4:
+            c = random_circuit(rng)
+        else:
+            c = random_circuit(rng, p_input=1.0, allow_measure=k % 8 == 0)
+        reference = full_channel(c).kraus
+        assert _real_part_of(extract_channel(c).kraus, reference), c
+        try:
+            ops = channel_of_deferred(c).kraus
+        except SimulationError:
+            pass
+        else:
+            # the same operators, though listed by the assignment to the
+            # sorted measured wires, not in measurement order
+            assert ops.dtype == np.float64 and ops.shape == reference.shape, c
+            assert sorted(map(_zero_signed_bytes, ops)) == sorted(
+                map(_zero_signed_bytes, reference.real)
+            ), c
+            deferred += 1
+        if not c.preps and all(isinstance(i, (Gate1, Gate2)) for i in c.body):
+            want = np.eye(1 << c.num_qubits, dtype=complex)
+            for g in c.body:
+                want = reference_gate(want, g)
+            assert _real_part_of(build_unitary(c), want), c
+            unitaries += 1
+        n_in = len(c.effective_inputs)
+        real_input = np.eye(1 << n_in)[:, -1]
+        assert all(b.state.dtype == np.complex128 for b in run(c, real_input)), c
+        probes = equivalence.probe_columns(n_in, 0, 1)
+        assert probes.dtype == np.complex128
+        assert equivalence._probe_outputs(c, probes)[0].dtype == np.complex128, c
+    assert deferred >= 300 and unitaries >= 100
 
 
 def test_kraus_rows_equal_the_table_and_placement_reference():
