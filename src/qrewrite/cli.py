@@ -83,7 +83,7 @@ def _count(text: str) -> int:
 
 
 def _load(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         return parse(fh.read())
 
 
@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input file that is missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except VerificationError as exc:

@@ -47,23 +47,18 @@ those, with the code `circuit.validate` runs on a whole circuit (a
 grounded replacement once per pair of wire counts).
 
 Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one
-check (`_step_check`) in two tiers, decided from the circuits before and
-after the step alone, not from the match. The window tier
-(`_window_equal`) diffs the two bodies and decides the window they differ
-in on its own, exactly in any context, reports included: a window of
-gates by its two small isometries (`_gates_equal_on`), any other, one
-that measures, reads or writes a cbit, changes a prep or traces a qubit
-out, by the channels of two small window circuits
-(`_window_circuits_equal`), so the local identities of Rules III and IV
-are decided once per local form. A step it cannot tell is checked by
-channel equality of the whole circuit with the start, whose channel is
-extracted at the first step that needs it.
+check (`_step_check`): the window of the step's match (`_window_equal`),
+its matched instructions against the replacement, decided on its own,
+exactly in any context, reports included, on the bound wires alone. Two
+small window circuits, one per side, are compared by their channels
+(`_window_circuits_equal`), so each local identity is decided once per
+local form. A step the window cannot decide raises `VerificationError`.
 `defer_measurements` only applies found `Commute` and `R3_DeferMeasure`
 forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -87,11 +82,10 @@ from .circuit import (
     serialize,
     touched,
     wire_state_before,
-    wires,
 )
-from .equivalence import channel_equal, unitary_equal
+from .equivalence import channel_equal
 from .rules import RuleForm, ground_preps, rule_forms
-from .sim import STATE_VECTORS, _apply_gates, _product_state, _require_budget, extract_channel
+from .sim import _require_budget, extract_channel
 
 
 MAX_MATCHES = 1 << 18  # most matches one `find_matches` call may list
@@ -425,6 +419,25 @@ def _check_applicable(c: Circuit, form: RuleForm, m: Match) -> str | None:
     return None
 
 
+def _gather(
+    c: Circuit, form: RuleForm, site: tuple[int, ...]
+) -> tuple[int, int, Sequence[Instruction], Sequence[Instruction]]:
+    """An occurrence's position `pos`, the end of its span body[pos:end],
+    its matched instructions, and the instructions of the span it skipped
+    (`kept`), which a rewrite keeps after its replacement. A `Commute`
+    match matches none and keeps its two instructions swapped."""
+    if form.rule == "Commute":
+        i = site[0]
+        return i, i + 2, [], [c.body[i + 1], c.body[i]]
+    pos, matched = _anchor(c, form, site)
+    end = matched[-1] + 1 if matched else pos
+    body = c.body
+    if end - pos == len(matched):  # nothing skipped
+        return pos, end, body[pos:end], ()
+    kept = [body[j] for j in range(pos, end) if j not in matched]
+    return pos, end, [body[j] for j in matched], kept
+
+
 def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     """Apply a match: gather the matched instructions at the occurrence's
     position and splice in the instantiated replacement (a `Commute` match
@@ -442,16 +455,9 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         if reason is not None:
             raise RewriteError(f"{m.rule}: {reason}")
 
-    if m.rule == "Commute":
-        # the two instructions are disjoint: no wire's order changes
-        i = m.site[0]
-        pos, end, dst, skipped = i, i + 2, [], [c.body[i + 1], c.body[i]]
-    else:
-        pos, matched = _anchor(c, form, m.site)
-        end = matched[-1] + 1 if matched else pos
-        skipped = [c.body[j] for j in range(pos, end) if j not in matched]
-        dst = form._ground_dst(bindings)
-
+    # a `Commute` match's two instructions are disjoint: no wire's order changes
+    pos, end, _, kept = _gather(c, form, m.site)
+    dst = form._ground_dst(bindings)
     preps = None
     if form.src_preps or form.dst_preps:
         preps = list(c.preps)
@@ -461,7 +467,7 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
         preps = tuple(sorted(preps, key=lambda p: p.wires))
     # the matched and inserted instructions touch only bound wires
     cbits = [w for v, w in bindings.items() if form.kinds[v] == "c"]
-    new = _splice(c, pos, end, dst, skipped, num_cbits, preps, cbits)
+    new = _splice(c, pos, end, dst, kept, num_cbits, preps, cbits)
     if verify:
         _step_check(c, True)(m, new)
     return new
@@ -477,7 +483,7 @@ class TraceStep:
     label: str
     circuit: Circuit
     verified: bool | None  # None when verification was off; never False
-    # the check that accepted the step: "window" or "channel" (None if off)
+    # the check that accepted the step: "window" (None if off)
     tier: str | None = None
 
 
@@ -503,35 +509,33 @@ def _indent(text: str) -> str:
     return "\n".join("    " + line for line in text.splitlines())
 
 
-def _window_equal(a: Circuit, b: Circuit) -> bool:
-    """True if the window where the bodies of `a` and `b` differ shows
-    them equal in any context they share: same channel, same joint law of
-    the reports and the outputs. False if it cannot tell, not a proof that
-    they differ.
+def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
+    """True if the window where `a` and `b` differ shows them equal in any
+    context they share: same channel, same joint law of the reports and the
+    outputs. False if it cannot tell, not a proof that they differ.
 
-    The window is what is left of the two bodies after their longest common
-    prefix and then their longest common suffix. The qubit count, inputs
-    and qubit roles must be identical. An empty window, or a swap of two
-    instructions with disjoint wires, is equal if the declarations are
-    identical too.
+    Given the match `m` of `a` that `b` is the rewrite of, as a verified
+    step is, the window is the matched instructions against the
+    replacement, at the match's position, read in `a`'s gathered circuit:
+    `rewrite_at`'s splice with `src` in place of `dst`, so the prefix
+    before the position, then the matched instructions, then the skipped
+    ones and the rest of the body. Each later matched instruction shares no
+    wire with any skipped before it, so swaps of disjoint instructions make
+    that circuit of `a`, and its window touches the bound wires alone. A
+    `b` that is not that circuit with the replacement in place of the
+    matched instructions cannot tell. Without a match, the window is what
+    is left of the two bodies after their longest common prefix and then
+    their longest common suffix.
 
-    A window of gates on both sides, under identical declarations and with
-    no qubit traced out (below), is equal if its two isometries agree up
-    to one global phase: on its qubits S, a wire is fixed if
-    `wire_state_before` knows its state at the window (|0>, |1>, |+> or
-    |->, up to a global phase), so the state there is a product of the
-    fixed wires' states and a state of everything else, on every branch and
-    input column. A wire's phase is a scalar shared by both sides. It is
-    decided by `_gates_equal_on` from its local form: its gates on local
-    qubits numbered in order of first appearance, and each local qubit's
-    state.
-
-    Any other window (one that measures, reads or writes a cbit, changes
-    a prep, or acts on a traced qubit) becomes two small window circuits,
-    one per side, whose channels `_window_circuits_equal` compares:
-    - a qubit whose state `wire_state_before` knows enters in that state,
-      a qubit whose prep the two sides declare differently enters as its
-      side's prep, and every other qubit is an input;
+    The qubit count, inputs and qubit roles must be identical. An empty
+    window, such as a `Commute` match's, whose gathered circuit is its
+    rewrite, is equal if the declarations are identical too. Any other
+    window becomes two small window circuits, one per side, whose channels
+    `_window_circuits_equal` compares:
+    - a qubit whose state `wire_state_before` knows (|0>, |1>, |+> or |->,
+      up to a global phase) enters in that state, a qubit whose prep the
+      two sides declare differently enters as its side's prep, and every
+      other qubit is an input;
     - a cbit written before the window is an input qubit measured into it,
       so each of its values is checked;
     - a cbit the window writes is copied to an output qubit if it is a
@@ -543,16 +547,17 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
     (BellPrepFold): those wires are in their preps' states there,
     uncorrelated with every other wire. Any other difference, or a window
     circuit that is not a valid circuit (a copied cbit only one side
-    writes), cannot tell.
+    writes), cannot tell. A window of gates alone has pure window channels,
+    which are equal if the two isometries agree up to one global phase.
 
     This is sound: at the window the joint state is classical on the cbits
     and arbitrary, entanglement included, on the input qubits. Equal window
     channels (equal Choi matrices) mean that, for every value of the cbits
     the window reads, both windows leave the same state on the qubits and
     cbits anything after them reads. The prefix and the suffix are shared,
-    so the whole channel and the joint law of the reports are equal. An
-    isometry or window circuit over `sim.BYTE_BUDGET` raises
-    `SimulationError` before it is built.
+    so the whole channel and the joint law of the reports are equal. A
+    window circuit over `sim.BYTE_BUDGET` raises `SimulationError` before
+    it is built.
 
     Each verdict depends on nothing but the window's local form: its
     instructions with qubits and cbits numbered, each kind on its own, in
@@ -560,25 +565,32 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
     descriptor (its state or prep and whether it is traced; whether a cbit
     is read, copied or summed out). Both sides share one numbering, so the
     same form on other wires or at another step has the same verdict, and
-    both memos are exact. The budget check runs here, before the lookup,
-    on every call, so a hit is refused over budget just as a miss is.
+    the memo is exact. The budget check runs here, before the lookup, on
+    every call, so a hit is refused over budget just as a miss is.
     """
     if (a.num_qubits, a.inputs, a.q_roles) != (b.num_qubits, b.inputs, b.q_roles):
         return False
     x, y = a.body, b.body
-    n = min(len(x), len(y))
-    p = 0
-    while p < n and x[p] == y[p]:
-        p += 1
-    s = 0
-    while s < n - p and x[-1 - s] == y[-1 - s]:
-        s += 1
-    old, new = x[p : len(x) - s], y[p : len(y) - s]
-    after = len(x) - s  # where the suffix starts in `a`
+    if m is None:
+        n = min(len(x), len(y))
+        p = 0
+        while p < n and x[p] == y[p]:
+            p += 1
+        s = 0
+        while s < n - p and x[-1 - s] == y[-1 - s]:
+            s += 1
+        old, new = x[p : len(x) - s], y[p : len(y) - s]
+        after, skip = len(x) - s, ()
+    else:
+        p, end, src, kept = _gather(a, rule_forms(m.rule, m.direction)[m.variant], m.site)
+        old, rest = tuple(src), tuple(kept) + x[end:]
+        k = len(y) - len(rest)
+        if k < p or y[:p] != x[:p] or y[k:] != rest:
+            return False  # `b` is not the rewrite of `a` at the match
+        # the gathered circuit's suffix `rest` is body[p:] but the matched indices
+        new, after, skip = y[p:k], p, m.site if src else ()
     same = (a.num_cbits, a.preps, a.c_roles) == (b.num_cbits, b.preps, b.c_roles)
     if same and not old and not new:
-        return True
-    if same and len(old) == 2 and new == old[::-1] and not (wires(old[0]) & wires(old[1])):
         return True
     qs: dict[int, int] = {}
     cs: dict[int, int] = {}
@@ -598,17 +610,15 @@ def _window_equal(a: Circuit, b: Circuit) -> bool:
     shared, added = long.c_roles[: short.num_cbits], long.c_roles[short.num_cbits :]
     if shared != short.c_roles or "report" in added:
         return False
-    traced = {
-        w for w in qs if a.q_roles[w] == "discard" and not touched(a, WireRef("q", w), after)
-    }
+    def later(wire: WireRef) -> bool:  # touched in the suffix
+        return touched(a, wire, after, skip=skip)
+
+    traced = {w for w in qs if a.q_roles[w] == "discard" and not later(WireRef("q", w))}
     states = tuple("prep" if w in changed else wire_state_before(a, w, p) for w in qs)
     old, new = _relabel(old, qs, cs), _relabel(new, qs, cs)
-    if same and not cs and not traced:
-        _require_budget((1 << len(states)) << states.count(None), "prepared state")
-        return _gates_equal_on(old, new, states)
     cbits = tuple(
         "read" if touched(a, WireRef("c", r), stop=p)
-        else "copied" if long.c_roles[r] == "report" or touched(a, WireRef("c", r), after)
+        else "copied" if long.c_roles[r] == "report" or later(WireRef("c", r))
         else "summed"
         for r in cs
     )
@@ -639,23 +649,7 @@ def _relabel(instrs: tuple[Instruction, ...], qs: dict[int, int], cs: dict[int, 
     return tuple(out)
 
 
-_WINDOW_MEMO_SIZE = 4096  # distinct window forms whose verdicts each memo keeps
-
-
-@lru_cache(maxsize=_WINDOW_MEMO_SIZE)
-def _gates_equal_on(old: tuple, new: tuple, states: tuple) -> bool:
-    """Whether gates `old` and `new` on local qubits 0..k-1 agree up to one
-    global phase on the fixed part: qubit j in `sim.STATE_VECTORS[states[j]]`,
-    or arbitrary where `states[j]` is None. The fixed part is the product
-    state (`sim._product_state`), qubit 0 most significant, of those
-    one-qubit states, with the arbitrary qubits as its input register in
-    their basis; `_window_equal` checks its size before the memo lookup."""
-    free = [j for j, state in enumerate(states) if state is None]
-    known = [((j,), STATE_VECTORS[state]) for j, state in enumerate(states) if state is not None]
-    fixed = _product_state(len(states), free, known)
-    return unitary_equal(
-        _apply_gates(fixed, old), _apply_gates(fixed, new), up_to_phase=True
-    )
+_WINDOW_MEMO_SIZE = 4096  # distinct window forms whose verdicts the memo keeps
 
 
 @lru_cache(maxsize=_WINDOW_MEMO_SIZE)
@@ -707,27 +701,20 @@ def _window_circuits_equal(
 
 def _step_check(start: Circuit, verify: bool) -> Callable[[Match, Circuit], TraceStep]:
     """A recorder of steps from `start` as `TraceStep`s. With `verify`, each
-    step's circuit is checked against the step before it by `_window_equal`,
-    and, where that cannot tell, its channel against the start's, which is
-    extracted at the first step that needs it; a step that fails both raises
-    `VerificationError`. Every earlier step was accepted, so either check
-    shows the step equal to `start`."""
+    step's circuit is checked against the step before it by `_window_equal`
+    on the step's match, and a step it cannot decide raises
+    `VerificationError`. Every earlier step was accepted, so an accepted
+    step is equal to `start`."""
     if not verify:
         return lambda m, new: TraceStep(m.label(), new, None)
-    prev, start_channel = start, None
+    prev = start
 
     def step(m: Match, new: Circuit) -> TraceStep:
-        nonlocal prev, start_channel
-        if _window_equal(prev, new):
-            tier = "window"
-        else:
-            if start_channel is None:
-                start_channel = extract_channel(start)
-            if not channel_equal(start_channel, extract_channel(new)):
-                raise VerificationError(f"step {m.label()} broke channel equality")
-            tier = "channel"
+        nonlocal prev
+        if not _window_equal(prev, new, m):
+            raise VerificationError(f"step {m.label()} is not shown equal on its window")
         prev = new
-        return TraceStep(m.label(), new, True, tier)
+        return TraceStep(m.label(), new, True, "window")
 
     return step
 
@@ -798,15 +785,26 @@ def defer_measurements(c: Circuit) -> Circuit:
     reaches the end is the result the gates-then-measurements form
     `channel_of_deferred` reads.
     """
-    while True:
-        found = {
-            m.site: m for rule in ("Commute", "R3_DeferMeasure") for m in find_matches(c, rule)
-        }
-        for i in range(len(c.body) - 1):
-            if isinstance(c.body[i], Measure) and not isinstance(c.body[i + 1], Measure):
-                m = found.get((i, i + 1)) or found.get((i,))
-                if m is not None:
-                    c = rewrite_at(c, m)
-                    break
-        else:
-            return c
+    i = 0
+    while i < len(c.body) - 1:
+        if isinstance(c.body[i], Measure) and not isinstance(c.body[i + 1], Measure):
+            m = _match_at(c, "R3_DeferMeasure", (i, i + 1)) or _match_at(c, "Commute", (i,))
+            if m is not None:
+                # no pair before i - 1 changed, and none of them moves
+                c, i = rewrite_at(c, m), max(i - 1, 0)
+                continue
+        i += 1
+    return c
+
+
+def _match_at(c: Circuit, rule_id: str, site: tuple[int, ...]) -> Match | None:
+    """The first forward match of the rule at `site` that `find_matches`
+    lists, found by the search restricted to the site."""
+    for form in rule_forms(rule_id, "forward").values():
+        for found, bindings in _occurrences(c, form, site):
+            reason, complete, num_cbits = _admit(c, form, found, bindings)
+            if reason is None:
+                m = Match(rule_id, "forward", found, tuple(sorted(bindings.items())), form.variant)
+                object.__setattr__(m, "_admitted", _Admitted(c, form, complete, num_cbits))
+                return m
+    return None

@@ -314,10 +314,9 @@ def test_simplify_prints_trace(files, capsys):
 
 
 def test_failed_verification_exit_code(files, capsys, monkeypatch):
-    # fail both tiers of step verification: the window check and the
-    # whole-circuit channel check
-    monkeypatch.setattr("qrewrite.engine._window_equal", lambda a, b: False)
-    monkeypatch.setattr("qrewrite.engine.channel_equal", lambda a, b: False)
+    # fail the window check on the step's match, the one check of a
+    # verified step
+    monkeypatch.setattr("qrewrite.engine._window_equal", lambda a, b, m: False)
     path = files("hh.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0\n")
     for argv in (
         ["demo", "teleportation"],
@@ -366,6 +365,20 @@ def test_derivation_missing_its_target_is_a_verification_failure(capsys, monkeyp
 
 def test_missing_file_exit_code(capsys):
     assert main(["run", "/nonexistent/x.qc"]) == EXIT_PARSE
+
+
+def test_unreadable_input_is_an_error_not_a_traceback(tmp_path, capsys):
+    # a directory in place of a circuit file raises IsADirectoryError
+    for argv in (["run", str(tmp_path)], ["check", str(tmp_path), str(tmp_path)]):
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    path = tmp_path / "bom.qc"
+    path.write_bytes(b"\xef\xbb\xbfqubits 1\ncbits 0\nINPUT q0\nX q0\nX q0\n")
+    assert main(["simplify", str(path)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "INPUT q0"
 
 
 def test_usage_error():

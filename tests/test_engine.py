@@ -42,7 +42,7 @@ from qrewrite.rules import DIRECTIONS, FORMS, RULES, ground, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
-from util import exhaustive_insertions, full_rewrite, random_circuit
+from util import exhaustive_insertions, full_rewrite, random_circuit, reference_defer_measurements
 
 
 def test_find_matches_adjacent_pair():
@@ -232,6 +232,19 @@ def test_defer_measurements_moves_controls():
     assert channel_equal(extract_channel(tele), channel_of_deferred(deferred))
 
 
+def test_defer_measurements_equals_the_whole_circuit_search():
+    # each move searches the measurement's two sites alone; the reference
+    # lists every match of the circuit again after each move
+    rng = np.random.default_rng(606)
+    moved = 0
+    for k in range(300):
+        c = random_circuit(rng, max_qubits=5, max_cbits=4, max_instructions=24)
+        deferred = defer_measurements(c)
+        assert deferred == reference_defer_measurements(c), k
+        moved += deferred != c
+    assert moved >= 100, moved
+
+
 def test_rewrite_verification_mode_runs():
     c = parse("qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0")
     (m,) = find_matches(c, "R1_InverseCancel")
@@ -281,10 +294,9 @@ def test_defer_measurements_defers_the_recorded_corpus():
 
 
 def test_failed_verification_raises(monkeypatch):
-    # fail both tiers of step verification: the window check and the
-    # whole-circuit channel check
-    monkeypatch.setattr("qrewrite.engine._window_equal", lambda a, b: False)
-    monkeypatch.setattr("qrewrite.engine.channel_equal", lambda a, b: False)
+    # fail the window check on the step's match, the one check of a
+    # verified step
+    monkeypatch.setattr("qrewrite.engine._window_equal", lambda a, b, m: False)
     with pytest.raises(VerificationError, match="R1_ControlZero"):
         derive("TeleportFromTransfer")
     c = parse("qubits 1\ncbits 0\nINPUT q0\nH q0\nH q0")
@@ -655,8 +667,9 @@ def test_no_rewrite_writes_changes_or_erases_a_report_wire(case):
 def test_only_the_window_check_refuses_a_rewrite_of_a_report(monkeypatch, case):
     # with the report tests bypassed (each cbit test sees every cbit as
     # scratch), the window check refuses each rewrite, since it copies a
-    # written report out of its window; the whole-circuit channel check,
-    # which sees only qubits, still accepts it, and the oracle does not
+    # written report out of its window, so verification fails; whole-circuit
+    # channel equality, which sees only qubits, still calls the two circuits
+    # equal, and the oracle does not
     for rule in ("MeasureDiscarded", "R4_XorSubstitute"):
         for direction in DIRECTIONS:
             forms = FORMS[rule, direction]
@@ -668,11 +681,13 @@ def test_only_the_window_check_refuses_a_rewrite_of_a_report(monkeypatch, case):
                 monkeypatch.setitem(forms, variant, dataclasses.replace(form, condition=condition))
     c, m = _report_rewrite(case)
     new = rewrite_at(c, m)
-    assert not engine._window_equal(c, new)
+    assert not engine._window_equal(c, new, m)
     assert channel_equal(extract_channel(c), extract_channel(new))
     assert not oracle_equal(c, new)
-    (step,) = engine.apply_steps(c, [m]).steps
-    assert (step.circuit, step.tier) == (new, "channel")
+    with pytest.raises(VerificationError, match=m.rule):
+        engine.apply_steps(c, [m])
+    with pytest.raises(VerificationError, match=m.rule):
+        rewrite_at(c, m, verify=True)
 
 
 def _as_scratch(test):

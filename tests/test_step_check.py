@@ -1,5 +1,6 @@
-"""Step verification's two tiers: the window check (`engine._window_equal`)
-and the whole-circuit channel check behind it."""
+"""Step verification: the window check (`engine._window_equal`), which
+decides each verified step on the instructions its match names, and on
+its own verdicts on pairs of circuits (the whole-body diff)."""
 import dataclasses
 from collections import Counter
 from itertools import product
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from qrewrite import engine, sim
-from qrewrite.circuit import CircuitError, Gate1, Gate2, parse, prep_plus
+from qrewrite.circuit import CircuitError, Gate1, Gate2, _splice, parse, prep_plus
 from qrewrite.engine import (
     VerificationError,
+    _gather,
     _window_equal,
     apply_steps,
     find_matches,
@@ -19,10 +21,10 @@ from qrewrite.engine import (
 )
 from qrewrite.equivalence import channel_equal, oracle_equal
 from qrewrite.rules import DIRECTIONS, FORMS
-from qrewrite.scenarios import derive
+from qrewrite.scenarios import _SCRIPTS, derive
 from qrewrite.sim import STATE_VECTORS, SimulationError, extract_channel
 
-from util import random_circuit
+from util import random_circuit, random_gate_circuit
 
 
 # derivation -> steps accepted by each check: the window check takes every one
@@ -47,95 +49,169 @@ def _sweep_corpus():
     ]
 
 
+def _committed(c):
+    """The match `simplify` commits on `c`: the first of its priority forms."""
+    return next(m for rule in engine._SIMPLIFY_PRIORITY for m in find_matches(c, *rule))
+
+
 def _steps():
-    """(before, after, label) for every step of the three derivations and
+    """(before, match, after) for every step of the three derivations and
     of unverified `simplify` on seeded random circuits, then every found
     match of every rule and direction on the sweep corpus."""
     for name in TIERS:
         trace = derive(name, verify=False)
         before = [trace.start] + [s.circuit for s in trace.steps]
-        for prev, step in zip(before, trace.steps):
-            yield prev, step.circuit, f"{name}: {step.label}"
+        for prev, m, step in zip(before, _SCRIPTS[name][1], trace.steps):
+            yield prev, m, step.circuit
     rng = np.random.default_rng(77)
     for _ in range(40):
         c = random_circuit(rng, max_qubits=4, max_cbits=2, max_instructions=12)
         _, trace = simplify(c, verify=False)
         before = [c] + [s.circuit for s in trace.steps]
         for prev, step in zip(before, trace.steps):
-            yield prev, step.circuit, f"simplify: {step.label}"
+            m = _committed(prev)
+            assert m.label() == step.label
+            yield prev, m, step.circuit
     for c in _sweep_corpus():
         for rule, direction in FORMS:
             for m in find_matches(c, rule, direction):
-                yield c, rewrite_at(c, m), m.label()
-
-
-def _window_verdict(prev, new) -> tuple[bool, bool]:
-    """The window check's verdict on a step, and whether its window
-    circuits decided it (`engine._window_circuits_equal` was consulted)."""
-    info = engine._window_circuits_equal.cache_info
-    calls = sum(info()[:2])
-    verdict = _window_equal(prev, new)
-    return verdict, sum(info()[:2]) > calls
+                yield c, m, rewrite_at(c, m)
 
 
 def test_the_window_check_accepts_only_channel_equal_steps():
-    # whenever the window check accepts a step, the whole-circuit channel
-    # check accepts it too; every step its window circuits accept (a window
-    # that measures, reads or writes a cbit, changes a prep or traces a
-    # qubit out) is also oracle-equal, reports included, as is a sample of
-    # the rest on circuits with report roles
-    accepted, by_circuits, fell_through, unequal = 0, 0, 0, []
-    for prev, new, label in _steps():
-        window, circuits = _window_verdict(prev, new)
-        if not window:
-            fell_through += 1
-            continue
+    # the window of each step's match decides every step, and each one it
+    # accepts is equal by whole-circuit channel equality and by the
+    # oracle, which also compares the reports
+    accepted, unequal = 0, []
+    for prev, m, new in _steps():
+        assert _window_equal(prev, new, m), m.label()
         accepted += 1
-        by_circuits += circuits
-        if not channel_equal(extract_channel(prev), extract_channel(new)):
-            unequal.append(label)
-        elif circuits or accepted % 25 == 0 and prev.report_cbits:
-            if not oracle_equal(prev, new):
-                unequal.append(label)
+        channel = channel_equal(extract_channel(prev), extract_channel(new))
+        if not (channel and oracle_equal(prev, new)):
+            unequal.append(m.label())
     assert unequal == []
-    # the few that fall through are windows the common prefix and suffix
-    # cut off from the rewrite's own site (an inserted CNOT next to an equal
-    # one), where the control's state is no longer known
-    assert accepted >= 6_900 and by_circuits >= 1_500 and 0 < fell_through <= 30, (
-        accepted, by_circuits, fell_through,
-    )
+    assert accepted >= 6_900, accepted
+
+
+def _reached_by_commute_matches(c, target):
+    """Whether found `Commute` matches, each applied where `c` first
+    differs from `target`, turn `c` into `target`."""
+    while c.body != target.body:
+        i = next(k for k, (x, y) in enumerate(zip(c.body, target.body)) if x != y)
+        # bring target's instruction at i left, one disjoint swap at a time
+        j = c.body.index(target.body[i], i)
+        for k in range(j - 1, i - 1, -1):
+            found = [m for m in find_matches(c, "Commute") if m.site == (k,)]
+            if not found:
+                return False
+            c = rewrite_at(c, found[0])
+    return c == target
+
+
+def _gathered_steps():
+    """(before, match, after, gathered circuit, position, matched
+    instructions) for every step of `_steps()` and of unverified `simplify`
+    on a 16-qubit gate body, where the matcher skips more often. The
+    gathered circuit is `rewrite_at`'s splice with the matched instructions
+    in place of the replacement, which puts them at the match's position
+    ahead of the skipped ones."""
+    wide = random_gate_circuit(np.random.default_rng(16), 16, 200)
+    _, trace = simplify(wide, verify=False)
+    before = [wide] + [s.circuit for s in trace.steps]
+    wide_steps = [(prev, _committed(prev), new) for prev, new in zip(before, before[1:])]
+    for prev, m, new in [*_steps(), *wide_steps]:
+        pos, end, src, kept = _gather(prev, FORMS[m.rule, m.direction][m.variant], m.site)
+        gathered = _splice(prev, pos, end, src, kept, prev.num_cbits, None, ())
+        yield prev, m, new, gathered, pos, tuple(src)
+
+
+def test_the_gathered_circuit_is_reached_by_commute_matches():
+    # found disjoint swaps make the gathered circuit of the circuit before
+    # the step, so both have one channel and one joint law of the reports
+    moved = 0
+    for prev, m, _, gathered, pos, src in _gathered_steps():
+        assert _reached_by_commute_matches(prev, gathered), m.label()
+        matched = m.site if FORMS[m.rule, m.direction][m.variant].src else ()
+        assert src == tuple(prev.body[j] for j in matched)
+        assert gathered.body[pos : pos + len(src)] == src
+        moved += gathered.body != prev.body
+    assert moved >= 35, moved
+
+
+def _common_length(x: tuple, y: tuple) -> int:
+    """The length of the longest common prefix of `x` and `y`."""
+    return next((k for k, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
+
+
+def test_a_step_window_is_read_in_the_gathered_circuit(monkeypatch):
+    # a step's window, decided from the circuit before it and the match,
+    # hands its window circuits the local form that the whole-body diff of
+    # the gathered circuit and the step's circuit hands them, wherever that
+    # diff leaves the matched instructions against the replacement
+    forms = []
+    monkeypatch.setattr(engine, "_window_circuits_equal", lambda *form: forms.append(form) or True)
+
+    def local_form(*args):
+        forms.clear()
+        _window_equal(*args)
+        return list(forms)
+
+    compared = moved = 0
+    for prev, m, new, gathered, pos, src in _gathered_steps():
+        x, y = gathered.body, new.body
+        p = _common_length(x, y)
+        if (p, _common_length(x[p:][::-1], y[p:][::-1])) != (pos, len(x) - pos - len(src)):
+            continue  # the diff's prefix or suffix reaches into the window
+        diff = local_form(gathered, new)
+        assert local_form(prev, new, m) == diff, m.label()
+        compared += 1
+        moved += gathered.body != prev.body and bool(diff)
+    assert compared >= 6_000 and moved >= 20, (compared, moved)
+
+
+def test_a_step_window_refuses_a_circuit_that_is_not_the_rewrite():
+    # the step's circuit must be the gathered circuit with the replacement
+    # in place of the matched instructions; one that lost a skipped
+    # instruction or the rest of the body, or gained one before the match,
+    # cannot tell
+    c = parse("qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nH q0\nCNOT q1 q2\nH q0\nX q2")
+    (m,) = find_matches(c, "R1_InverseCancel")
+    new = rewrite_at(c, m)
+    assert new.body == c.body[1:2] + c.body[3:] and _window_equal(c, new, m)
+    for body in (new.body[1:], new.body[:1], (Gate1("Z", 2),) + new.body):
+        assert not _window_equal(c, dataclasses.replace(new, body=body), m)
 
 
 def test_memoized_window_verdicts_equal_the_uncached_decision(monkeypatch):
-    # on every step, from empty memos and again with them warm
-    steps = [(prev, new) for prev, new, _ in _steps()]
-    memos = (engine._gates_equal_on, engine._window_circuits_equal)
+    # on every step, from an empty memo and again with it warm
+    steps = list(_steps())
+    memo = engine._window_circuits_equal
     with monkeypatch.context() as m:
-        for memo in memos:
-            m.setattr(engine, memo.__wrapped__.__name__, memo.__wrapped__)
-        uncached = [_window_equal(prev, new) for prev, new in steps]
-    assert all(memo.cache_info().currsize == 0 for memo in memos)
-    assert [_window_equal(prev, new) for prev, new in steps] == uncached
-    cold = [memo.cache_info() for memo in memos]
-    assert all(0 < info.misses < info.hits for info in cold), cold
-    assert [_window_equal(prev, new) for prev, new in steps] == uncached
-    assert [memo.cache_info().misses for memo in memos] == [info.misses for info in cold]
+        m.setattr(engine, "_window_circuits_equal", memo.__wrapped__)
+        uncached = [_window_equal(prev, new, step) for prev, step, new in steps]
+    assert memo.cache_info().currsize == 0
+    assert [_window_equal(prev, new, step) for prev, step, new in steps] == uncached
+    cold = memo.cache_info()
+    assert 0 < cold.misses < cold.hits, cold
+    assert [_window_equal(prev, new, step) for prev, step, new in steps] == uncached
+    assert memo.cache_info().misses == cold.misses
 
 
 def test_the_fixed_part_equals_the_kron_construction(monkeypatch):
-    # each side's gates act on the Kronecker product, qubit 0 most
-    # significant, of each known qubit's column and an identity for each
-    # arbitrary one
+    # each side's window circuit starts in the Kronecker product, qubit 0
+    # most significant, of each known qubit's column and an identity for
+    # each arbitrary one: the isometry of a window with no instruction
     seen = []
-    monkeypatch.setattr(engine, "_apply_gates", lambda state, gates: seen.append(state) or state)
+    monkeypatch.setattr(engine, "channel_equal", lambda a, b: seen.extend((a, b)) or True)
     for k in (1, 2, 3):
         for states in product([None, *STATE_VECTORS], repeat=k):
-            assert engine._gates_equal_on.__wrapped__((), (), states)
+            qubits = tuple((state, "output") for state in states)
+            assert engine._window_circuits_equal.__wrapped__((), (), qubits, (), (), ())
             want = np.ones((1, 1))
             for state in states:
                 want = np.kron(want, np.eye(2) if state is None else STATE_VECTORS[state][:, None])
             assert len(seen) == 2
-            assert all(np.array_equal(fixed, want) for fixed in seen), states
+            assert all(np.array_equal(ch.kraus, want[None]) for ch in seen), states
             seen.clear()
 
 
@@ -143,10 +219,11 @@ def test_one_local_form_on_other_wires_shares_one_memo_entry():
     # CNOT from an input onto a |0> wire, twice, on (q0, q1) and on (q2, q1):
     # numbered in order of first appearance, both are CNOT 0 1 on (None, zero)
     head = "qubits 3\ncbits 0\nINPUT q0\nPREP q1 0\nINPUT q2\n"
-    memo = engine._gates_equal_on
+    memo = engine._window_circuits_equal
     for pair in ("CNOT q0 q1\nCNOT q0 q1", "CNOT q2 q1\nCNOT q2 q1"):
         a = parse(head + pair)
-        assert _window_equal(a, dataclasses.replace(a, body=()))
+        (m,) = find_matches(a, "R1_InverseCancel")
+        assert _window_equal(a, rewrite_at(a, m), m)
     info = memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
 
@@ -174,7 +251,7 @@ def test_the_window_check_refuses_unsound_null_controls(null_controls_admit_ever
             for direction in DIRECTIONS:
                 for m in find_matches(c, rule, direction):
                     new = rewrite_at(c, m)
-                    window = _window_equal(c, new)
+                    window = _window_equal(c, new, m)
                     if channel_equal(channel, extract_channel(new)):
                         accepted += window
                         continue
@@ -215,7 +292,7 @@ def test_the_window_check_accepts_no_unsound_rewrite_without_conditions(monkeypa
                         continue
                     sound = channel_equal(channel, extract_channel(new))
                     unsound[rule] += not sound
-                    if _window_equal(c, new):
+                    if _window_equal(c, new, m):
                         accepted += 1
                         if not (sound and oracle_equal(c, new)):
                             wrong.append(m.label())
@@ -249,7 +326,7 @@ def test_an_unsound_pure_gate_form_fails_verification(monkeypatch, defect):
     monkeypatch.setitem(forms, variant, dataclasses.replace(forms[variant], dst=dst))
     c = parse(text)
     m = next(m for m in find_matches(c, rule, direction) if m.variant == variant)
-    assert not _window_equal(c, rewrite_at(c, m))
+    assert not _window_equal(c, rewrite_at(c, m), m)
     with pytest.raises(VerificationError, match=rule):
         rewrite_at(c, m, verify=True)
     with pytest.raises(VerificationError, match=rule):
@@ -258,9 +335,8 @@ def test_an_unsound_pure_gate_form_fails_verification(monkeypatch, defect):
 
 @pytest.mark.parametrize("name", list(TIERS))
 def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
-    # the start's channel is extracted once, at the first step that needs
-    # it; a window-checked step extracts no whole-circuit channel, only
-    # those of its small window circuits
+    # a verified step extracts no whole-circuit channel, only those of its
+    # small window circuits
     calls = Counter()
 
     def counting(c):
@@ -272,9 +348,7 @@ def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
     assert Counter(s.tier for s in trace.steps) == TIERS[name]
     assert all(s.verified for s in trace.steps)
     whole = {trace.start, *(s.circuit for s in trace.steps)}
-    channel_steps = [s.circuit for s in trace.steps if s.tier == "channel"]
-    want = Counter([trace.start] + channel_steps) if channel_steps else Counter()
-    assert Counter(c for c in calls.elements() if c in whole) == want
+    assert calls and not whole & set(calls)
     assert {s.tier for s in derive(name, verify=False).steps} == {None}
 
 
@@ -284,10 +358,13 @@ def test_simplify_by_window_checks_alone_extracts_no_channel(monkeypatch):
         "H q1\nH q1\nX q0\nX q0\nCNOT q0 q1\nCNOT q1 q2\nCZ q1 q2\nCZ q1 q2"
     )
 
-    def refuse(c):
-        raise AssertionError("channel extracted")
+    def refuse_whole(window):
+        # every circuit of this simplify has 3 qubits, each window 2 or fewer
+        if window.num_qubits == c.num_qubits:
+            raise AssertionError("whole-circuit channel extracted")
+        return extract_channel(window)
 
-    monkeypatch.setattr(engine, "extract_channel", refuse)
+    monkeypatch.setattr(engine, "extract_channel", refuse_whole)
     final, trace = simplify(c)
     assert final.body == ()
     assert [s.tier for s in trace.steps] == ["window"] * 5
@@ -337,14 +414,53 @@ def _cancel_across(n: int) -> str:
     return f"qubits {n}\ncbits 0\n{inputs}\nH q0\n{chain}\nH q0\n"
 
 
+def _r4_across(n: int) -> str:
+    """R4_XorSubstitute on inputs q0, q1 and q(n-1), reporting c0, with a
+    CNOT chain on the n - 4 wires between skipped between its first and
+    second instructions."""
+    chain = "\n".join(f"CNOT q{i} q{i + 1}" for i in range(2, n - 2))
+    inputs = "\n".join(f"INPUT q{i}" for i in range(n))
+    return (
+        f"qubits {n}\ncbits 2\n{inputs}\nREPORT c0\nCNOT q0 q1\n{chain}\n"
+        f"MEASURE q0 c0\nMEASURE q1 c1\nCX c1 q{n - 1}\n"
+    )
+
+
+@pytest.mark.parametrize("n, length", [(16, 200), (24, 400), (64, 400)])
+def test_verified_simplify_is_unverified_simplify_at_any_width(n, length):
+    # each window holds its bound wires alone, so width costs it nothing:
+    # at 64 qubits the whole-body diff of a step spans more than 2^48 bytes
+    c = random_gate_circuit(np.random.default_rng(n), n, length)
+    final, trace = simplify(c)
+    plain, untraced = simplify(c, verify=False)
+    assert final == plain and len(trace.steps) >= 10
+    assert [s.label for s in trace.steps] == [s.label for s in untraced.steps]
+    assert all(s.verified and s.tier == "window" for s in trace.steps)
+
+
 def test_the_window_check_is_refused_over_the_byte_budget(monkeypatch):
-    # 14 qubits of unknown state: a (2^14, 2^14) isometry, 4 GiB
+    # 14 qubits of unknown state: a (2^14, 2^14) isometry, 4 GiB, for the
+    # whole-body diff; a step's window holds its bound wires alone, so
+    # verified `simplify` cancels the two Hs on q0 by themselves
     a = parse(_cancel_across(14))
     b = dataclasses.replace(a, body=a.body[1:-1])
     with pytest.raises(SimulationError, match="prepared state needs 4294967296 bytes"):
         _window_equal(a, b)
-    with pytest.raises(SimulationError, match="prepared state needs"):
-        simplify(a)
+    final, trace = simplify(a)
+    assert final == b and [s.label for s in trace.steps] == ["R1_InverseCancel [H] @ (0, 13) {w=0}"]
+    # R4 binds six wires across a 14-qubit chain: three input qubits, a
+    # copied report and two summed cbits, so 2^4 x 2^3 entries of 16 bytes,
+    # at and just over the budget
+    c = parse(_r4_across(14))
+    (m,) = find_matches(c, "R4_XorSubstitute")
+    assert len(m.bindings) == 5 and m.site[1] - m.site[0] == 11
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 2048)
+    assert rewrite_at(c, m, verify=True) == rewrite_at(c, m)
+    monkeypatch.setattr(sim, "BYTE_BUDGET", 2047)
+    with pytest.raises(SimulationError, match="prepared state needs 2048 bytes"):
+        rewrite_at(c, m, verify=True)
+    with pytest.raises(SimulationError, match="prepared state needs 2048 bytes"):
+        apply_steps(c, [m])
     # 3 qubits: 2^3 x 2^3 entries of 16 bytes, at and just over the budget
     a = parse(_cancel_across(3))
     b = dataclasses.replace(a, body=a.body[1:-1])

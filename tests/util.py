@@ -21,7 +21,14 @@ from qrewrite.circuit import (
     prep_zero,
     wires,
 )
-from qrewrite.engine import Match, RewriteError, _admit, _check_applicable
+from qrewrite.engine import (
+    Match,
+    RewriteError,
+    _admit,
+    _check_applicable,
+    find_matches,
+    rewrite_at,
+)
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
 from qrewrite.rules import ground, ground_preps, rule_forms
 from qrewrite.sim import (
@@ -144,6 +151,18 @@ def random_circuit(
             assigned.append(out)
             body.append(ClassicalXor(a, b, out))
     return circuit(n, m, body, preps=preps, inputs=inputs)
+
+
+def random_gate_circuit(rng: np.random.Generator, n: int, length: int) -> Circuit:
+    """`length` random H, X, Z, CNOT and CZ gates on n input wires."""
+    body = []
+    for _ in range(length):
+        if rng.random() < 0.5:
+            body.append(Gate1(str(rng.choice(["H", "X", "Z"])), int(rng.integers(n))))
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            body.append(Gate2(str(rng.choice(["CNOT", "CZ"])), int(a), int(b)))
+    return circuit(n, 0, body, inputs=range(n))
 
 
 def instantiate(
@@ -293,6 +312,25 @@ def full_rewrite(c, m) -> Circuit:
         c.q_roles,
         c.c_roles + ("scratch",) * (num_cbits - c.num_cbits),
     )
+
+
+def reference_defer_measurements(c: Circuit) -> Circuit:
+    """`engine.defer_measurements` as a whole-circuit search: after each
+    move, every `Commute` and `R3_DeferMeasure` forward match of the
+    circuit is listed again, and the leftmost measurement with a match at
+    (i, i + 1) or (i,) takes it."""
+    while True:
+        found = {
+            m.site: m for rule in ("Commute", "R3_DeferMeasure") for m in find_matches(c, rule)
+        }
+        for i in range(len(c.body) - 1):
+            if isinstance(c.body[i], Measure) and not isinstance(c.body[i + 1], Measure):
+                m = found.get((i, i + 1)) or found.get((i,))
+                if m is not None:
+                    c = rewrite_at(c, m)
+                    break
+        else:
+            return c
 
 
 def kron_probe_states(n_in: int) -> list[tuple[str, np.ndarray]]:
