@@ -1,11 +1,13 @@
 """Command line front end: run, unitary, check, rewrite, simplify, demo.
 
-Exit codes: 0 success, 1 usage error, 2 circuit parse error,
-3 verification failure, 4 not equivalent (for `check`).
+Exit codes: 0 success, 1 usage error (or standard output closed early),
+2 circuit parse error or unreadable input file, 3 verification failure,
+4 not equivalent (for `check`).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -82,9 +84,17 @@ def _count(text: str) -> int:
     return int(text)
 
 
+class InputFileError(Exception):
+    """An input file that is missing, a directory or unreadable."""
+
+
 def _load(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
+            text = fh.read()
+    except OSError as exc:
+        raise InputFileError(exc) from exc
+    return parse(text)
 
 
 def _outcome_text(outcome: dict[int, int]) -> str:
@@ -267,11 +277,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head -1` does
+        # Python's documented idiom: the output still buffered goes to
+        # devnull, so the interpreter's flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:  # an input file that is missing, a directory, unreadable
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except VerificationError as exc:

@@ -3,6 +3,14 @@ the Frobenius distance of Choi matrices (computed from the Kraus
 operators without forming either Choi matrix), and an independent
 brute-force oracle over probe inputs.
 
+With V the vec(K) columns of a channel, Choi = V V^dag. `channel_equal`
+factors one side only, V_A = Q R, and splits the other as V_B = Q P + E
+with E orthogonal to Q's columns; the squared distance is then
+||R R^dag - P P^dag||^2 + 2 <P^dag P, E^dag E> + ||E^dag E||^2, a sum
+of small matrices' norms whose every term vanishes for equal channels.
+No Gram matrix of V is formed: a distance read off Gram matrices
+cancels terms near 1 and keeps only half the digits.
+
 The oracle runs both circuits on a fixed probe set (every basis state,
 |+>, |-> and |+i> on each input wire, 20 seeded random states) and
 compares, probe by probe, the outcome-marginalized output state and
@@ -65,18 +73,36 @@ def channel_equal(a: Channel, b: Channel) -> bool:
     """Choi matrices agree to CHANNEL_ATOL in Frobenius norm, which implies they
     agree entrywise; Kraus decompositions may differ.
 
-    With V the vec(K) columns of a channel, Choi = V V^dag. Factoring
-    [V_A V_B] = Q [R_A R_B] with orthonormal Q gives
-    ||Choi_A - Choi_B||_F = ||R_A R_A^dag - R_B R_B^dag||_F, a matrix of
-    side at most r_A + r_B (the Kraus counts) instead of 2^(n_in + n_out).
+    With V the vec(K) columns of a channel, Choi = V V^dag. One QR of A's
+    columns alone, V_A = Q R with orthonormal Q, splits B's columns into
+    their part in range(Q) and the rest: V_B = Q P + E with P = Q^dag V_B
+    and Q^dag E = 0. Then
+    Choi_A - Choi_B = Q (R R^dag - P P^dag) Q^dag - Q P E^dag - E P^dag Q^dag - E E^dag,
+    four blocks in mutually orthogonal subspaces, so
+    ||Choi_A - Choi_B||_F^2 = ||R R^dag - P P^dag||_F^2 + 2 <P^dag P, E^dag E>
+    + ||E^dag E||_F^2, from matrices of side at most r_A and r_B (the Kraus
+    counts) instead of 2^(n_in + n_out). No Gram matrix V^dag V is formed:
+    a squared distance read off Gram matrices, ||V_A^dag V_A||^2 +
+    ||V_B^dag V_B||^2 - 2 ||V_A^dag V_B||^2, cancels terms near 1, so it
+    carries an error near machine epsilon and the distance keeps only half
+    the digits, too few for CHANNEL_ATOL. Here every term vanishes when the
+    channels agree: E is the residual of B's columns, taken by subtraction,
+    and only its own Gram matrix is formed.
     """
     if a.n_in != b.n_in or a.n_out != b.n_out:
         raise EquivalenceError("channel dimension mismatch")
-    r_a = len(a.kraus)
-    vecs = np.concatenate([a.kraus.reshape(r_a, -1), b.kraus.reshape(len(b.kraus), -1)])
-    r = np.linalg.qr(vecs.T, mode="r")
-    ra, rb = r[:, :r_a], r[:, r_a:]
-    return bool(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T) <= CHANNEL_ATOL)
+    va = a.kraus.reshape(len(a.kraus), -1).T
+    vb = b.kraus.reshape(len(b.kraus), -1).T
+    q, r = np.linalg.qr(va)
+    # np.dot, not matmul: numpy's matmul skips BLAS for an inner size of
+    # 1 (one Kraus operator), at ten times the cost
+    p = np.dot(q.conj().T, vb)
+    ph = p.conj().T
+    e = vb - np.dot(q, p)
+    gram_e = np.dot(e.conj().T, e)
+    d = np.dot(r, r.conj().T) - np.dot(p, ph)
+    dist2 = np.vdot(d, d).real + np.vdot(gram_e, gram_e + 2 * np.dot(ph, p)).real
+    return bool(dist2 <= CHANNEL_ATOL**2)
 
 
 _SINGLE_AMPS = (("+", 1), ("-", -1), ("+i", 1j))

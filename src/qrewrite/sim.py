@@ -3,11 +3,11 @@ full-unitary construction, and Kraus channel extraction.
 
 Every gate acts along axis 0 of a `(2^n,)` statevector or of a `(2^n, k)`
 batch of statevector columns, so one pass over the circuit evolves a whole
-input isometry. Gates act in place on an array the loop owns (`_gate`):
+input isometry. Gates act on an array the loop owns (`_gate`):
 `_apply_gates` copies its input once, C-ordered, and the branch loop owns
-its state, so a gate allocates at most a half-size temporary (X copies a
-reversed view instead). The public `apply_gate` still returns a new array
-and never changes its argument.
+its state. Z, CNOT and CZ change it in place, with at most a quarter-size
+temporary (CNOT's swap); X and H return a new state-size array. The public
+`apply_gate` still returns a new array and never changes its argument.
 
 Measurement branching (`_branches`) keeps every branch in one array. A
 measured wire leaves the state: each branch records its value, and the
@@ -78,6 +78,7 @@ STATE_VECTORS = {
     "plus": np.array([SQRT_HALF, SQRT_HALF]),
     "minus": np.array([SQRT_HALF, -SQRT_HALF]),
 }
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # H without its 1/sqrt(2)
 
 
 class SimulationError(ValueError):
@@ -135,20 +136,22 @@ def _wire_axes(state: np.ndarray, *wires: int) -> np.ndarray:
 
 def _gate(v: np.ndarray, instr: Gate1 | Gate2) -> np.ndarray:
     """Apply a pure gate along axis 0 of `v`, a C-ordered array the caller
-    owns, in place. Returns `v`, or for X a new C-ordered array: copying a
-    reversed view is faster than swapping the halves in place."""
+    owns. Z, CNOT and CZ act in place and return `v`; X and H return a new
+    C-ordered array of the state's size, which is faster than swapping or
+    mixing the halves in place. X copies a reversed view. H is one product
+    of the sign matrix `_SIGNS` with the wire's axis, then one scale by
+    SQRT_HALF: every sign is +-1, so each entry is s0 + s1 or s0 - s1,
+    rounded once, as an elementwise sum gives it."""
     kind = instr.kind
     if type(instr) is Gate1:
+        if kind == "H":  # real and imaginary parts alike, through a float view
+            out = np.matmul(_SIGNS, _wire_axes(v.view(float), instr.target))
+            out *= SQRT_HALF
+            return out.view(v.dtype).reshape(v.shape)
         s = _wire_axes(v, instr.target)
         if kind == "X":
             return s[:, ::-1].copy().reshape(v.shape)
-        if kind == "Z":
-            s[:, 1] *= -1
-        else:  # H: new[w=0] = (s0 + s1) / sqrt(2), new[w=1] = (s0 - s1) / sqrt(2)
-            low = s[:, 0] - s[:, 1]
-            s[:, 0] += s[:, 1]
-            s[:, 1] = low
-            v *= SQRT_HALF
+        s[:, 1] *= -1  # Z
         return v
     s = _wire_axes(v, instr.control, instr.target)
     if kind == "CZ":
@@ -179,7 +182,7 @@ def apply_gate(state: np.ndarray, instr: Instruction) -> np.ndarray:
 
 def _apply_gates(state: np.ndarray, gates) -> np.ndarray:
     """`gates` applied in turn along axis 0 of one C-ordered copy of
-    `state`, in place (`_gate`); `state` is not changed. The order matters:
+    `state` by `_gate`; `state` is not changed. The order matters:
     an F-ordered copy would make `_wire_axes` reshape to a copy, and every
     write would be lost."""
     v = np.array(state, dtype=np.result_type(state, float), order="C")
@@ -250,8 +253,8 @@ class _Branches:
     measured wire w (0 while w is live) and `outcomes[b, j]` its value of
     classical wire j (-1 while unassigned). The loop owns `state`, a
     C-ordered array (`_apply_gates`' copy, then the arrays it builds), and
-    gates change it in place; a gate on some branches acts on a copy of
-    their blocks, written back.
+    gates change it in place or replace it (`_gate`); a gate on some
+    branches acts on a copy of their blocks, written back.
     """
 
     __slots__ = ("live", "at", "state", "k", "fixed", "outcomes")

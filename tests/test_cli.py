@@ -374,6 +374,28 @@ def test_unreadable_input_is_an_error_not_a_traceback(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: [Errno")
 
 
+WIDE_UNITARY = "qubits 7\ncbits 0\n" + "".join(f"INPUT q{w}\n" for w in range(7)) + "H q0\n"
+
+
+@pytest.mark.parametrize("text", [None, WIDE_UNITARY], ids=["short", "long"])
+def test_a_closed_standard_output_is_a_usage_error_without_a_message(
+    files, capsys, monkeypatch, text
+):
+    # `qrewrite ... | head -1`: the reader has closed the pipe, so a write
+    # raises BrokenPipeError; short output raises when `main` flushes it,
+    # the 128 rows of a 7-qubit unitary while they are printed. It is not
+    # an input file error (exit 2), and nothing is left to fail at exit
+    argv = ["demo", "swap"] if text is None else ["unitary", files("wide.qc", text)]
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", out)
+        assert main(argv) == EXIT_USAGE
+        out.write("after the command\n")
+        out.flush()  # raises unless the pipe was pointed at devnull
+    assert capsys.readouterr().err == ""
+
+
 def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
     path = tmp_path / "bom.qc"
     path.write_bytes(b"\xef\xbb\xbfqubits 1\ncbits 0\nINPUT q0\nX q0\nX q0\n")

@@ -1,5 +1,8 @@
 """Equivalence deciders: unitary (exact / up to phase), channel, oracle."""
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from util import (
     random_circuit,
     rule_pair,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_cnot_equals_h_cz_h_exactly():
@@ -190,6 +195,120 @@ def test_channel_equal_agrees_with_entrywise_choi_comparison():
             verdicts.append(entrywise)
     assert len(verdicts) >= 200
     assert sum(verdicts) >= 50 and len(verdicts) - sum(verdicts) >= 50
+
+
+def _kraus_set(rng, r: int, d_out: int, d_in: int, real: bool) -> np.ndarray:
+    """r Kraus operators of a random channel: a random isometry, cut into
+    r blocks of rows."""
+    shape = (r * d_out, d_in)
+    m = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return np.linalg.qr(m)[0].reshape(r, d_out, d_in)
+
+
+def _remixed(rng, kraus: np.ndarray, pad: int, real: bool) -> np.ndarray:
+    """The same channel by other operators: `kraus` padded with `pad` zero
+    operators, mixed by a random orthogonal (`real`) or unitary matrix,
+    then padded with `pad` zero operators again."""
+    zeros = np.zeros((pad,) + kraus.shape[1:])
+    padded = np.concatenate([kraus, zeros])
+    u = _kraus_set(rng, 1, len(padded), len(padded), real)[0]
+    return np.concatenate([np.tensordot(u, padded, axes=1), zeros])
+
+
+def _channel(kraus: np.ndarray) -> sim.Channel:
+    """A channel of exactly these operators: `make_channel` would prune the
+    zero ones."""
+    d_out, d_in = kraus.shape[1:]
+    return sim.Channel(kraus, d_in.bit_length() - 1, d_out.bit_length() - 1)
+
+
+def _remixed_pairs(rng):
+    for real in (True, False):
+        for r, d_out, d_in in ((1, 2, 2), (3, 4, 2), (4, 8, 4), (2, 16, 16)):
+            kraus = _kraus_set(rng, r, d_out, d_in, real)
+            for pad in (0, 2, 5):
+                yield _channel(kraus), _channel(_remixed(rng, kraus, pad, not real))
+
+
+def _rank_deficient_pairs(rng):
+    # V_A with a duplicated pair of columns and zero columns, against a
+    # full-rank V_B of the same channel and of other channels; with 2 and
+    # 4 operators of a one-qubit channel, V_A has more columns than rows
+    for r, d in ((2, 2), (4, 2), (3, 4)):
+        kraus = _kraus_set(rng, r, d, d, real=True)
+        half = kraus[:1] * np.sqrt(0.5)
+        deficient = _channel(np.concatenate([half, kraus[1:], half, np.zeros((2, d, d))]))
+        yield deficient, _channel(kraus)
+        yield deficient, _channel(_remixed(rng, kraus, 1, real=False))
+        yield deficient, _channel(_kraus_set(rng, r, d, d, real=True))
+        yield deficient, _channel(_kraus_set(rng, r + 1, d, d, real=False))
+
+
+def _unequal_count_pairs(rng):
+    for r, d_out, d_in in ((1, 4, 4), (2, 4, 2), (3, 8, 8)):
+        kraus = _kraus_set(rng, r, d_out, d_in, real=True)
+        yield _channel(kraus), _channel(_remixed(rng, kraus, r + 1, real=True))
+        for other in (r + 1, 2 * r + 3):
+            yield _channel(kraus), _channel(_kraus_set(rng, other, d_out, d_in, real=True))
+
+
+def _near_tolerance_pairs(rng):
+    # B = A + a small change out of A's span (the residual E) or within
+    # it, scaled to a Choi distance of 0.3 and 3 times CHANNEL_ATOL
+    for r, d_out, d_in in ((2, 4, 4), (3, 8, 4)):
+        kraus = _kraus_set(rng, r, d_out, d_in, real=False)
+        for step in (rng.normal(size=kraus.shape), kraus[::-1]):
+            unit = np.linalg.norm(sim.choi_of_kraus(kraus + 1e-6 * step) - sim.choi_of_kraus(kraus))
+            for ratio in (0.3, 3.0):
+                moved = kraus + (ratio * CHANNEL_ATOL * 1e-6 / unit) * step
+                yield _channel(kraus), _channel(moved)
+    # two tiny maps (not channels) on orthogonal rows, so P = 0 and
+    # ||E^dag E|| alone is B's Choi norm: 0.1 CHANNEL_ATOL against 0.3 and
+    # 3 times it
+    row = np.zeros((1, 2, 2))
+    row[0, 0] = rng.normal(size=2)
+    for ratio in (0.3, 3.0):
+        other = np.roll(row, 1, axis=1) * np.sqrt(ratio * CHANNEL_ATOL) / np.linalg.norm(row)
+        yield _channel(row * np.sqrt(0.1 * CHANNEL_ATOL) / np.linalg.norm(row)), _channel(other)
+
+
+def _half10_pairs(rng):
+    # the channels the benchmark's equivalence ladder decides on its
+    # largest rung, with its seed 1: the equal and the unequal pair, by
+    # both channel paths, and each circuit's two paths against each other
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    pairs, _ = gen.ladder_pairs(np.random.default_rng(1))
+    for p in pairs:
+        if p.rung.name == "half10":
+            for path in (extract_channel, channel_of_deferred):
+                yield path(p.a), path(p.b)
+            yield extract_channel(p.b), channel_of_deferred(p.b)
+
+
+@pytest.mark.parametrize("pairs, equal, unequal", [
+    (_remixed_pairs, 24, 0),
+    (_rank_deficient_pairs, 6, 6),
+    (_unequal_count_pairs, 3, 6),
+    (_near_tolerance_pairs, 5, 5),
+    (_half10_pairs, 4, 2),
+], ids=["remixed and padded", "rank-deficient", "unequal counts", "near the tolerance", "half10"])
+def test_channel_equal_agrees_with_the_choi_distance_in_both_orders(pairs, equal, unequal, monkeypatch):
+    # `channel_equal` factors its first argument only, so each pair is
+    # decided both ways, against the Frobenius distance of the two Choi
+    # matrices formed entry by entry
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    verdicts = []
+    for a, b in pairs(np.random.default_rng(2727)):
+        want = bool(np.linalg.norm(sim.choi_of_kraus(a.kraus) - sim.choi_of_kraus(b.kraus)) <= CHANNEL_ATOL)
+        assert channel_equal(a, b) == want and channel_equal(b, a) == want, (a.kraus.shape, b.kraus.shape)
+        verdicts.append(want)
+    assert (sum(verdicts), len(verdicts) - sum(verdicts)) == (equal, unequal)
 
 
 def _as_complex(ch: sim.Channel) -> sim.Channel:

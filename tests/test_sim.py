@@ -208,21 +208,26 @@ def test_state_table_matches_the_simulator(monkeypatch):
 
 
 def test_apply_gate_on_columns_matches_column_by_column():
+    # a complex batch, whose columns are complex vectors (H at the last
+    # wire included), and one real (2^n, 1) column
     rng = np.random.default_rng(17)
-    batch = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    batches = [rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5)), rng.normal(size=(8, 1))]
     gates = [Gate1(k, w) for k in ("H", "X", "Z") for w in range(3)] + [
         Gate2(k, a, b) for k in ("CNOT", "CZ") for a in range(3) for b in range(3) if a != b
     ]
-    for g in gates:
-        out = apply_gate(batch, g)
-        assert out.shape == batch.shape
-        for j in range(batch.shape[1]):
-            assert np.array_equal(out[:, j], apply_gate(batch[:, j], g)), (g, j)
+    for batch in batches:
+        for g in gates:
+            out = apply_gate(batch, g)
+            assert out.shape == batch.shape and out.dtype == batch.dtype, g
+            assert out.flags.c_contiguous, g
+            for j in range(batch.shape[1]):
+                assert np.array_equal(out[:, j], apply_gate(batch[:, j], g)), (g, j)
 
 
 def _gate_inputs(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
-    """One input of each layout the gate kernels take: a vector, a C-ordered
-    (2^n, k) batch, its F-ordered transpose and a strided column view."""
+    """One input of each layout the gate kernels take: a complex vector, a
+    C-ordered (2^n, k) batch, its F-ordered transpose, a strided column
+    view and a real (2^n, 1) column."""
     def draw(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -231,6 +236,7 @@ def _gate_inputs(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
         "C batch": draw(1 << n, 3),
         "F batch": draw(3, 1 << n).T,
         "strided batch": draw(1 << n, 6)[:, ::2],
+        "real column": rng.normal(size=(1 << n, 1)),
     }
 
 
@@ -238,7 +244,8 @@ def test_gate_kernels_equal_the_reference_and_never_write_their_input():
     # every kind, CNOT and CZ with the control below and above the target,
     # on each input layout: `apply_gate`, and `_apply_gates` one gate at a
     # time and as a run, equal `reference_gate`; the input is unchanged and
-    # no result is a view of it (X on one qubit once returned one)
+    # no result is a view of it (X on one qubit once returned one). Every
+    # result is C-ordered, and `_gate`'s X and H return a new array
     rng = np.random.default_rng(2323)
     for n in (1, 3):
         gates = [Gate1(k, w) for k in ("H", "X", "Z") for w in range(n)] + [
@@ -252,7 +259,13 @@ def test_gate_kernels_equal_the_reference_and_never_write_their_input():
                 for out in (apply_gate(x, g), sim._apply_gates(x, [g])):
                     assert np.array_equal(out, ref), (n, layout, g)
                     assert not np.shares_memory(out, x), (n, layout, g)
+                    assert out.flags.c_contiguous and out.dtype == x.dtype, (n, layout, g)
                 assert np.array_equal(x, before), (n, layout, g)
+                if g.kind in ("X", "H"):
+                    own = np.ascontiguousarray(x)
+                    out = sim._gate(own, g)
+                    assert out.flags.c_contiguous and not np.shares_memory(out, own), (n, layout, g)
+                    assert np.array_equal(out, ref), (n, layout, g)
                 want = reference_gate(want, g)
             assert np.array_equal(sim._apply_gates(x, gates), want), (n, layout)
             assert np.array_equal(x, before), (n, layout)
