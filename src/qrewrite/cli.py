@@ -55,8 +55,8 @@ def parse_ket(spec: str, n_wires: int) -> np.ndarray:
     dim = 1 << n_wires
     _require_budget(dim, "input state")
     if spec.startswith("|"):
-        bits = spec.lstrip("|").rstrip(">⟩")
-        if len(bits) != n_wires or any(b not in "01" for b in bits):
+        bits = spec[1:-1]
+        if spec[-1] not in ">⟩" or len(bits) != n_wires or any(b not in "01" for b in bits):
             raise ValueError(f"bad basis label {spec!r} for {n_wires} wires")
         vec = np.zeros(dim, dtype=complex)
         vec[int(bits, 2) if bits else 0] = 1.0
@@ -69,11 +69,12 @@ def parse_ket(spec: str, n_wires: int) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise ValueError("input state has a non-finite amplitude")
     # divided by its largest real or imaginary part first, so the norm
-    # neither overflows nor underflows
+    # neither overflows nor underflows; the float view is divided, since a
+    # complex division by a subnormal scale overflows
     scale = np.abs(vec.view(float)).max()
     if scale == 0:
         raise ValueError("input state has zero norm")
-    vec = vec / scale
+    vec = (vec.view(float) / scale).view(complex)
     return vec / np.linalg.norm(vec)
 
 

@@ -27,27 +27,29 @@ fresh wire a rewrite needs (a `dst` variable left unbound) to the first
 wire the filter offers that the match has not bound (a cbit with none
 takes a new one), checks the required preps and runs the condition's
 tests, in order, on the complete bindings.
-`find_matches` keeps the occurrences `_admit` accepts, so every match it
-finds applies, and each match carries what `_admit` returned for the
-circuit object it was found on. An insertion form with no condition is
-admitted once per bindings dict the search shares among positions, since
-`_admit` reads the position only through the condition's tests. `rewrite_at` applies such a match to that
-very circuit without checking it again; every other match, hand-built or
-found on another circuit, is checked by `_check_applicable` (bindings,
-site shape, then the search restricted to the site), then `_admit`. So a
-bad match is a `RewriteError`, never a wrong rewrite. The replacement is
-grounded once per form and binding tuple (`RuleForm._ground_dst`, a memo
-on the form bounded by `rules._GROUND_MEMO_SIZE`), and rewrites with the
-same wires share its immutable instructions. One splice
-(`circuit._splice`) puts the replacement at the occurrence's position,
-after gathering the matched instructions there (an insertion gathers
-none); `Commute` swaps. The output differs from its valid input only in
-that window, the preps and new scratch cbits, so the splice checks only
-those, with the code `circuit.validate` runs on a whole circuit (a
-grounded replacement once per pair of wire counts).
+One generator, `_found`, keeps the occurrences `_admit` accepts, so every
+match `find_matches` and `defer_measurements` find applies, and each
+match carries what `_admit` returned for the circuit object it was found
+on. An insertion form with no condition is admitted once per bindings
+dict the search shares among positions, since `_admit` reads the position
+only through the condition's tests. `rewrite_at` applies such a match to
+that very circuit without checking it again; every other match,
+hand-built or found on another circuit, is checked by `_check_applicable`
+(bindings, site shape, then the search restricted to the site), then
+`_admit`. So a bad match is a `RewriteError`, never a wrong rewrite. The
+replacement is grounded once per form and binding tuple
+(`RuleForm._ground_dst`, a memo on the form bounded by
+`rules._GROUND_MEMO_SIZE`), and rewrites with the same wires share its
+immutable instructions. One splice (`circuit._splice`) puts the
+replacement at the occurrence's position, after gathering the matched
+instructions there (an insertion gathers none); `Commute` swaps. The
+output differs from its valid input only in that window, the preps and
+new scratch cbits, so the splice checks only those, with the code
+`circuit.validate` runs on a whole circuit (a grounded replacement once
+per pair of wire counts).
 
-Verified steps of `rewrite_at`, `apply_steps` and `simplify` pass one
-check (`_step_check`): the window of the step's match (`_window_equal`),
+A verified step passes one check, in `rewrite_at`, which `apply_steps`
+and `simplify` call: the window of the step's match (`_window_equal`),
 its matched instructions against the replacement, decided on its own,
 exactly in any context, reports included, on the bound wires alone. Two
 small window circuits, one per side, are compared by their channels
@@ -58,7 +60,7 @@ forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -114,9 +116,9 @@ class Match:
     """A located rule occurrence: ordered body indices plus variable bindings
     (an insertion's site is its position, or empty for the end of the body).
 
-    A match `find_matches` returns also carries its admission for the
-    circuit it was found on; this takes no part in equality, hashing or
-    repr, and a copy (`dataclasses.replace`) or a hand-built match has none.
+    A found match (`_found`) also carries its admission for the circuit
+    it was found on; this takes no part in equality, hashing or repr, and
+    a copy (`dataclasses.replace`) or a hand-built match has none.
     """
 
     rule: str
@@ -354,39 +356,48 @@ def _admit(
     return None, b, num_cbits
 
 
+def _found(
+    c: Circuit, form: RuleForm, site: tuple[int, ...] | None = None, listed: int = 0
+) -> Iterator[Match]:
+    """Each occurrence of the form in `c` that `_admit` admits, by first
+    index (only at `site`, if given), as a `Match` that carries its
+    admission: the one place a found match is built. `listed` matches were
+    found before this search, and count toward `MAX_MATCHES`."""
+    # a swap reads the same both ways, so a `Commute` match says forward
+    said = "forward" if form.rule == "Commute" else form.direction
+    # `_admit` reads the position only through the condition's tests, so an
+    # insertion form with none admits a bindings dict, which the search
+    # shares among positions, once (the dict is kept, so its id is not
+    # reused within this search)
+    once = {} if not (form.src or form.condition or form.rule == "Commute") else None
+    for found, bindings in _occurrences(c, form, site, listed=listed):
+        entry = None if once is None else once.get(id(bindings))
+        if entry is None:
+            # the search checked the rest of what `_check_applicable` checks
+            reason, complete, num_cbits = _admit(c, form, found, bindings)
+            key = admission = None
+            if reason is None:
+                key = tuple(sorted(bindings.items()))
+                admission = _Admitted(c, form, complete, num_cbits)
+            entry = bindings, key, admission
+            if once is not None:
+                once[id(bindings)] = entry
+        _, key, admission = entry
+        if admission is not None:
+            m = Match(form.rule, said, found, key, form.variant)
+            object.__setattr__(m, "_admitted", admission)
+            yield m
+
+
 def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[Match]:
     """All rule occurrences, ordered left to right by first matched index.
 
     Conditional rules only report sites whose static condition holds.
     Unknown rule ids raise KeyError, unknown directions ValueError.
     """
-    forms = rule_forms(rule_id, direction)
-    # a swap reads the same both ways, so a `Commute` match says forward
-    said = "forward" if rule_id == "Commute" else direction
-    out = []
-    for form in forms.values():
-        # `_admit` reads the position only through the condition's tests, so
-        # an insertion form with none admits a bindings dict, which the search
-        # shares among positions, once (the dict is kept, so its id is not
-        # reused within this call)
-        once = {} if not (form.src or form.condition or rule_id == "Commute") else None
-        for site, bindings in _occurrences(c, form, listed=len(out)):
-            entry = None if once is None else once.get(id(bindings))
-            if entry is None:
-                # the search checked the rest of what `_check_applicable` checks
-                reason, complete, num_cbits = _admit(c, form, site, bindings)
-                key = admission = None
-                if reason is None:
-                    key = tuple(sorted(bindings.items()))
-                    admission = _Admitted(c, form, complete, num_cbits)
-                entry = bindings, key, admission
-                if once is not None:
-                    once[id(bindings)] = entry
-            _, key, admission = entry
-            if admission is not None:
-                m = Match(rule_id, said, site, key, form.variant)
-                object.__setattr__(m, "_admitted", admission)
-                out.append(m)
+    out: list[Match] = []
+    for form in rule_forms(rule_id, direction).values():
+        out.extend(_found(c, form, listed=len(out)))
     out.sort(key=lambda m: (m.site, m._admitted.form._rank, m.bindings))
     return out
 
@@ -443,7 +454,9 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     position and splice in the instantiated replacement (a `Commute` match
     swaps its two instructions). Preps and roles carry over. A match that
     `find_matches` found on `c` itself applies without a second check;
-    any other is checked first. Unknown rule ids raise KeyError, unknown
+    any other is checked first. With `verify`, a rewrite that the window
+    of its match (`_window_equal`) does not show equal to `c` raises
+    `VerificationError`. Unknown rule ids raise KeyError, unknown
     directions ValueError."""
     if m._admitted is not None and m._admitted.circuit is c:
         _, form, bindings, num_cbits = m._admitted
@@ -468,8 +481,8 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     # the matched and inserted instructions touch only bound wires
     cbits = [w for v, w in bindings.items() if form.kinds[v] == "c"]
     new = _splice(c, pos, end, dst, kept, num_cbits, preps, cbits)
-    if verify:
-        _step_check(c, True)(m, new)
+    if verify and not _window_equal(c, new, m):
+        raise VerificationError(f"step {m.label()} is not shown equal on its window")
     return new
 
 
@@ -483,8 +496,6 @@ class TraceStep:
     label: str
     circuit: Circuit
     verified: bool | None  # None when verification was off; never False
-    # the check that accepted the step: "window" (None if off)
-    tier: str | None = None
 
 
 @dataclass
@@ -699,32 +710,13 @@ def _window_circuits_equal(
     return channel_equal(*channels)
 
 
-def _step_check(start: Circuit, verify: bool) -> Callable[[Match, Circuit], TraceStep]:
-    """A recorder of steps from `start` as `TraceStep`s. With `verify`, each
-    step's circuit is checked against the step before it by `_window_equal`
-    on the step's match, and a step it cannot decide raises
-    `VerificationError`. Every earlier step was accepted, so an accepted
-    step is equal to `start`."""
-    if not verify:
-        return lambda m, new: TraceStep(m.label(), new, None)
-    prev = start
-
-    def step(m: Match, new: Circuit) -> TraceStep:
-        nonlocal prev
-        if not _window_equal(prev, new, m):
-            raise VerificationError(f"step {m.label()} is not shown equal on its window")
-        prev = new
-        return TraceStep(m.label(), new, True, "window")
-
-    return step
-
-
 def apply_steps(c: Circuit, steps: list[Match], verify: bool = True) -> DerivationTrace:
-    """Apply a scripted sequence of matches, verifying each against the start."""
+    """Apply a scripted sequence of matches. With `verify`, `rewrite_at`
+    checks each step against the step before it, so every accepted step is
+    equal to the start."""
     trace = DerivationTrace(c, [])
-    check = _step_check(c, verify)
     for m in steps:
-        trace.steps.append(check(m, rewrite_at(trace.final, m)))
+        trace.steps.append(TraceStep(m.label(), rewrite_at(trace.final, m, verify), verify or None))
     return trace
 
 
@@ -757,14 +749,13 @@ def simplify(c: Circuit, verify: bool = True) -> tuple[Circuit, DerivationTrace]
     step applies and strictly reduces the measure, and the loop terminates.
     """
     trace = DerivationTrace(c, [])
-    check = _step_check(c, verify)
     while True:
         c = trace.final
         found = (m for rule in _SIMPLIFY_PRIORITY for m in find_matches(c, *rule))
         m = next(found, None)
         if m is None:
             return c, trace
-        trace.steps.append(check(m, rewrite_at(c, m)))
+        trace.steps.append(TraceStep(m.label(), rewrite_at(c, m, verify), verify or None))
 
 
 # ----------------------------------------------------------------------
@@ -788,7 +779,13 @@ def defer_measurements(c: Circuit) -> Circuit:
     i = 0
     while i < len(c.body) - 1:
         if isinstance(c.body[i], Measure) and not isinstance(c.body[i + 1], Measure):
-            m = _match_at(c, "R3_DeferMeasure", (i, i + 1)) or _match_at(c, "Commute", (i,))
+            found = (
+                m
+                for rule, site in (("R3_DeferMeasure", (i, i + 1)), ("Commute", (i,)))
+                for form in rule_forms(rule, "forward").values()
+                for m in _found(c, form, site)
+            )
+            m = next(found, None)
             if m is not None:
                 # no pair before i - 1 changed, and none of them moves
                 c, i = rewrite_at(c, m), max(i - 1, 0)
@@ -796,15 +793,3 @@ def defer_measurements(c: Circuit) -> Circuit:
         i += 1
     return c
 
-
-def _match_at(c: Circuit, rule_id: str, site: tuple[int, ...]) -> Match | None:
-    """The first forward match of the rule at `site` that `find_matches`
-    lists, found by the search restricted to the site."""
-    for form in rule_forms(rule_id, "forward").values():
-        for found, bindings in _occurrences(c, form, site):
-            reason, complete, num_cbits = _admit(c, form, found, bindings)
-            if reason is None:
-                m = Match(rule_id, "forward", found, tuple(sorted(bindings.items())), form.variant)
-                object.__setattr__(m, "_admitted", _Admitted(c, form, complete, num_cbits))
-                return m
-    return None

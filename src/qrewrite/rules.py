@@ -41,8 +41,6 @@ from typing import Callable, Mapping
 from .circuit import (
     FIELD_KINDS,
     Circuit,
-    Gate1,
-    Gate2,
     Instruction,
     Measure,
     ParseError,
@@ -102,16 +100,6 @@ class RewriteRule:
             variant: (_parse_template(self.id, p), _parse_template(self.id, r))
             for variant, (p, r) in self.templates.items()
         }
-
-    @property
-    def pure_gate(self) -> bool:
-        """Sound in any context: no condition, no preps on either side, and
-        only `Gate1` and `Gate2` instructions in every variant."""
-        return not self.condition and all(
-            not preps and all(isinstance(instr, (Gate1, Gate2)) for instr in instrs)
-            for pair in self.sides.values()
-            for instrs, preps in pair
-        )
 
 
 def _provably(state: str, reason: str) -> WireTest:

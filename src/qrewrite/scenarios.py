@@ -276,8 +276,8 @@ _SCRIPTS: dict[str, tuple[str, list[Match], str]] = {
 
 def derive(name: str, verify: bool = True) -> DerivationTrace:
     """Replay a named derivation; every step is verified against the start
-    (`engine._step_check`), and a final circuit that is not structurally
-    equal to the target raises `VerificationError`."""
+    (`engine.rewrite_at`'s window check), and a final circuit that is not
+    structurally equal to the target raises `VerificationError`."""
     if name not in _SCRIPTS:
         raise KeyError(f"unknown derivation {name!r}")
     src, steps, target = _SCRIPTS[name]

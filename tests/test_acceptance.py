@@ -35,6 +35,7 @@ from util import (
     basis_state,
     fidelity,
     instantiate,
+    pure_gate,
     random_bindings,
     random_circuit,
     random_state,
@@ -91,7 +92,7 @@ def test_criterion_02_rule_soundness_suite():
                     f"{rule_id} {variant} {bindings}: channel mismatch "
                     f"(oracle cross-check says equal={oracle})"
                 )
-            if rule.pure_gate:
+            if pure_gate(rule):
                 assert unitary_equal(
                     build_unitary(c1), build_unitary(c2), up_to_phase=False
                 ), (rule_id, variant, bindings)

@@ -53,6 +53,7 @@ def test_format_complex():
 
 def test_parse_ket():
     assert list(parse_ket("|01>", 2)) == [0, 1, 0, 0]
+    assert list(parse_ket("|01⟩", 2)) == [0, 1, 0, 0]
     assert list(parse_ket("0,1", 1)) == [0, 1]
     amp = parse_ket("1,1", 1)
     assert abs(amp[0] - math.sqrt(0.5)) < 1e-12
@@ -248,6 +249,29 @@ def test_run_input_scaled_far_from_one_runs_as_plus(files, capsys, spec):
     out = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in out] == ["c0=0", "c0=1"]
     assert all("p=0.5" in line for line in out)
+
+
+@pytest.mark.parametrize(
+    "spec, amplitudes", [("3e-310,4e-310", [0.6, 0.8]), ("4e-310i,-3e-310", [0.8j, -0.6])]
+)
+def test_run_input_of_subnormal_amplitudes_is_scaled_exactly(files, capsys, spec, amplitudes):
+    # the float view is divided by the largest part: a complex division by
+    # a subnormal scale overflows, and the state became NaN
+    assert np.allclose(parse_ket(spec, 1), amplitudes, rtol=0, atol=1e-15)
+    path = files("h.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\n")
+    assert main(["run", path, "--input", spec]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("-\tp=1\t")
+
+
+@pytest.mark.parametrize("spec", ["||1>", "|1>>", "|1⟩⟩", "|>1>", "|1", "|"])
+def test_a_basis_label_is_one_bar_the_bits_and_one_closing_bracket(files, capsys, spec):
+    with pytest.raises(ValueError, match="bad basis label"):
+        parse_ket(spec, 1)
+    path = files("m.qc", "qubits 1\ncbits 1\nINPUT q0\nMEASURE q0 c0\n")
+    assert main(["run", path, "--input", spec]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: bad basis label {spec!r} for 1 wires\n"
 
 
 def test_run_input_over_the_budget_is_a_usage_error(files, capsys):

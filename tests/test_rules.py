@@ -25,7 +25,7 @@ from qrewrite.rules import (
 )
 from qrewrite.sim import build_unitary, extract_channel
 
-from util import instantiate, random_bindings, rule_pair
+from util import instantiate, pure_gate, random_bindings, rule_pair
 
 
 def test_instantiate_r5_distributed():
@@ -132,7 +132,7 @@ def test_rule_soundness(rule_id):
             # anti-bug cross check before declaring failure
             assert oracle_equal(c1, c2), (rule_id, variant, bindings)
             raise AssertionError(f"channel mismatch for {rule_id} {bindings}")
-        if rule.pure_gate and rule_id != "R1_InverseCancel":
+        if pure_gate(rule) and rule_id != "R1_InverseCancel":
             assert unitary_equal(build_unitary(c1), build_unitary(c2)), (
                 rule_id,
                 variant,
@@ -315,7 +315,7 @@ def test_every_condition_test_reads_a_variable_of_its_form():
 
 def test_pure_gate_rules_are_those_with_only_unconditional_gates():
     # derived from the templates: no condition, no preps, only gates
-    assert {rule_id for rule_id, rule in RULES.items() if rule.pure_gate} == {
+    assert {rule_id for rule_id, rule in RULES.items() if pure_gate(rule)} == {
         "R1_InverseCancel",
         "R2_CZFlip",
         "R2_CNOTviaCZ",

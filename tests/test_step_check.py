@@ -27,11 +27,11 @@ from qrewrite.sim import STATE_VECTORS, SimulationError, extract_channel
 from util import random_circuit, random_gate_circuit
 
 
-# derivation -> steps accepted by each check: the window check takes every one
-TIERS = {
-    "TeleportFromTransfer": {"window": 15},
-    "DenseFromCopy": {"window": 11},
-    "GateTeleportFromTeleport": {"window": 35},
+# derivation -> its number of steps, each accepted by the window check
+STEP_COUNTS = {
+    "TeleportFromTransfer": 15,
+    "DenseFromCopy": 11,
+    "GateTeleportFromTeleport": 35,
 }
 
 
@@ -58,7 +58,7 @@ def _steps():
     """(before, match, after) for every step of the three derivations and
     of unverified `simplify` on seeded random circuits, then every found
     match of every rule and direction on the sweep corpus."""
-    for name in TIERS:
+    for name in STEP_COUNTS:
         trace = derive(name, verify=False)
         before = [trace.start] + [s.circuit for s in trace.steps]
         for prev, m, step in zip(before, _SCRIPTS[name][1], trace.steps):
@@ -333,7 +333,7 @@ def test_an_unsound_pure_gate_form_fails_verification(monkeypatch, defect):
         apply_steps(c, [m])
 
 
-@pytest.mark.parametrize("name", list(TIERS))
+@pytest.mark.parametrize("name", list(STEP_COUNTS))
 def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
     # a verified step extracts no whole-circuit channel, only those of its
     # small window circuits
@@ -345,11 +345,11 @@ def test_each_step_records_the_check_that_accepted_it(monkeypatch, name):
 
     monkeypatch.setattr(engine, "extract_channel", counting)
     trace = derive(name)
-    assert Counter(s.tier for s in trace.steps) == TIERS[name]
-    assert all(s.verified for s in trace.steps)
+    assert len(trace.steps) == STEP_COUNTS[name]
+    assert all(s.verified is True for s in trace.steps)
     whole = {trace.start, *(s.circuit for s in trace.steps)}
     assert calls and not whole & set(calls)
-    assert {s.tier for s in derive(name, verify=False).steps} == {None}
+    assert {s.verified for s in derive(name, verify=False).steps} == {None}
 
 
 def test_simplify_by_window_checks_alone_extracts_no_channel(monkeypatch):
@@ -367,7 +367,58 @@ def test_simplify_by_window_checks_alone_extracts_no_channel(monkeypatch):
     monkeypatch.setattr(engine, "extract_channel", refuse_whole)
     final, trace = simplify(c)
     assert final.body == ()
-    assert [s.tier for s in trace.steps] == ["window"] * 5
+    assert [s.verified for s in trace.steps] == [True] * 5
+
+
+def test_each_verified_step_runs_the_window_check_once(monkeypatch):
+    # `rewrite_at` is the one place a step is verified; `apply_steps` and
+    # `simplify` verify through it
+    checked = []
+
+    def counting(a, b, m=None):
+        checked.append(m)
+        return _window_equal(a, b, m)
+
+    monkeypatch.setattr(engine, "_window_equal", counting)
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nH q0\nCNOT q0 q1\nCNOT q0 q1\nH q0")
+    m = find_matches(c, "R1_InverseCancel")[0]
+    rewrite_at(c, m)
+    assert checked == []
+    rewrite_at(c, m, verify=True)
+    assert checked == [m]
+    for verify in (True, False):
+        checked.clear()
+        final, trace = simplify(c, verify)
+        assert final.body == () and len(trace.steps) == 2
+        assert [m.label() for m in checked] == ([s.label for s in trace.steps] if verify else [])
+        start, steps, _ = _SCRIPTS["DenseFromCopy"]
+        checked.clear()
+        trace = apply_steps(parse(start), steps, verify)
+        assert checked == (steps if verify else [])
+        assert [s.verified for s in trace.steps] == [verify or None] * len(steps)
+
+
+def test_a_site_restricted_search_finds_the_listed_match():
+    # `_found` builds every found match; restricted to a listed match's
+    # site it yields that match first, with the same admission. An
+    # insertion's site is its position alone, so there it yields a match
+    # with no bindings, whose admission is one of those listed there
+    exact = inserted = 0
+    for c in _sweep_corpus():
+        for rule, direction in FORMS:
+            listed = find_matches(c, rule, direction)
+            for m in listed:
+                form = m._admitted.form
+                first = next(engine._found(c, form, m.site), None)
+                if form.src or rule == "Commute":
+                    assert first == m and first._admitted == m._admitted, m
+                    exact += 1
+                elif first is not None:
+                    assert first.bindings == () and first._admitted in [
+                        x._admitted for x in listed if x.site == m.site and x._admitted.form is form
+                    ], m
+                    inserted += 1
+    assert exact >= 300 and inserted >= 6_000, (exact, inserted)
 
 
 # (gates that take q0 from |0> to its state, old window, new window): the
@@ -435,7 +486,7 @@ def test_verified_simplify_is_unverified_simplify_at_any_width(n, length):
     plain, untraced = simplify(c, verify=False)
     assert final == plain and len(trace.steps) >= 10
     assert [s.label for s in trace.steps] == [s.label for s in untraced.steps]
-    assert all(s.verified and s.tier == "window" for s in trace.steps)
+    assert all(s.verified is True for s in trace.steps)
 
 
 def test_the_window_check_is_refused_over_the_byte_budget(monkeypatch):

@@ -227,6 +227,17 @@ def rule_pair(rule_id: str, bindings: dict, variant: str, n_qubits: int = 4):
     return c1, c2
 
 
+def pure_gate(rule) -> bool:
+    """Whether a `RewriteRule` is sound as an exact unitary identity in any
+    context: no condition, no preps on either side, and only `Gate1` and
+    `Gate2` instructions in every variant."""
+    return not rule.condition and all(
+        not preps and all(isinstance(instr, (Gate1, Gate2)) for instr in instrs)
+        for pair in rule.sides.values()
+        for instrs, preps in pair
+    )
+
+
 def linear_touched(c, wire, start=0, stop=None, skip=()) -> bool:
     """`circuit.touched` by a scan of every body index in range: the
     reference for the indexed query."""
