@@ -433,7 +433,14 @@ def _ref(tok: str, kind: str) -> int:
     if tok[:1] != kind or not tok[1:].isdecimal():
         name = "quantum" if kind == "q" else "classical"
         raise ParseError(f"expected {name} wire, got {tok!r}")
-    return int(tok[1:])
+    return _number(tok[1:])
+
+
+def _number(digits: str, line: int | None = None) -> int:
+    try:  # `int` reads at most `sys.get_int_max_str_digits()` digits
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number of {len(digits)} digits is too long to read", line) from None
 
 
 # state token of a PREP statement -> prep kind
@@ -491,9 +498,9 @@ def parse(text: str) -> Circuit:
         raise ParseError("expected 'qubits N'", ln1)
     if len(head2) != 2 or head2[0] != "cbits" or not head2[1].isdecimal():
         raise ParseError("expected 'cbits M'", ln2)
-    num_qubits, num_cbits = int(head1[1]), int(head2[1])
-    for ln, (word, count) in ((ln1, head1), (ln2, head2)):
-        if int(count) > MAX_WIRES:
+    num_qubits, num_cbits = _number(head1[1], ln1), _number(head2[1], ln2)
+    for ln, (word, count), n in ((ln1, head1, num_qubits), (ln2, head2, num_cbits)):
+        if n > MAX_WIRES:
             raise ParseError(f"{word} {count} is over the limit of {MAX_WIRES}", ln)
 
     preps: list[PrepDecl] = []

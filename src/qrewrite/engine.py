@@ -22,11 +22,12 @@ injective tuples of those wires, so it never enumerates a binding a test
 refuses, and where every variable's wires equal the previous position's
 it reuses the tuples already enumerated. It counts the tuples before it
 builds them, and refuses to list more than `MAX_MATCHES` in one call.
-`_admit` is the one admission check of an occurrence: it binds each
-fresh wire a rewrite needs (a `dst` variable left unbound) to the first
-wire the filter offers that the match has not bound (a cbit with none
-takes a new one), checks the required preps and runs the condition's
-tests, in order, on the complete bindings.
+`_admit` is the one admission check of an occurrence: it binds the fresh
+wires a rewrite needs (`dst` variables left unbound) among those the
+filter offers that the match has not bound, the qubits to the first
+injective tuple, as the insertion search does, each cbit to the first
+(with none, a new one), then checks the required preps and runs the
+condition's tests, in order, on the complete bindings.
 One generator, `_found`, keeps the occurrences `_admit` accepts, so every
 match `find_matches` and `defer_measurements` find applies, and each
 match carries what `_admit` returned for the circuit object it was found
@@ -86,7 +87,7 @@ from .circuit import (
     wire_state_before,
 )
 from .equivalence import channel_equal
-from .rules import RuleForm, ground_preps, rule_forms
+from .rules import RuleForm, ground, ground_preps, rule_forms
 from .sim import _require_budget, extract_channel
 
 
@@ -324,27 +325,37 @@ def _injective(choices: list[list[int]]) -> Iterator[tuple[int, ...]]:
 def _admit(
     c: Circuit, form: RuleForm, site: tuple[int, ...], bindings: dict[str, int]
 ) -> tuple[str | None, dict[str, int], int]:
-    """Admit an occurrence: bind each unbound `dst` variable to the first
-    wire `_wires_for` offers it that the match has not bound (a cbit with
-    none takes a new one), check the required preps, then run the rule's
-    condition, which is called nowhere else, on the complete bindings at
-    the occurrence's `_anchor`. Returns the reason it refuses (None if it
-    admits), the complete bindings and the new cbit count."""
+    """Admit an occurrence: bind the unbound `dst` variables among the
+    wires `_wires_for` offers that the match has not bound, the qubits to
+    the first `_injective` tuple in `dst_vars` order, as the insertion
+    search does, each cbit to the first (with none, a new one); check the
+    required preps, then run the rule's condition, which is called nowhere
+    else, on the complete bindings at the occurrence's `_anchor`. Returns
+    the reason it refuses (None if it admits), the complete bindings and
+    the new cbit count."""
     pos, matched = _anchor(c, form, site)
     b, num_cbits = dict(bindings), c.num_cbits
+    qvars, cvars = [], []
     for var in form.dst_vars:
-        if var in b:
-            continue
-        kind = form.kinds[var]
-        taken = {w for v, w in b.items() if form.kinds[v] == kind}
-        ws = _wires_for(c, form, var, pos, matched, _prepped_wires(c, form, var))
-        free = [w for w in ws if w not in taken]
-        if free:
-            b[var] = free[0]
-        elif kind == "q":
-            return f"fresh-wire allocation failure for {var!r}", b, num_cbits
-        else:
-            b[var], num_cbits = num_cbits, num_cbits + 1
+        if var not in b:
+            (qvars if form.kinds[var] == "q" else cvars).append(var)
+    if qvars or cvars:
+        def free(var: str) -> list[int]:
+            kind = form.kinds[var]
+            taken = {w for v, w in b.items() if form.kinds[v] == kind}
+            ws = _wires_for(c, form, var, pos, matched, _prepped_wires(c, form, var))
+            return [w for w in ws if w not in taken]
+
+        choices, qs = [free(v) for v in qvars], ()
+        # the first variable that no injective tuple reaches is the one that fails
+        for k, var in enumerate(qvars, start=1):
+            qs = next(_injective(choices[:k]), None)
+            if qs is None:
+                return f"fresh-wire allocation failure for {var!r}", b, num_cbits
+        b.update(zip(qvars, qs))
+        for var in cvars:  # the first free cbit, else a new one
+            ws = free(var)
+            b[var], num_cbits = (ws[0], num_cbits) if ws else (num_cbits, num_cbits + 1)
     if form.src_preps:
         for p in ground_preps(form.src_preps, b):
             if p not in c.preps:
@@ -626,7 +637,7 @@ def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
 
     traced = {w for w in qs if a.q_roles[w] == "discard" and not later(WireRef("q", w))}
     states = tuple("prep" if w in changed else wire_state_before(a, w, p) for w in qs)
-    old, new = _relabel(old, qs, cs), _relabel(new, qs, cs)
+    old, new = tuple(ground(old, qs, cs)), tuple(ground(new, qs, cs))
     cbits = tuple(
         "read" if touched(a, WireRef("c", r), stop=p)
         else "copied" if long.c_roles[r] == "report" or later(WireRef("c", r))
@@ -647,17 +658,6 @@ def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
         for c in (a, b)
     )
     return _window_circuits_equal(old, new, qubits, cbits, preps_a, preps_b)
-
-
-def _relabel(instrs: tuple[Instruction, ...], qs: dict[int, int], cs: dict[int, int]) -> tuple:
-    """`instrs` with each qubit w renamed `qs[w]` and each cbit r `cs[r]`."""
-    out = []
-    for instr in instrs:
-        cls = type(instr)
-        ws = [(qs if k == "q" else cs)[getattr(instr, f)] for f, k in FIELD_KINDS[cls]]
-        kind = getattr(instr, "kind", None)
-        out.append(cls(*ws) if kind is None else cls(kind, *ws))
-    return tuple(out)
 
 
 _WINDOW_MEMO_SIZE = 4096  # distinct window forms whose verdicts the memo keeps

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .circuit import (
     FIELD_KINDS,
@@ -338,12 +338,16 @@ def variable_kinds(rule: RewriteRule) -> dict[str, str]:
     return kinds
 
 
-def ground(instrs: list[Instruction], bindings: Bindings) -> list[Instruction]:
-    """Substitute variables with bound wires; bindings must be total."""
+def ground(
+    instrs: Sequence[Instruction], bindings: Bindings, cbits: Bindings | None = None
+) -> list[Instruction]:
+    """Substitute variables with bound wires; the maps must be total. Given
+    `cbits`, classical slots are renamed by it, apart from the qubits."""
+    maps = {"q": bindings, "c": bindings if cbits is None else cbits}
     out = []
     for instr in instrs:
         cls = type(instr)
-        ws = [bindings[getattr(instr, f)] for f, _ in FIELD_KINDS[cls]]
+        ws = [maps[k][getattr(instr, f)] for f, k in FIELD_KINDS[cls]]
         kind = getattr(instr, "kind", None)
         out.append(cls(*ws) if kind is None else cls(kind, *ws))
     return out

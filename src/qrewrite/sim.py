@@ -26,13 +26,13 @@ sit at the end of the body. Cross checking the two is part of the
 verification story. The Choi matrix is computed only on request
 (`Channel.choi`); channel equality never forms it.
 
-The joint state is one tensor with an axis per wire. `_product_state`
-builds it from the input columns and each prep's vector, put in wire
-order by one transpose, and `_kraus_rows` reads every Kraus row of a run
-by one transpose of the branch state's wire axes, after it brings each
-measured output wire back into the state as its value. So a state has at
-most n + 2 axes, within numpy's limit of 32 for any n the budget allows.
-Only `channel_of_deferred` reads through index tables.
+The joint state is one tensor with an axis per wire. `_prepare` builds
+it from the input columns and each prep's vector, put in wire order by
+one transpose, and `_kraus_rows` reads every Kraus row of a run by one
+transpose of the branch state's wire axes, after it brings each measured
+output wire back into the state as its value. So a state has at most
+n + 2 axes, within numpy's limit of 32 for any n the budget allows. Only
+`channel_of_deferred` reads through index tables.
 
 Every gate and prep of the circuit language is a real matrix in the
 computational basis, so the dtype follows the data: a circuit's isometry,
@@ -207,39 +207,26 @@ def _scatter_index(n: int, wires) -> np.ndarray:
     return full
 
 
-def _product_state(n: int, inputs, factors, columns: np.ndarray | None = None) -> np.ndarray:
-    """(2^n, k) joint state over n wires, wire 0 most significant: the
-    input register on wires `inputs` (first most significant) in each
-    column of `columns` (shape (2^len(inputs), k); its basis if None),
-    tensored with each factor `(wires, vector)`, a state of those wires.
-
-    Its size is checked against `BYTE_BUDGET` first. The factors' outer
-    product, then its outer product with the columns, is put in wire order
-    by one transpose.
+def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
+    """(2^n, k) joint state over the n wires, wire 0 most significant: the
+    input register (first input most significant) in each column of
+    `columns` (shape (2^n_in, k); its basis if None, which gives the
+    circuit's input isometry), tensored with each prep's vector. Its size
+    is checked against `BYTE_BUDGET` first, and one transpose puts the
+    preps' outer product with the columns in wire order.
     """
+    n, inputs = c.num_qubits, c.effective_inputs
     k = 1 << len(inputs) if columns is None else columns.shape[1]
     _require_budget((1 << n) * k, "prepared state")
     if columns is None:
         columns = np.eye(1 << len(inputs))
+    bell = np.array([SQRT_HALF, 0, 0, SQRT_HALF])  # (|00> + |11>)/sqrt(2)
     amp, order = np.ones(1), []
-    for wires, vector in factors:
-        amp = np.outer(amp, vector).reshape(-1)
-        order += wires
+    for p in c.preps:
+        amp = np.outer(amp, bell if p.kind == "bell" else STATE_VECTORS[p.kind]).reshape(-1)
+        order += p.wires
     t = np.multiply.outer(amp, columns).reshape([2] * n + [k])
     return t.transpose(list(np.argsort(order + list(inputs))) + [n]).reshape(1 << n, k)
-
-
-def _prepare(c: Circuit, columns: np.ndarray | None = None) -> np.ndarray:
-    """Joint state over all wires, input register tensored with the
-    preparations (`_product_state`), for each column of `columns` (shape
-    (2^n_in, k)).
-
-    With `columns` None the input register runs over its basis, which gives
-    the circuit's (2^n, 2^n_in) input isometry.
-    """
-    bell = np.array([SQRT_HALF, 0, 0, SQRT_HALF])  # (|00> + |11>)/sqrt(2)
-    factors = [(p.wires, bell if p.kind == "bell" else STATE_VECTORS[p.kind]) for p in c.preps]
-    return _product_state(c.num_qubits, c.effective_inputs, factors, columns)
 
 
 class _Branches:

@@ -219,6 +219,22 @@ def test_parse_rejects_bad_header_counts(text, error):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qubits " + "9" * 5000 + "\ncbits 0", 1),
+        ("qubits 2\ncbits 0\nINPUT q0\nH q" + "9" * 5000, 4),
+    ],
+    ids=["header", "operand"],
+)
+def test_parse_rejects_a_number_too_long_for_int(text, line):
+    # Python's `int` refuses a string of more than 4,300 digits with a bare
+    # ValueError; the parser names the line instead
+    with pytest.raises(ParseError, match=f"^line {line}: a number of 5000 digits") as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
 def test_serialize_single_x():
     assert serialize(circuit(1, 0, [Gate1("X", 0)])) == "qubits 1\ncbits 0\nX q0"
 

@@ -357,6 +357,25 @@ def test_parse_error_exit_code(files, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qubits " + "9" * 5000 + "\ncbits 0\n", 1),
+        ("qubits 2\ncbits 0\nINPUT q0\nH q" + "9" * 5000 + "\n", 4),
+    ],
+    ids=["header", "operand"],
+)
+def test_a_number_too_long_for_int_is_a_parse_error(files, text, line):
+    # in a fresh process, so a traceback would reach stderr
+    src = os.path.dirname(os.path.dirname(qrewrite.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "qrewrite.cli", "simplify", files("big.qc", text)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == EXIT_PARSE and done.stdout == ""
+    assert done.stderr.startswith(f"parse error: line {line}: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_check_read_before_write_is_a_parse_error(files, capsys):
     a = files("a.qc", "qubits 1\ncbits 1\nINPUT q0\nCX c0 q0\n")
     b = files("b.qc", "qubits 1\ncbits 0\nINPUT q0\n")

@@ -620,6 +620,16 @@ def test_a_left_out_wire_is_the_first_its_tests_admit():
     assert new.body == c.body + (Gate2("CNOT", 1, 0),)
 
 
+def test_left_out_wires_take_the_first_binding_the_search_lists():
+    # q0 is the only |+> wire, so the target t must be q0 and the control
+    # c q1: binding c first to the first wire it may take, q0, leaves t none
+    c = parse("qubits 2\ncbits 0\nPREP q0 +\nINPUT q1")
+    [listed] = find_matches(c, "R1_TargetPlus", "backward")
+    assert listed.bindings == (("c", 1), ("t", 0))
+    new = rewrite_at(c, match("R1_TargetPlus", "backward", (0,)), verify=True)
+    assert new == rewrite_at(c, listed) and new.body == (Gate2("CNOT", 1, 0),)
+
+
 _DISCARDED_H = "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nDISCARD q1\nREPORT c0\nH q1"
 _R4_HOST = "qubits 3\ncbits {}\nINPUT q0\nINPUT q1\nINPUT q2\nREPORT {}\n"
 _R4_CNOT = "CNOT q0 q1\nMEASURE q0 c0\nMEASURE q1 c1\nCX c1 q2"

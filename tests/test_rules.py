@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from qrewrite.circuit import FIELD_KINDS, Gate1, Gate2, ParseError, circuit, parse
+from qrewrite.circuit import FIELD_KINDS, Gate1, Gate2, Measure, ParseError, circuit, parse
 from qrewrite.engine import RewriteError, find_matches, match, rewrite_at
 from qrewrite.equivalence import channel_equal, oracle_equal, unitary_equal
 from qrewrite.rules import (
@@ -353,6 +353,12 @@ def test_instantiate_rejects_unknown_direction_and_missing_pattern_binding():
         instantiate("R2_CZFlip", {"a": 0, "b": 1}, direction="sideways")
     with pytest.raises(ValueError, match="missing binding for 'b'"):
         instantiate("R2_CZFlip", {"a": 0})
+
+
+def test_ground_renames_qubits_and_cbits_apart():
+    # with a classical map, qubit 0 and cbit 0 take different wires
+    assert ground([Measure(0, 0)], {0: 1}, {0: 0}) == [Measure(1, 0)]
+    assert ground([Measure(0, 0)], {0: 1}) == [Measure(1, 1)]
 
 
 def test_the_grounding_memo_equals_ground():

@@ -413,7 +413,8 @@ def test_a_site_restricted_search_finds_the_listed_match():
                 if form.src or rule == "Commute":
                     assert first == m and first._admitted == m._admitted, m
                     exact += 1
-                elif first is not None:
+                else:
+                    assert first is not None, m
                     assert first.bindings == () and first._admitted in [
                         x._admitted for x in listed if x.site == m.site and x._admitted.form is form
                     ], m
