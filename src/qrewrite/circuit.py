@@ -152,13 +152,23 @@ def prep_bell(a: int, b: int) -> PrepDecl:
     return PrepDecl("bell", (min(a, b), max(a, b)))
 
 
+# an instruction's opcode: its class and kind, a `MNEMONICS` entry
+Opcode = tuple[type, Union[str, None]]
+
+
+def opcode(instr: Instruction) -> Opcode:
+    return type(instr), getattr(instr, "kind", None)
+
+
 class WireIndex(NamedTuple):
-    """A circuit body indexed by wire: each body index's wire set, and each
-    wire's body positions in ascending order (wires nothing touches are
-    absent)."""
+    """A circuit body indexed by wire and by opcode: each body index's wire
+    set, and each wire's and each opcode's body positions in ascending
+    order (wires nothing touches and opcodes the body lacks are absent),
+    which the matcher (`engine._find_sites`) walks."""
 
     wires: tuple[frozenset[WireRef], ...]
     positions: dict[WireRef, list[int]]
+    ops: dict[Opcode, list[int]]
 
 
 @dataclass(frozen=True)
@@ -177,14 +187,28 @@ class Circuit:
     # -- derived views -------------------------------------------------
     @cached_property
     def wire_index(self) -> WireIndex:
-        """The body indexed by wire, built on first use (a circuit that is
-        never searched never builds it)."""
-        body_wires = tuple(wires(instr) for instr in self.body)
+        """The body indexed by wire and by opcode, built on first use (a
+        circuit that is never searched never builds it)."""
+        body_wires = tuple(map(wires, self.body))
         positions: dict[WireRef, list[int]] = {}
-        for k, ws in enumerate(body_wires):
-            for w in ws:
-                positions.setdefault(w, []).append(k)
-        return WireIndex(body_wires, positions)
+        ops: dict[Opcode, list[int]] = {}
+        for k, instr in enumerate(self.body):
+            # `opcode(instr)` inline, and a list made only for a new key
+            # (`setdefault` makes one per call): every searched circuit
+            # builds this
+            key = type(instr), getattr(instr, "kind", None)
+            at = ops.get(key)
+            if at is None:
+                ops[key] = [k]
+            else:
+                at.append(k)
+            for w in body_wires[k]:
+                at = positions.get(w)
+                if at is None:
+                    positions[w] = [k]
+                else:
+                    at.append(k)
+        return WireIndex(body_wires, positions, ops)
 
     @cached_property
     def _prep_by_wire(self) -> dict[int, PrepDecl]:
@@ -428,9 +452,16 @@ def _splice(
 # Text format
 # ----------------------------------------------------------------------
 
+def ascii_digits(text: str) -> bool:
+    """True if `text` is one or more ASCII digits, the only numbers the
+    text format and the CLI read (`str.isdecimal` also takes other
+    scripts' digits, which would not serialize back as written)."""
+    return text.isascii() and text.isdecimal()
+
+
 def _ref(tok: str, kind: str) -> int:
     """Index of wire token `tok` ("q3", "c0"), which must be of `kind`."""
-    if tok[:1] != kind or not tok[1:].isdecimal():
+    if tok[:1] != kind or not ascii_digits(tok[1:]):
         name = "quantum" if kind == "q" else "classical"
         raise ParseError(f"expected {name} wire, got {tok!r}")
     return _number(tok[1:])
@@ -494,9 +525,9 @@ def parse(text: str) -> Circuit:
     if len(lines) < 2:
         raise ParseError("missing 'qubits N' / 'cbits M' header")
     (ln1, head1), (ln2, head2) = lines[0], lines[1]
-    if len(head1) != 2 or head1[0] != "qubits" or not head1[1].isdecimal():
+    if len(head1) != 2 or head1[0] != "qubits" or not ascii_digits(head1[1]):
         raise ParseError("expected 'qubits N'", ln1)
-    if len(head2) != 2 or head2[0] != "cbits" or not head2[1].isdecimal():
+    if len(head2) != 2 or head2[0] != "cbits" or not ascii_digits(head2[1]):
         raise ParseError("expected 'cbits M'", ln2)
     num_qubits, num_cbits = _number(head1[1], ln1), _number(head2[1], ln2)
     for ln, (word, count), n in ((ln1, head1, num_qubits), (ln2, head2, num_cbits)):
@@ -591,7 +622,7 @@ def serialize(c: Circuit) -> str:
 
 
 def instruction_text(instr: Instruction) -> str:
-    return _TEXT[type(instr), getattr(instr, "kind", None)].format_map(vars(instr))
+    return _TEXT[opcode(instr)].format_map(vars(instr))
 
 
 def touched(
@@ -599,7 +630,7 @@ def touched(
     wire: WireRef,
     start: int = 0,
     stop: int | None = None,
-    skip: tuple[int, ...] = (),
+    skip: Collection[int] = (),
 ) -> bool:
     """True if an instruction at a body index in start..stop-1, other than
     those in `skip`, touches the wire (reads, writes or acts on it)."""

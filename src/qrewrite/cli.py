@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .circuit import Circuit, ParseError, parse, serialize
+from .circuit import Circuit, ParseError, ascii_digits, parse, serialize
 from .engine import (
     VerificationError,
     find_matches,
@@ -80,8 +80,15 @@ def parse_ket(spec: str, n_wires: int) -> np.ndarray:
 
 def _count(text: str) -> int:
     """`--shots` or `--seed`: an integer in 0..2^63-1, as numpy takes it."""
-    if not (text.isdecimal() and int(text) < 1 << 63):
+    if not (ascii_digits(text) and int(text) < 1 << 63):
         raise argparse.ArgumentTypeError(f"expected an integer in 0..2^63-1, got {text!r}")
+    return int(text)
+
+
+def _index(text: str) -> int:
+    """`--site`: a match index, written in ASCII digits."""
+    if not ascii_digits(text):
+        raise argparse.ArgumentTypeError(f"expected a match index, got {text!r}")
     return int(text)
 
 
@@ -255,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--rule", required=True)
     p.add_argument("--backward", action="store_true")
-    p.add_argument("--site", type=int, default=None, help="apply the k-th match")
+    p.add_argument("--site", type=_index, default=None, help="apply the k-th match")
     p.add_argument("--list", action="store_true")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=_cmd_rewrite)

@@ -12,11 +12,14 @@ gathers (its instructions may be interleaved with others that touch no
 wire of a later one, so commuting gathers them at the first index), and
 the positions and injective bindings of an insertion (empty `src`). Both
 read the circuit's wire index (`Circuit.wire_index`) rather than each
-instruction's wires. A rule's condition is a list of tests, each on one
-variable's wire (`rules.WireTest`), so one filter, `_wires_for`, decides
-which wire a variable may take: the declared wires of its kind that carry
-the prep `src_preps` requires and pass its tests at the occurrence. An
-insertion search takes the position-free part (`_prepped_wires`) once per
+instruction's wires; `_find_sites` walks it from wire to wire instead of
+scanning the body, and `find_matches` searches no form whose `src` needs
+more of an opcode (`RuleForm.src_ops`) than the body holds.
+A rule's condition is a list of tests, each on one variable's wire
+(`rules.WireTest`), so one filter, `_wires_for`, decides which wire a
+variable may take: the declared wires of its kind that carry the prep
+`src_preps` requires and pass its tests at the occurrence. An insertion
+search takes the position-free part (`_prepped_wires`) once per
 variable and runs only the tests at each position; there it takes
 injective tuples of those wires, so it never enumerates a binding a test
 refuses, and where every variable's wires equal the previous position's
@@ -61,6 +64,7 @@ forward matches, so `sim.channel_of_deferred` on its result cross-checks both.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -80,6 +84,7 @@ from .circuit import (
     WireRef,
     _splice,
     circuit,
+    opcode,
     prep_plus,
     prep_zero,
     serialize,
@@ -195,6 +200,16 @@ def _unify(
     return new if new is not bindings else dict(bindings)
 
 
+def _bound_wire(tpl: Instruction, bindings: dict[str, int]) -> WireRef | None:
+    """The wire of the template instruction's first variable that
+    `bindings` binds, or None."""
+    for name, kind in FIELD_KINDS[type(tpl)]:
+        var = getattr(tpl, name)
+        if var in bindings:
+            return WireRef(kind, bindings[var])
+    return None
+
+
 def _find_sites(
     c: Circuit,
     form: RuleForm,
@@ -203,30 +218,47 @@ def _find_sites(
 ) -> list[tuple[tuple[int, ...], dict[str, int]]]:
     """All gatherable occurrences of the form's `src` side in body order,
     only at the indices `site` and extending `bindings` if these are given.
-    The one definition of an occurrence, for found and hand-built sites."""
-    body, body_wires = c.body, c.wire_index.wires
+    The one definition of an occurrence, for found and hand-built sites.
+
+    Each template instruction is picked after the one before, walking the
+    wire index: the first takes its opcode's positions; a later one on a
+    bound variable's wire takes the next position on that wire, since a
+    later one would share that wire with an instruction left out between
+    the picks; any other takes its opcode's positions after the last pick.
+    A later pick is gatherable iff nothing but the picks touches its wires
+    between the first pick and it (`touched`), so commuting gathers the
+    picks there."""
+    body, index = c.body, c.wire_index
+    body_wires, positions = index.wires, index.positions
     tpl = form.src
     results: list[tuple[tuple[int, ...], dict[str, int]]] = []
 
-    def extend(slot: int, pos: int, picked: list[int], skipped, bindings) -> None:
+    def extend(slot: int, picked: list[int], bindings: dict[str, int]) -> None:
         if slot == len(tpl):
             results.append((tuple(picked), bindings))
             return
-        sk = skipped
-        at = None if site is None else site[slot]
-        for j in range(pos, len(body)):
-            # instructions before the first matched index are not interleaved;
-            # afterwards, a candidate must avoid every skipped instruction
-            if (at is None or j == at) and (slot == 0 or not (body_wires[j] & sk)):
-                b2 = _unify(tpl[slot], body[j], bindings, form)
-                if b2 is not None:
-                    extend(slot + 1, j + 1, picked + [j], sk, b2)
-            if at is not None and j >= at:
-                break
-            if slot > 0:
-                sk = sk | body_wires[j]
+        t = tpl[slot]
+        last = picked[-1] if picked else -1
+        if site is not None:
+            j = site[slot]
+            candidates = (j,) if last < j < len(body) else ()
+        else:
+            on = _bound_wire(t, bindings) if picked else None
+            if on is None:
+                at = index.ops.get(opcode(t), ())
+                candidates = at[bisect_right(at, last) :]
+            else:  # the next instruction on that wire
+                at = positions.get(on, ())
+                k = bisect_right(at, last)
+                candidates = at[k : k + 1]
+        for j in candidates:
+            if picked and any(touched(c, w, picked[0], j, picked) for w in body_wires[j]):
+                continue
+            b2 = _unify(t, body[j], bindings, form)
+            if b2 is not None:
+                extend(slot + 1, picked + [j], b2)
 
-    extend(0, 0, [], frozenset(), bindings or {})
+    extend(0, [], bindings or {})
     return results
 
 
@@ -408,6 +440,11 @@ def find_matches(c: Circuit, rule_id: str, direction: str = "forward") -> list[M
     """
     out: list[Match] = []
     for form in rule_forms(rule_id, direction).values():
+        # a body with fewer of an opcode than `src` holds has no occurrence
+        if form.src_ops:
+            ops = c.wire_index.ops
+            if any(len(ops.get(op, ())) < n for op, n in form.src_ops):
+                continue
         out.extend(_found(c, form, listed=len(out)))
     out.sort(key=lambda m: (m.site, m._admitted.form._rank, m.bindings))
     return out

@@ -34,6 +34,7 @@ template with a binding map gives concrete instructions.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -43,9 +44,11 @@ from .circuit import (
     Circuit,
     Instruction,
     Measure,
+    Opcode,
     ParseError,
     PrepDecl,
     WireRef,
+    opcode,
     prep_bell,
     read_statement,
     touched,
@@ -376,8 +379,10 @@ class RuleForm:
     with an empty `src` is applied by insertion. `src_vars` and `dst_vars`
     are the variables each side needs, instruction slots first, then prep
     wires; `dst_vars` missing from `src_vars` are fresh wires a rewrite
-    allocates. `_rank` is the variant's place in the rule's declaration
-    order, by which `find_matches` orders matches at one site.
+    allocates. `src_ops` counts each opcode `src` holds, so a search can
+    pass over a body that holds fewer. `_rank` is the variant's place in
+    the rule's declaration order, by which `find_matches` orders matches
+    at one site.
 
     A rewrite grounds `dst` once per form and binding tuple
     (`_ground_dst`): the form keeps a memo from the wires bound to
@@ -399,6 +404,7 @@ class RuleForm:
     kinds: Mapping[str, str]
     alias_ok: frozenset[frozenset[str]]
     condition: Condition
+    src_ops: tuple[tuple[Opcode, int], ...]
     _rank: int = 0
     _dst_memo: dict[tuple[int, ...], tuple[Instruction, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -461,7 +467,7 @@ def _compile(rule: RewriteRule, direction: str) -> dict[str, RuleForm]:
         forms[variant] = RuleForm(
             rule.id, direction, variant, src[0], dst[0], src[1], dst[1],
             template_variables(src), template_variables(dst), kinds,
-            rule.alias_ok, rule.condition, rank,
+            rule.alias_ok, rule.condition, tuple(Counter(map(opcode, src[0])).items()), rank,
         )
     return forms
 

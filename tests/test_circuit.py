@@ -211,6 +211,8 @@ def test_readme_library_sketch_runs(capsys):
         (f"qubits {MAX_WIRES + 1}\ncbits 0", f"line 1: qubits {MAX_WIRES + 1} is over"),
         (f"qubits 1\ncbits {MAX_WIRES + 1}", f"line 2: cbits {MAX_WIRES + 1} is over"),
         ("qubits \u00b2\ncbits 0", "line 1: expected 'qubits N'"),
+        ("qubits \u0664\ncbits 0", "line 1: expected 'qubits N'"),  # an Arabic-Indic 4
+        ("qubits 4\ncbits \u0660", "line 2: expected 'cbits M'"),
     ],
 )
 def test_parse_rejects_bad_header_counts(text, error):
@@ -231,6 +233,23 @@ def test_parse_rejects_a_number_too_long_for_int(text, line):
     # Python's `int` refuses a string of more than 4,300 digits with a bare
     # ValueError; the parser names the line instead
     with pytest.raises(ParseError, match=f"^line {line}: a number of 5000 digits") as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qubits 4\ncbits 0\nINPUT q\u0663\nH q3", 3),
+        ("qubits 4\ncbits 0\nINPUT q3\nH q\u0663", 4),
+        ("qubits 1\ncbits 1\nINPUT q0\nMEASURE q0 c\u0660", 4),
+    ],
+    ids=["declaration", "gate", "cbit"],
+)
+def test_parse_reads_wire_indices_in_ascii_digits_only(text, line):
+    # `str.isdecimal` takes Arabic-Indic digits too, and `int` reads them,
+    # so "q\u0663" parsed as q3 and serialized as "q3": not the text read
+    with pytest.raises(ParseError, match=f"^line {line}: expected ") as exc:
         parse(text)
     assert exc.value.line == line
 

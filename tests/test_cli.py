@@ -101,7 +101,14 @@ TRANSFER = "qubits 2\ncbits 1\nINPUT q0\nPREP q1 0\nCNOT q0 q1\nMEASURE q1 c0\n"
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--shots", "100000000000000000000"), ("--shots", "-3"), ("--seed", "-1")]
+    "flag, value",
+    [
+        ("--shots", "100000000000000000000"),
+        ("--shots", "-3"),
+        ("--seed", "-1"),
+        ("--shots", "\u0663"),  # Arabic-Indic digits, which `int` reads
+        ("--seed", "\u0661"),
+    ],
 )
 def test_run_count_out_of_range_is_a_usage_error(files, capsys, flag, value):
     path = files("a.qc", TRANSFER)
@@ -111,6 +118,17 @@ def test_run_count_out_of_range_is_a_usage_error(files, capsys, flag, value):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: argument {flag}: expected an integer in 0..2^63-1" in captured.err
+
+
+@pytest.mark.parametrize("value", ["\u0660", "-1", "+0"])
+def test_rewrite_site_is_an_index_in_ascii_digits(files, capsys, value):
+    # `type=int` read an Arabic-Indic 0 and "+0" as match 0
+    path = files("h.qc", "qubits 1\ncbits 0\nINPUT q0\nH q0\n")
+    argv = ["rewrite", path, "--rule", "R1_InverseCancel", "--backward", "--site", value]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --site: expected a match index, got {value!r}" in captured.err
 
 
 def test_run_takes_zero_shots_and_seed(files, capsys):

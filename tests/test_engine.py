@@ -19,6 +19,7 @@ from qrewrite.circuit import (
     PrepDecl,
     _splice,
     circuit,
+    opcode,
     parse,
     prep_bell,
     prep_plus,
@@ -42,7 +43,14 @@ from qrewrite.rules import DIRECTIONS, FORMS, RULES, ground, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
-from util import exhaustive_insertions, full_rewrite, random_circuit, reference_defer_measurements
+from util import (
+    exhaustive_insertions,
+    full_rewrite,
+    linear_find_sites,
+    random_circuit,
+    random_gate_circuit,
+    reference_defer_measurements,
+)
 
 
 def test_find_matches_adjacent_pair():
@@ -864,6 +872,82 @@ def test_a_circuit_never_searched_builds_no_wire_index():
     assert "wire_index" not in vars(new)
     find_matches(new, "R1_InverseCancel")
     assert "wire_index" in vars(new)
+
+
+# every form a search finds in the body (`Commute` and insertions have no `src`)
+_PATTERN_FORMS = [form for forms in FORMS.values() for form in forms.values() if form.src]
+
+
+def _search_corpus():
+    rng = np.random.default_rng(30)
+    mixed = [random_circuit(rng, max_qubits=6, max_cbits=4, max_instructions=40) for _ in range(40)]
+    gates = [random_gate_circuit(rng, n, length) for n, length in ((8, 50), (12, 100), (8, 200), (24, 400))]
+    return mixed + gates
+
+
+def test_the_wire_index_lists_each_opcodes_positions():
+    for c in _search_corpus():
+        ops = {}
+        for k, instr in enumerate(c.body):
+            ops.setdefault(opcode(instr), []).append(k)
+        assert c.wire_index.ops == ops
+
+
+def test_the_indexed_search_equals_the_reference_scan():
+    # the index walk against the scan of every later body index with a
+    # carried skipped-wire set, on full searches, on searches restricted to
+    # each listed site and to perturbed ones, and seeded with the listed
+    # bindings, as `_check_applicable` runs it (a restricted scan costs the
+    # site's last index, so a body of n >= 50 instructions checks every
+    # (n // 25)-th listed site)
+    found = 0
+    for c in _search_corpus():
+        n = len(c.body)
+        for form in _PATTERN_FORMS:
+            listed = linear_find_sites(c, form)
+            assert engine._find_sites(c, form) == listed
+            found += len(listed)
+            for site, bindings in listed[:: max(1, n // 25)]:
+                perturbed = {
+                    site,
+                    site[::-1],  # descending
+                    tuple(j + 1 for j in site),
+                    site[:-1] + (n,),  # out of range
+                    (-1,) + site[1:],
+                }
+                for at in perturbed:
+                    assert engine._find_sites(c, form, at) == linear_find_sites(c, form, at)
+                    assert engine._find_sites(c, form, at, bindings) == linear_find_sites(
+                        c, form, at, bindings
+                    )
+    assert found > 1000
+
+
+def test_matching_a_long_body_follows_its_wires(monkeypatch):
+    # each later CNOT of R6's templates shares a bound wire with the one
+    # before, so it has one candidate: the next instruction on that wire
+    # (`linear_find_sites`, which tries every later index, makes 18,750
+    # unifications here)
+    c = random_gate_circuit(np.random.default_rng(1), 24, 800)
+    calls = []
+    unify = engine._unify
+    monkeypatch.setattr(engine, "_unify", lambda *args: calls.append(1) or unify(*args))
+    find_matches(c, "R6_CNOTMirror", "forward")
+    assert 0 < len(calls) <= 3 * len(c.body)
+
+
+def test_a_form_is_searched_only_in_a_body_holding_its_opcodes(monkeypatch):
+    searched = []
+    found = engine._found
+    monkeypatch.setattr(
+        engine, "_found", lambda c, form, *args, **kw: searched.append(form.variant) or found(c, form, *args, **kw)
+    )
+    c = parse("qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nH q0\nX q1\nH q0\nZ q1")
+    assert [m.site for m in find_matches(c, "R1_InverseCancel")] == [(0, 2)]
+    assert searched == ["H"]  # one X and one Z are too few, and there is no CNOT or CZ
+    searched.clear()
+    assert find_matches(c, "R1_InverseCancel", "backward")  # insertions need none
+    assert len(searched) == len(rule_forms("R1_InverseCancel", "backward"))
 
 
 def _outcome(rewrite, c, m):

@@ -26,6 +26,7 @@ from qrewrite.engine import (
     RewriteError,
     _admit,
     _check_applicable,
+    _unify,
     find_matches,
     rewrite_at,
 )
@@ -243,6 +244,37 @@ def linear_touched(c, wire, start=0, stop=None, skip=()) -> bool:
     reference for the indexed query."""
     stop = len(c.body) if stop is None else stop
     return any(j not in skip and wire in wires(c.body[j]) for j in range(start, stop))
+
+
+def linear_find_sites(c, form, site=None, bindings=None) -> list:
+    """`engine._find_sites` by a scan of every later body index for each
+    template slot, carrying the wires of the instructions skipped since the
+    first pick: the reference for the indexed search."""
+    body = c.body
+    body_wires = [wires(instr) for instr in body]
+    tpl = form.src
+    results = []
+
+    def extend(slot, pos, picked, skipped, bindings):
+        if slot == len(tpl):
+            results.append((tuple(picked), bindings))
+            return
+        sk = skipped
+        at = None if site is None else site[slot]
+        for j in range(pos, len(body)):
+            # instructions before the first matched index are not interleaved;
+            # afterwards, a candidate must avoid every skipped instruction
+            if (at is None or j == at) and (slot == 0 or not (body_wires[j] & sk)):
+                b2 = _unify(tpl[slot], body[j], bindings, form)
+                if b2 is not None:
+                    extend(slot + 1, j + 1, picked + [j], sk, b2)
+            if at is not None and j >= at:
+                break
+            if slot > 0:
+                sk = sk | body_wires[j]
+
+    extend(0, 0, [], frozenset(), bindings or {})
+    return results
 
 
 def linear_state_before(c, w: int, pos: int) -> str | None:
