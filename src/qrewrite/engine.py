@@ -104,7 +104,7 @@ class RewriteError(ValueError):
 
 
 class VerificationError(RuntimeError):
-    """A rewrite step failed its channel-equality check."""
+    """A rewrite step failed its window check."""
 
 
 class _Admitted(NamedTuple):
@@ -568,23 +568,21 @@ def _indent(text: str) -> str:
     return "\n".join("    " + line for line in text.splitlines())
 
 
-def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
-    """True if the window where `a` and `b` differ shows them equal in any
-    context they share: same channel, same joint law of the reports and the
-    outputs. False if it cannot tell, not a proof that they differ.
+def _window_equal(a: Circuit, b: Circuit, m: Match) -> bool:
+    """True if the window of the match `m` of `a`, which `b` is the rewrite
+    of, shows `a` and `b` equal in any context they share: same channel,
+    same joint law of the reports and the outputs. False if it cannot tell,
+    not a proof that they differ.
 
-    Given the match `m` of `a` that `b` is the rewrite of, as a verified
-    step is, the window is the matched instructions against the
-    replacement, at the match's position, read in `a`'s gathered circuit:
-    `rewrite_at`'s splice with `src` in place of `dst`, so the prefix
-    before the position, then the matched instructions, then the skipped
-    ones and the rest of the body. Each later matched instruction shares no
-    wire with any skipped before it, so swaps of disjoint instructions make
-    that circuit of `a`, and its window touches the bound wires alone. A
-    `b` that is not that circuit with the replacement in place of the
-    matched instructions cannot tell. Without a match, the window is what
-    is left of the two bodies after their longest common prefix and then
-    their longest common suffix.
+    The window is the matched instructions against the replacement, at the
+    match's position, read in `a`'s gathered circuit: `rewrite_at`'s splice
+    with `src` in place of `dst`, so the prefix before the position, then
+    the matched instructions, then the skipped ones and the rest of the
+    body. Each later matched instruction shares no wire with any skipped
+    before it, so swaps of disjoint instructions make that circuit of `a`,
+    and its window touches the bound wires alone. A `b` that is not that
+    circuit with the replacement in place of the matched instructions
+    cannot tell.
 
     The qubit count, inputs and qubit roles must be identical. An empty
     window, such as a `Commute` match's, whose gathered circuit is its
@@ -601,13 +599,13 @@ def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
       report or the suffix reads it, and is summed out otherwise;
     - a discarded qubit that nothing after the window touches is traced
       out there, as it is at the end.
-    The declarations may differ only in scratch cbits that one side
-    appends, and in preps on wires that nothing before the window touches
-    (BellPrepFold): those wires are in their preps' states there,
+    A rewrite only appends cbits, so `b` must declare `a`'s cbits with
+    their roles, and may append scratch cbits only. The preps may differ
+    only on wires that both sides declare and nothing before the window
+    touches (BellPrepFold): those wires are in their preps' states there,
     uncorrelated with every other wire. Any other difference, or a window
     circuit that is not a valid circuit (a copied cbit only one side
-    writes), cannot tell. A window of gates alone has pure window channels,
-    which are equal if the two isometries agree up to one global phase.
+    writes), cannot tell.
 
     This is sound: at the window the joint state is classical on the cbits
     and arbitrary, entanglement included, on the input qubits. Equal window
@@ -630,24 +628,13 @@ def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
     if (a.num_qubits, a.inputs, a.q_roles) != (b.num_qubits, b.inputs, b.q_roles):
         return False
     x, y = a.body, b.body
-    if m is None:
-        n = min(len(x), len(y))
-        p = 0
-        while p < n and x[p] == y[p]:
-            p += 1
-        s = 0
-        while s < n - p and x[-1 - s] == y[-1 - s]:
-            s += 1
-        old, new = x[p : len(x) - s], y[p : len(y) - s]
-        after, skip = len(x) - s, ()
-    else:
-        p, end, src, kept = _gather(a, rule_forms(m.rule, m.direction)[m.variant], m.site)
-        old, rest = tuple(src), tuple(kept) + x[end:]
-        k = len(y) - len(rest)
-        if k < p or y[:p] != x[:p] or y[k:] != rest:
-            return False  # `b` is not the rewrite of `a` at the match
-        # the gathered circuit's suffix `rest` is body[p:] but the matched indices
-        new, after, skip = y[p:k], p, m.site if src else ()
+    p, end, src, kept = _gather(a, rule_forms(m.rule, m.direction)[m.variant], m.site)
+    old, rest = tuple(src), tuple(kept) + x[end:]
+    k = len(y) - len(rest)
+    if k < p or y[:p] != x[:p] or y[k:] != rest:
+        return False  # `b` is not the rewrite of `a` at the match
+    # the gathered circuit's suffix `rest` is body[p:] but the matched indices
+    new, skip = y[p:k], m.site if src else ()
     same = (a.num_cbits, a.preps, a.c_roles) == (b.num_cbits, b.preps, b.c_roles)
     if same and not old and not new:
         return True
@@ -665,19 +652,17 @@ def _window_equal(a: Circuit, b: Circuit, m: Match | None = None) -> bool:
         if w not in pa or w not in pb or touched(a, WireRef("q", w), stop=p):
             return False
         qs.setdefault(w, len(qs))
-    short, long = sorted((a, b), key=lambda c: c.num_cbits)
-    shared, added = long.c_roles[: short.num_cbits], long.c_roles[short.num_cbits :]
-    if shared != short.c_roles or "report" in added:
+    if b.c_roles[: a.num_cbits] != a.c_roles or "report" in b.c_roles[a.num_cbits :]:
         return False
     def later(wire: WireRef) -> bool:  # touched in the suffix
-        return touched(a, wire, after, skip=skip)
+        return touched(a, wire, p, skip=skip)
 
     traced = {w for w in qs if a.q_roles[w] == "discard" and not later(WireRef("q", w))}
     states = tuple("prep" if w in changed else wire_state_before(a, w, p) for w in qs)
     old, new = tuple(ground(old, qs, cs)), tuple(ground(new, qs, cs))
     cbits = tuple(
         "read" if touched(a, WireRef("c", r), stop=p)
-        else "copied" if long.c_roles[r] == "report" or later(WireRef("c", r))
+        else "copied" if b.c_roles[r] == "report" or later(WireRef("c", r))
         else "summed"
         for r in cs
     )

@@ -451,6 +451,9 @@ def make_channel(kraus: np.ndarray | list[np.ndarray], n_in: int, n_out: int) ->
 
 
 def unitary_channel(mat: np.ndarray) -> Channel:
+    """The channel of the unitary `mat` on n qubits, n read from its
+    shape (2^n, 2^n). Public API: README's library sketch and the
+    acceptance tests compare extracted channels with one."""
     n = mat.shape[0].bit_length() - 1
     return make_channel([mat], n, n)
 

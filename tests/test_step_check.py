@@ -1,6 +1,7 @@
 """Step verification: the window check (`engine._window_equal`), which
-decides each verified step on the instructions its match names, and on
-its own verdicts on pairs of circuits (the whole-body diff)."""
+decides each verified step on the instructions its match names. Window
+identities that no cataloged rule states reach it the same way, through
+the matches of a rule installed for one test (`util.window_rule`)."""
 import dataclasses
 from collections import Counter
 from itertools import product
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qrewrite import engine, sim
-from qrewrite.circuit import CircuitError, Gate1, Gate2, _splice, parse, prep_plus
+from qrewrite.circuit import CircuitError, Gate1, Gate2, _splice, parse, prep_plus, prep_zero
 from qrewrite.engine import (
     VerificationError,
     _gather,
@@ -24,7 +25,7 @@ from qrewrite.rules import DIRECTIONS, FORMS
 from qrewrite.scenarios import _SCRIPTS, derive
 from qrewrite.sim import STATE_VECTORS, SimulationError, extract_channel
 
-from util import random_circuit, random_gate_circuit
+from util import random_circuit, random_gate_circuit, window_rule
 
 
 # derivation -> its number of steps, each accepted by the window check
@@ -138,47 +139,51 @@ def test_the_gathered_circuit_is_reached_by_commute_matches():
     assert moved >= 35, moved
 
 
-def _common_length(x: tuple, y: tuple) -> int:
-    """The length of the longest common prefix of `x` and `y`."""
-    return next((k for k, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
-
-
 def test_a_step_window_is_read_in_the_gathered_circuit(monkeypatch):
     # a step's window, decided from the circuit before it and the match,
-    # hands its window circuits the local form that the whole-body diff of
-    # the gathered circuit and the step's circuit hands them, wherever that
-    # diff leaves the matched instructions against the replacement
+    # hands its window circuits the local form that the same match hands
+    # them read in the gathered circuit, its site made contiguous from its
+    # position; there it applies and rewrites to the step's circuit too
     forms = []
     monkeypatch.setattr(engine, "_window_circuits_equal", lambda *form: forms.append(form) or True)
 
     def local_form(*args):
         forms.clear()
-        _window_equal(*args)
+        assert _window_equal(*args)
         return list(forms)
 
     compared = moved = 0
     for prev, m, new, gathered, pos, src in _gathered_steps():
-        x, y = gathered.body, new.body
-        p = _common_length(x, y)
-        if (p, _common_length(x[p:][::-1], y[p:][::-1])) != (pos, len(x) - pos - len(src)):
-            continue  # the diff's prefix or suffix reaches into the window
-        diff = local_form(gathered, new)
-        assert local_form(prev, new, m) == diff, m.label()
+        if m.rule == "Commute":
+            continue  # its window is empty
+        site = tuple(range(pos, pos + len(src))) if src else m.site
+        contiguous = dataclasses.replace(m, site=site)
+        assert rewrite_at(gathered, contiguous) == new, m.label()
+        local = local_form(gathered, new, contiguous)
+        assert local_form(prev, new, m) == local, m.label()
         compared += 1
-        moved += gathered.body != prev.body and bool(diff)
-    assert compared >= 6_000 and moved >= 20, (compared, moved)
+        moved += gathered.body != prev.body and bool(local)
+    assert compared >= 6_900 and moved >= 35, (compared, moved)
 
 
 def test_a_step_window_refuses_a_circuit_that_is_not_the_rewrite():
     # the step's circuit must be the gathered circuit with the replacement
-    # in place of the matched instructions; one that lost a skipped
-    # instruction or the rest of the body, or gained one before the match,
-    # cannot tell
-    c = parse("qubits 3\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nH q0\nCNOT q1 q2\nH q0\nX q2")
-    (m,) = find_matches(c, "R1_InverseCancel")
+    # in place of the matched instructions; one that lost the skipped
+    # instruction or the rest of the body, changed the rest, gained an
+    # instruction before the match, or put the replacement after the
+    # skipped instruction cannot tell
+    c = parse(
+        "qubits 4\ncbits 0\nINPUT q0\nINPUT q1\nINPUT q2\nINPUT q3\n"
+        "CNOT q0 q1\nH q3\nCNOT q0 q2\nX q3"
+    )
+    (m,) = find_matches(c, "R7_ParallelToLambda")
     new = rewrite_at(c, m)
-    assert new.body == c.body[1:2] + c.body[3:] and _window_equal(c, new, m)
-    for body in (new.body[1:], new.body[:1], (Gate1("Z", 2),) + new.body):
+    dst, kept, rest = new.body[:3], new.body[3:4], new.body[4:]
+    assert kept + rest == c.body[1:2] + c.body[3:] and _window_equal(c, new, m)
+    for body in (
+        dst + rest, dst + kept, dst + kept + (Gate1("Z", 3),), (Gate1("Z", 2),) + new.body,
+        kept + dst + rest,
+    ):
         assert not _window_equal(c, dataclasses.replace(new, body=body), m)
 
 
@@ -375,7 +380,7 @@ def test_each_verified_step_runs_the_window_check_once(monkeypatch):
     # `simplify` verify through it
     checked = []
 
-    def counting(a, b, m=None):
+    def counting(a, b, m):
         checked.append(m)
         return _window_equal(a, b, m)
 
@@ -444,26 +449,56 @@ def _window_pair(state: str, start: str = "PREP q0 0\nINPUT q2", first: str = ""
     return parse(head + old), parse(head + new)
 
 
+def _stated(monkeypatch, old: str, new: str) -> str:
+    """A rule stating the window `old` -> `new`, circuit text whose
+    variables are named after the wires they bind here."""
+    return window_rule(monkeypatch, old.replace("\n", ";"), new.replace("\n", ";"))
+
+
+def _match_to(a, b, rule: str, direction: str = "forward"):
+    """The one match of `rule` in `direction` on `a` whose rewrite is `b`."""
+    (m,) = [m for m in find_matches(a, rule, direction) if _rewrites_to(a, m, b)]
+    return m
+
+
+def _rewrites_to(a, m, b) -> bool:
+    try:
+        return rewrite_at(a, m) == b
+    except CircuitError:  # an insertion that reads a cbit before it is written
+        return False
+
+
+def _window_verdicts(monkeypatch, a, b, old: str, new: str) -> list[bool]:
+    """The window check's verdicts on `b` as the forward rewrite of `a` by
+    the window `old` -> `new`, and on `a` as the backward rewrite of `b`."""
+    rule = _stated(monkeypatch, old, new)
+    return [
+        _window_equal(x, y, _match_to(x, y, rule, direction))
+        for x, y, direction in ((a, b, "forward"), (b, a, "backward"))
+    ]
+
+
 @pytest.mark.parametrize("state", list(_FIXED))
-def test_the_window_check_reads_a_fixed_one_or_minus_wire(state):
+def test_the_window_check_reads_a_fixed_one_or_minus_wire(monkeypatch, state):
     a, b = _window_pair(state)
-    assert _window_equal(a, b) and _window_equal(b, a)
+    assert _window_verdicts(monkeypatch, a, b, *_FIXED[state][1:]) == [True, True]
     assert channel_equal(extract_channel(a), extract_channel(b))
 
 
 @pytest.mark.parametrize("unknown", list(_UNKNOWN))
 @pytest.mark.parametrize("state", list(_FIXED))
-def test_the_window_check_refuses_a_wire_of_unknown_state(state, unknown):
+def test_the_window_check_refuses_a_wire_of_unknown_state(monkeypatch, state, unknown):
     a, b = _window_pair(state, *_UNKNOWN[unknown])
-    assert not _window_equal(a, b) and not _window_equal(b, a)
+    assert _window_verdicts(monkeypatch, a, b, *_FIXED[state][1:]) == [False, False]
 
 
-def _cancel_across(n: int) -> str:
-    """`H q0`, a CNOT chain on the other n - 1 inputs, `H q0` again: one
-    R1_InverseCancel window over all n qubits, none of known state."""
+def _cancel_across(n: int) -> tuple[str, str, str]:
+    """(head, old, new): `H q0`, a CNOT chain on the other n - 1 inputs,
+    `H q0` again, against the chain alone: one window over all n qubits,
+    none of known state, which R1_InverseCancel rewrites too."""
     chain = "\n".join(f"CNOT q{i} q{i + 1}" for i in range(1, n - 1))
     inputs = "\n".join(f"INPUT q{i}" for i in range(n))
-    return f"qubits {n}\ncbits 0\n{inputs}\nH q0\n{chain}\nH q0\n"
+    return f"qubits {n}\ncbits 0\n{inputs}\n", f"H q0\n{chain}\nH q0", chain
 
 
 def _r4_across(n: int) -> str:
@@ -481,7 +516,7 @@ def _r4_across(n: int) -> str:
 @pytest.mark.parametrize("n, length", [(16, 200), (24, 400), (64, 400)])
 def test_verified_simplify_is_unverified_simplify_at_any_width(n, length):
     # each window holds its bound wires alone, so width costs it nothing:
-    # at 64 qubits the whole-body diff of a step spans more than 2^48 bytes
+    # at 64 qubits a window over every wire would need more than 2^48 bytes
     c = random_gate_circuit(np.random.default_rng(n), n, length)
     final, trace = simplify(c)
     plain, untraced = simplify(c, verify=False)
@@ -491,13 +526,15 @@ def test_verified_simplify_is_unverified_simplify_at_any_width(n, length):
 
 
 def test_the_window_check_is_refused_over_the_byte_budget(monkeypatch):
-    # 14 qubits of unknown state: a (2^14, 2^14) isometry, 4 GiB, for the
-    # whole-body diff; a step's window holds its bound wires alone, so
-    # verified `simplify` cancels the two Hs on q0 by themselves
-    a = parse(_cancel_across(14))
-    b = dataclasses.replace(a, body=a.body[1:-1])
+    # 14 qubits of unknown state: a (2^14, 2^14) isometry, 4 GiB, for a
+    # window identity stated over all of them; R1_InverseCancel's window
+    # holds its bound wire alone, so verified `simplify` cancels the two Hs
+    # on q0 by themselves
+    head, old, new = _cancel_across(14)
+    a, b = parse(head + old), parse(head + new)
+    m = _match_to(a, b, _stated(monkeypatch, old, new))
     with pytest.raises(SimulationError, match="prepared state needs 4294967296 bytes"):
-        _window_equal(a, b)
+        _window_equal(a, b, m)
     final, trace = simplify(a)
     assert final == b and [s.label for s in trace.steps] == ["R1_InverseCancel [H] @ (0, 13) {w=0}"]
     # R4 binds six wires across a 14-qubit chain: three input qubits, a
@@ -514,13 +551,14 @@ def test_the_window_check_is_refused_over_the_byte_budget(monkeypatch):
     with pytest.raises(SimulationError, match="prepared state needs 2048 bytes"):
         apply_steps(c, [m])
     # 3 qubits: 2^3 x 2^3 entries of 16 bytes, at and just over the budget
-    a = parse(_cancel_across(3))
-    b = dataclasses.replace(a, body=a.body[1:-1])
+    head, old, new = _cancel_across(3)
+    a, b = parse(head + old), parse(head + new)
+    m = _match_to(a, b, _stated(monkeypatch, old, new))
     monkeypatch.setattr(sim, "BYTE_BUDGET", 1024)
-    assert _window_equal(a, b)
+    assert _window_equal(a, b, m)
     monkeypatch.setattr(sim, "BYTE_BUDGET", 1023)
     with pytest.raises(SimulationError, match="prepared state needs 1024 bytes"):
-        _window_equal(a, b)
+        _window_equal(a, b, m)
 
 
 def test_a_window_circuit_is_refused_over_the_byte_budget(monkeypatch):
@@ -530,15 +568,17 @@ def test_a_window_circuit_is_refused_over_the_byte_budget(monkeypatch):
     head = "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nREPORT c0\n"
     a = parse(head + "MEASURE q0 c0\nCX c0 q1")
     b = parse(head + "CNOT q0 q1\nMEASURE q0 c0")
+    (m,) = find_matches(a, "R3_DeferMeasure")
+    assert rewrite_at(a, m) == b
     memo = engine._window_circuits_equal
     monkeypatch.setattr(sim, "BYTE_BUDGET", 512)
-    assert _window_equal(a, b)
+    assert _window_equal(a, b, m)
     monkeypatch.setattr(sim, "BYTE_BUDGET", 511)
     with pytest.raises(SimulationError, match="prepared state needs 512 bytes"):
-        _window_equal(a, b)  # a hit
+        _window_equal(a, b, m)  # a hit
     memo.cache_clear()
     with pytest.raises(SimulationError, match="prepared state needs 512 bytes"):
-        _window_equal(a, b)  # a miss
+        _window_equal(a, b, m)  # a miss
     assert memo.cache_info().currsize == 0
 
 
@@ -552,22 +592,35 @@ def test_a_window_circuit_is_refused_over_the_byte_budget(monkeypatch):
     ],
     ids=["cancel", "unequal", "conjugated"],
 )
-def test_the_window_check_reads_a_cbit_written_before_it(old, new, equal):
+def test_the_window_check_reads_a_cbit_written_before_it(monkeypatch, old, new, equal):
     head = "qubits 2\ncbits 1\nINPUT q0\nINPUT q1\nMEASURE q0 c0\n"
     a, b = parse(head + old), parse(head + new)
-    assert _window_equal(a, b) is _window_equal(b, a) is equal
+    assert _window_verdicts(monkeypatch, a, b, old, new) == [equal, equal]
     assert channel_equal(extract_channel(a), extract_channel(b)) is equal
 
 
-def test_the_declarations_may_differ_only_in_scratch_cbits_and_untouched_preps():
-    a = parse("qubits 2\ncbits 1\nINPUT q0\nPREP q1 0\nH q0\nMEASURE q0 c0")
-    added = dataclasses.replace(a, num_cbits=2, c_roles=("scratch", "scratch"))
-    assert _window_equal(a, added) and _window_equal(added, a)
-    # an unwritten report is a report outcome of its own
-    reported = dataclasses.replace(added, c_roles=("scratch", "report"))
-    assert not _window_equal(a, reported)
+def test_a_rewrite_whose_declarations_were_changed_afterwards_is_refused():
+    # MeasureDiscarded measures the untouched discarded q2 at the end into
+    # a new scratch cbit, as no cbit is free: a rewrite appends scratch
+    # cbits, which the check accepts
+    a = parse(
+        "qubits 3\ncbits 1\nINPUT q0\nPREP q1 0\nPREP q2 0\nDISCARD q2\n"
+        "H q0\nMEASURE q0 c0"
+    )
+    m = engine.match("MeasureDiscarded", site=(2,), bindings={"w": 2})
+    new = rewrite_at(a, m)
+    assert new.c_roles == ("scratch", "scratch") and _window_equal(a, new, m)
+    # an added report is a report outcome of its own, written or not, and
+    # a changed role of one of a's cbits is another law of the reports
+    for num_cbits, c_roles in (
+        (3, ("scratch", "scratch", "report")),
+        (2, ("scratch", "report")),
+        (2, ("report", "scratch")),
+    ):
+        changed = dataclasses.replace(new, num_cbits=num_cbits, c_roles=c_roles)
+        assert not _window_equal(a, changed, m)
     # q1 is a |0> or a |+> wire nothing touches: a channel change
-    plus = dataclasses.replace(a, preps=(prep_plus(1),))
-    assert not _window_equal(a, plus)
+    plus = dataclasses.replace(new, preps=(prep_plus(1), prep_zero(2)))
+    assert not _window_equal(a, plus, m)
     # q1 without its prep is an input: another channel
-    assert not _window_equal(a, dataclasses.replace(a, preps=()))
+    assert not _window_equal(a, dataclasses.replace(new, preps=(prep_zero(2),)), m)

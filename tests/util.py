@@ -31,7 +31,15 @@ from qrewrite.engine import (
     rewrite_at,
 )
 from qrewrite.equivalence import _N_RANDOM_PROBES, _ORACLE_SEED, ORACLE_ATOL, UNITARY_ATOL
-from qrewrite.rules import ground, ground_preps, rule_forms
+from qrewrite.rules import (
+    DIRECTIONS,
+    FORMS,
+    RewriteRule,
+    _compile,
+    ground,
+    ground_preps,
+    rule_forms,
+)
 from qrewrite.sim import (
     ATOL,
     PRUNE_EPS,
@@ -226,6 +234,19 @@ def rule_pair(rule_id: str, bindings: dict, variant: str, n_qubits: int = 4):
     c1 = circuit(n_qubits, m, pat, preps=extra + preps_p, q_roles=dict(roles))
     c2 = circuit(n_qubits, m, rep, preps=extra + preps_r, q_roles=dict(roles))
     return c1, c2
+
+
+def window_rule(monkeypatch, pattern: str, replacement: str, rule_id: str = "Window") -> str:
+    """Install, for one test, a one-variant rule `rule_id` that states the
+    window identity `pattern` -> `replacement`, each circuit text over
+    variable names with ";" between statements (`"CX r w; CX r w"` ->
+    `""`), compiled in both directions into `rules.FORMS`; return its id.
+    `find_matches` and `rewrite_at` then reach the window check through
+    its matches, as they do through a cataloged rule's."""
+    rule = RewriteRule(rule_id, {"default": (pattern, replacement)})
+    for direction in DIRECTIONS:
+        monkeypatch.setitem(FORMS, (rule_id, direction), _compile(rule, direction))
+    return rule_id
 
 
 def pure_gate(rule) -> bool:
