@@ -556,6 +556,8 @@ def parse(text: str) -> Circuit:
             return
         if op == "INPUT" and len(toks) == 2:
             named = (_ref(toks[1], "q"),)
+            if named[0] in inputs:
+                raise ParseError(f"input q{named[0]} declared twice")
             inputs.update(named)
         else:
             # a PREP or BELL, else a syntax error

@@ -32,21 +32,26 @@ injective tuple, as the insertion search does, each cbit to the first
 (with none, a new one), then checks the required preps and runs the
 condition's tests, in order, on the complete bindings.
 One generator, `_found`, keeps the occurrences `_admit` accepts, so every
-match `find_matches` and `defer_measurements` find applies, and each
-match carries what `_admit` returned for the circuit object it was found
-on. An insertion form with no condition is admitted once per bindings
-dict the search shares among positions, since `_admit` reads the position
-only through the condition's tests. `rewrite_at` applies such a match to
-that very circuit without checking it again; every other match,
-hand-built or found on another circuit, is checked by `_check_applicable`
-(bindings, site shape, then the search restricted to the site), then
-`_admit`. So a bad match is a `RewriteError`, never a wrong rewrite. The
-replacement is grounded once per form and binding tuple
-(`RuleForm._ground_dst`, a memo on the form bounded by
-`rules._GROUND_MEMO_SIZE`), and rewrites with the same wires share its
-immutable instructions. One splice (`circuit._splice`) puts the
-replacement at the occurrence's position, after gathering the matched
-instructions there (an insertion gathers none); `Commute` swaps. The
+match `find_matches` and `defer_measurements` find applies. It builds
+each match field by field, without the frozen `__init__`, and each
+carries its admission (`_Admitted`) for the circuit object it was found
+on: what `_admit` returned, and what the rewrite splices in besides the
+site, which one helper (`_admission`) computes: the grounded replacement,
+the new preps and the bound cbits. An insertion form with no condition
+is admitted once per bindings dict the search shares among positions,
+since `_admit` reads the position only through the condition's tests,
+so these are computed once per binding. `rewrite_at` applies such a
+match to that very circuit by a gather and a splice alone; every other
+match, hand-built or found on another circuit, is checked by
+`_check_applicable` (bindings, site shape, then the search restricted to
+the site), then `_admit`, and `_admission` computes its inputs. So a bad
+match is a `RewriteError`, never a wrong rewrite. The replacement is
+grounded once per form and binding tuple (`RuleForm._ground_dst`, a memo
+on the form bounded by `rules._GROUND_MEMO_SIZE`), and rewrites with the
+same wires share its immutable instructions. One splice
+(`circuit._splice`) puts the replacement at the occurrence's position,
+after gathering the matched instructions there (an insertion gathers
+none); `Commute` swaps. The
 output differs from its valid input only in that window, the preps and
 new scratch cbits, so the splice checks only those, with the code
 `circuit.validate` runs on a whole circuit (a grounded replacement once
@@ -81,6 +86,7 @@ from .circuit import (
     ClassicalCtrl,
     Instruction,
     Measure,
+    PrepDecl,
     WireRef,
     _splice,
     circuit,
@@ -108,13 +114,18 @@ class VerificationError(RuntimeError):
 
 
 class _Admitted(NamedTuple):
-    """What `_admit` returned for a found match, and the circuit it was
-    found on."""
+    """An admitted occurrence (`_admission`): what `_admit` returned, the
+    circuit it was admitted on, and what a rewrite splices in besides the
+    site, computed once: the grounded replacement, the new preps (None if
+    they do not change) and the bound cbits."""
 
     circuit: Circuit
     form: RuleForm
     bindings: dict[str, int]  # complete: fresh wires bound
     num_cbits: int
+    dst: tuple[Instruction, ...]
+    preps: tuple[PrepDecl, ...] | None
+    cbits: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -122,9 +133,10 @@ class Match:
     """A located rule occurrence: ordered body indices plus variable bindings
     (an insertion's site is its position, or empty for the end of the body).
 
-    A found match (`_found`) also carries its admission for the circuit
-    it was found on; this takes no part in equality, hashing or repr, and
-    a copy (`dataclasses.replace`) or a hand-built match has none.
+    A found match (`_found`) also carries its admission (`_Admitted`) for
+    the circuit it was found on, and is built field by field, without the
+    frozen `__init__`. The admission takes no part in equality, hashing or
+    repr, and a copy (`dataclasses.replace`) or a hand-built match has none.
     """
 
     rule: str
@@ -399,6 +411,26 @@ def _admit(
     return None, b, num_cbits
 
 
+def _admission(
+    c: Circuit, form: RuleForm, bindings: dict[str, int], num_cbits: int
+) -> _Admitted:
+    """An occurrence of the form in `c` that `_admit` admitted with the
+    complete `bindings` and `num_cbits`, with what its rewrite splices in:
+    the grounded replacement, the preps with the required ones replaced by
+    the form's new ones (None if the form declares neither), and the bound
+    cbits. None of these reads the site."""
+    preps = None
+    if form.src_preps or form.dst_preps:
+        preps = list(c.preps)
+        for p in ground_preps(form.src_preps, bindings):
+            preps.remove(p)
+        preps.extend(ground_preps(form.dst_preps, bindings))
+        preps = tuple(sorted(preps, key=lambda p: p.wires))
+    # the matched and inserted instructions touch only bound wires
+    cbits = tuple(w for v, w in bindings.items() if form.kinds[v] == "c")
+    return _Admitted(c, form, bindings, num_cbits, form._ground_dst(bindings), preps, cbits)
+
+
 def _found(
     c: Circuit, form: RuleForm, site: tuple[int, ...] | None = None, listed: int = 0
 ) -> Iterator[Match]:
@@ -413,6 +445,7 @@ def _found(
     # shares among positions, once (the dict is kept, so its id is not
     # reused within this search)
     once = {} if not (form.src or form.condition or form.rule == "Commute") else None
+    new, put = object.__new__, object.__setattr__
     for found, bindings in _occurrences(c, form, site, listed=listed):
         entry = None if once is None else once.get(id(bindings))
         if entry is None:
@@ -421,14 +454,21 @@ def _found(
             key = admission = None
             if reason is None:
                 key = tuple(sorted(bindings.items()))
-                admission = _Admitted(c, form, complete, num_cbits)
+                admission = _admission(c, form, complete, num_cbits)
             entry = bindings, key, admission
             if once is not None:
                 once[id(bindings)] = entry
         _, key, admission = entry
         if admission is not None:
-            m = Match(form.rule, said, found, key, form.variant)
-            object.__setattr__(m, "_admitted", admission)
+            # set field by field, in order, as the frozen `__init__` does
+            # (as `circuit._splice` builds a circuit), without calling it
+            m = new(Match)
+            put(m, "rule", form.rule)
+            put(m, "direction", said)
+            put(m, "site", found)
+            put(m, "bindings", key)
+            put(m, "variant", form.variant)
+            put(m, "_admitted", admission)
             yield m
 
 
@@ -501,34 +541,25 @@ def rewrite_at(c: Circuit, m: Match, verify: bool = False) -> Circuit:
     """Apply a match: gather the matched instructions at the occurrence's
     position and splice in the instantiated replacement (a `Commute` match
     swaps its two instructions). Preps and roles carry over. A match that
-    `find_matches` found on `c` itself applies without a second check;
-    any other is checked first. With `verify`, a rewrite that the window
+    `find_matches` found on `c` itself applies without a second check,
+    splicing in what its admission computed; any other is checked and
+    admitted first. With `verify`, a rewrite that the window
     of its match (`_window_equal`) does not show equal to `c` raises
     `VerificationError`. Unknown rule ids raise KeyError, unknown
     directions ValueError."""
-    if m._admitted is not None and m._admitted.circuit is c:
-        _, form, bindings, num_cbits = m._admitted
-    else:
+    adm = m._admitted
+    if adm is None or adm.circuit is not c:
         form = rule_forms(m.rule, m.direction).get(m.variant)
         reason = _check_applicable(c, form, m) if form else f"unknown variant {m.variant!r}"
         if reason is None:
             reason, bindings, num_cbits = _admit(c, form, m.site, m.binding_map)
         if reason is not None:
             raise RewriteError(f"{m.rule}: {reason}")
+        adm = _admission(c, form, bindings, num_cbits)
 
     # a `Commute` match's two instructions are disjoint: no wire's order changes
-    pos, end, _, kept = _gather(c, form, m.site)
-    dst = form._ground_dst(bindings)
-    preps = None
-    if form.src_preps or form.dst_preps:
-        preps = list(c.preps)
-        for p in ground_preps(form.src_preps, bindings):
-            preps.remove(p)
-        preps.extend(ground_preps(form.dst_preps, bindings))
-        preps = tuple(sorted(preps, key=lambda p: p.wires))
-    # the matched and inserted instructions touch only bound wires
-    cbits = [w for v, w in bindings.items() if form.kinds[v] == "c"]
-    new = _splice(c, pos, end, dst, kept, num_cbits, preps, cbits)
+    pos, end, _, kept = _gather(c, adm.form, m.site)
+    new = _splice(c, pos, end, adm.dst, kept, adm.num_cbits, adm.preps, adm.cbits)
     if verify and not _window_equal(c, new, m):
         raise VerificationError(f"step {m.label()} is not shown equal on its window")
     return new

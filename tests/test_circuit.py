@@ -109,6 +109,16 @@ def test_declaration_errors_name_their_line(text, line, error):
     assert err.value.line == line and str(err.value) == f"line {line}: {error}"
 
 
+def test_a_repeated_input_is_a_parse_error_naming_its_line():
+    # `serialize` writes each input once, so a repeated INPUT line would
+    # not round-trip; it is refused as a repeated role or prep is
+    with pytest.raises(ParseError) as err:
+        parse("qubits 2\ncbits 0\nINPUT q1\nINPUT q0\n# comment\nINPUT q1\nH q0")
+    assert err.value.line == 6 and str(err.value) == "line 6: input q1 declared twice"
+    text = "qubits 2\ncbits 0\nINPUT q0\nINPUT q1\nH q0"
+    assert serialize(parse(text)).splitlines() == text.splitlines()
+
+
 def test_parse_syntax_error_reports_line():
     with pytest.raises(ParseError, match="line 3"):
         parse("qubits 1\ncbits 0\nFROB q0")

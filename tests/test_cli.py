@@ -375,6 +375,12 @@ def test_parse_error_exit_code(files, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_a_repeated_input_exits_with_a_parse_error(files, capsys):
+    path = files("twice.qc", "qubits 1\ncbits 0\nINPUT q0\nINPUT q0\nH q0\n")
+    assert main(["run", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: line 4: input q0 declared twice\n"
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

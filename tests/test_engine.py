@@ -43,6 +43,7 @@ from qrewrite.rules import DIRECTIONS, FORMS, RULES, ground, rule_forms
 from qrewrite.scenarios import derive, make
 from qrewrite.sim import SimulationError, channel_of_deferred, extract_channel
 
+from test_step_check import _sweep_corpus
 from util import (
     exhaustive_insertions,
     full_rewrite,
@@ -1107,3 +1108,47 @@ def test_a_stale_found_match_is_checked_again():
                 refused += got[0] is RewriteError
                 applied += got[0] is not RewriteError
     assert applied > 1000 and refused > 100, (applied, refused)
+
+
+def test_found_matches_keep_the_dataclass_contract():
+    # `_found` builds each match without the frozen `__init__`: it still
+    # equals, hashes and prints as the match `match` builds, refuses a
+    # field assignment, and its copy carries no admission
+    found = 0
+    for c in _digest_corpus():
+        for rule, direction in FORMS:
+            for m in find_matches(c, rule, direction):
+                built = match(m.rule, m.direction, m.site, dict(m.bindings), m.variant)
+                assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
+                for f in dataclasses.fields(Match):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(m, f.name, getattr(m, f.name))
+                assert m._admitted is not None and dataclasses.replace(m)._admitted is None
+                found += 1
+    assert found > 8000, found
+
+
+def test_every_found_match_rewrites_as_its_hand_built_copy():
+    # a found match splices the replacement, preps and cbits its admission
+    # computed; its copy recomputes them through `_check_applicable` and
+    # `_admit`. Among them: new preps (BellPrepFold), a new cbit
+    # (R4_XorSubstitute, which random circuits never hold, so it is planted)
+    # and insertion admissions shared across positions
+    rng = np.random.default_rng(4405)
+    planted = [
+        _planted_r4(rng, "forward", variant)[0]
+        for variant in RULES["R4_XorSubstitute"].variants
+        for _ in range(24)
+    ]
+    seen = {"preps": 0, "new cbit": 0, "shared": 0}
+    for c in _digest_corpus() + _sweep_corpus() + planted:
+        for rule, direction in FORMS:
+            positions = {}
+            for m in find_matches(c, rule, direction):
+                assert rewrite_at(c, m) == rewrite_at(c, dataclasses.replace(m)), m
+                adm = m._admitted
+                seen["preps"] += adm.preps is not None and adm.preps != c.preps
+                seen["new cbit"] += adm.num_cbits > c.num_cbits
+                positions.setdefault(id(adm), set()).add(m.site)
+            seen["shared"] += sum(len(sites) > 1 for sites in positions.values())
+    assert all(n >= 10 for n in seen.values()), seen
